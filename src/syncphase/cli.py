@@ -222,8 +222,8 @@ def _cmd_estimate(args) -> int:
             samples = read_samples_csv(fp)
     except FileNotFoundError as exc:
         raise OutOfRange(f"cannot read {in_path}: {exc}") from exc
-    except EmptyInput as exc:
-        raise EmptyInput(f"{in_path}: {exc}") from exc
+    except (EmptyInput, OutOfRange) as exc:
+        raise type(exc)(f"{in_path}: {exc}") from exc
     params = _params_from(
         args, snr_db=math.inf, sigma_p_deg=0.0, n=samples.shape[0]
     )

@@ -167,22 +167,45 @@ def tone_phases(params: SignalParams) -> np.ndarray:
     return reduced * (TWO_PI / params.n_samples) + params.phase
 
 
-def generate(params: SignalParams, seed: int, draw_index: int = 0) -> SignalRealization:
-    """Draw one record. Pure function of (params, seed, draw_index).
+def noisy_records(
+    params: SignalParams, seed: int, first_draw: int, n_draws: int
+) -> np.ndarray:
+    """Records of draws [first_draw, first_draw + n_draws) as an (n_draws, N)
+    matrix.  Row j is a pure function of (params, seed, first_draw + j).
 
     Phase noise and additive noise come from independent counter-based
-    substreams; a zero sigma consumes nothing from its channel.
+    substreams; a zero sigma consumes nothing from its channel.  Every
+    operation is elementwise, so a row does not depend on the batch it was
+    drawn in.
     """
-    total = tone_phases(params)
+    if n_draws < 0:
+        raise OutOfRange("n_draws must be non-negative")
+    n = params.n_samples
+    base = tone_phases(params)
     if params.sigma_phase > 0.0:
-        total = total + params.sigma_phase * rng.standard_normals(
-            seed, draw_index, rng.CH_PHASE, params.n_samples
+        records = rng.standard_normals_block(
+            seed, first_draw, n_draws, rng.CH_PHASE, n
         )
-    samples = params.amplitude * np.cos(total)
+        records *= params.sigma_phase
+        records += base
+        np.cos(records, out=records)
+        records *= params.amplitude
+    else:
+        tone = params.amplitude * np.cos(base)
+        records = np.broadcast_to(tone, (n_draws, n)).copy()
     if params.sigma_additive > 0.0:
-        samples += params.sigma_additive * rng.standard_normals(
-            seed, draw_index, rng.CH_ADDITIVE, params.n_samples
+        noise = rng.standard_normals_block(
+            seed, first_draw, n_draws, rng.CH_ADDITIVE, n
         )
+        noise *= params.sigma_additive
+        records += noise
+    return records
+
+
+def generate(params: SignalParams, seed: int, draw_index: int = 0) -> SignalRealization:
+    """Draw one record. Pure function of (params, seed, draw_index): the
+    one-row batch of :func:`noisy_records` starting at ``draw_index``."""
+    samples = noisy_records(params, seed, draw_index, 1)[0]
     return SignalRealization(samples=samples, params=params, seed=seed, draw_index=draw_index)
 
 
@@ -227,7 +250,8 @@ def read_samples_csv(fp: Union[TextIO, str]) -> np.ndarray:
     """Read samples written by :func:`write_samples_csv`.
 
     Accepts an open file or a string of CSV text; '#' comment lines and the
-    header are skipped.  Raises EmptyInput when no data rows are present.
+    header are skipped.  Raises EmptyInput when no data rows are present and
+    OutOfRange on a malformed, out-of-order or non-finite sample row.
     """
     if isinstance(fp, str):
         fp = io.StringIO(fp)
@@ -245,6 +269,8 @@ def read_samples_csv(fp: Union[TextIO, str]) -> np.ndarray:
             value = float(row[1])
         except ValueError as exc:
             raise OutOfRange(f"malformed sample row: {row!r}") from exc
+        if not math.isfinite(value):
+            raise OutOfRange(f"sample row n={index} is not finite: {row[1]!r}")
         if index != len(values):
             raise OutOfRange(
                 f"sample index {index} out of order (expected {len(values)})"

@@ -19,7 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, OutOfRange, ZeroVector
-from .signal_model import SignalParams, SignalRealization, snr_linear
+from .signal_model import (
+    SignalParams,
+    SignalRealization,
+    noisy_records,
+    snr_linear,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -34,33 +39,24 @@ def _check_bin(n_samples: int, k: int) -> None:
 
 
 def dft_bin(samples: np.ndarray, k: int) -> complex:
-    """DFT coefficient at bin k via the Goertzel recurrence.
-
-    v[n] = s[n] + 2*cos(w)*v[n-1] - v[n-2] with w = 2*pi*k/N, finalized as
-    D = v[N-1]*e^{jw} - v[N-2], which equals sum_n s[n] e^{-j w n} for the
-    synchronous case w = 2*pi*k/N.
-    """
+    """DFT coefficient at bin k of one record: :func:`dft_bin_batch` on a
+    one-row matrix."""
     s = np.asarray(samples, dtype=float)
     if s.ndim != 1:
         raise OutOfRange("samples must be a 1-D array")
-    n_samples = s.shape[0]
-    _check_bin(n_samples, k)
-
-    w = TWO_PI * k / n_samples
-    coeff = 2.0 * math.cos(w)
-    v1 = 0.0
-    v2 = 0.0
-    for x in s.tolist():
-        v1, v2 = x + coeff * v1 - v2, v1
-    return v1 * cmath.exp(1j * w) - v2
+    _check_bin(s.shape[0], k)
+    return complex(dft_bin_batch(s[None, :], k)[0])
 
 
 def dft_bin_batch(matrix: np.ndarray, k: int) -> np.ndarray:
-    """Goertzel applied row-wise to an (m, N) matrix of records.
+    """DFT coefficient at bin k of each row of an (m, N) matrix of records,
+    via the Goertzel recurrence.
 
-    Same recurrence as :func:`dft_bin`, vectorized across draws; row j equals
-    dft_bin(matrix[j], k) up to the usual reordering-free float semantics
-    (the recurrence order per row is identical, so it is bit-identical).
+    v[n] = s[n] + 2*cos(w)*v[n-1] - v[n-2] with w = 2*pi*k/N, finalized as
+    D = v[N-1]*e^{jw} - v[N-2], which equals sum_n s[n] e^{-j w n} for the
+    synchronous case w = 2*pi*k/N.  The recurrence runs across all rows at
+    once; each row sees the same operations in the same order, so a row's
+    result does not depend on the other rows.
     """
     s = np.asarray(matrix, dtype=float)
     if s.ndim != 2:
@@ -117,13 +113,16 @@ def _principal(angle: float) -> float:
 def estimate_phase(realization: SignalRealization) -> PhaseStatistic:
     """Extract the phase estimate from one record.
 
-    Raises ZeroVector when the record (or the bin statistic itself) is
-    identically zero, in which case arg() is undefined.
+    Raises OutOfRange when a sample is nan or infinite, and ZeroVector when
+    the record (or the bin statistic itself) is identically zero, in which
+    case arg() is undefined.
     """
     samples = realization.samples
     params = realization.params
     if samples.shape[0] == 0:
         raise EmptyInput("realization carries no samples")
+    if not np.all(np.isfinite(samples)):
+        raise OutOfRange("record holds a non-finite sample: phase is undefined")
     if not np.any(samples):
         raise ZeroVector("all-zero record: phase is undefined")
 
@@ -182,28 +181,9 @@ def reduced_dft_draws(
     """Reduced bin statistics for draws [first_draw, first_draw + n_draws).
 
     Entry j reproduces estimate_phase(generate(params, master_seed,
-    first_draw + j)).d_reduced: the noise comes from the same per-draw
-    counter-based substreams, and the bin statistic from the same batched
-    Goertzel recurrence.
+    first_draw + j)).d_reduced: the records come from the same batched
+    synthesis, and the bin statistic from the same Goertzel recurrence.
     """
-    from . import rng  # local import keeps module load order flat
-    from .signal_model import tone_phases
-
-    if n_draws < 0:
-        raise OutOfRange("n_draws must be non-negative")
-    n = params.n_samples
-    base = tone_phases(params)
-    if params.sigma_phase > 0.0:
-        total = base[None, :] + params.sigma_phase * rng.standard_normals_block(
-            master_seed, first_draw, n_draws, rng.CH_PHASE, n
-        )
-        signal = params.amplitude * np.cos(total)
-    else:
-        tone = params.amplitude * np.cos(base)
-        signal = np.broadcast_to(tone, (n_draws, n)).copy()
-    if params.sigma_additive > 0.0:
-        signal += params.sigma_additive * rng.standard_normals_block(
-            master_seed, first_draw, n_draws, rng.CH_ADDITIVE, n
-        )
+    signal = noisy_records(params, master_seed, first_draw, n_draws)
     d = dft_bin_batch(signal, params.bin_index)
-    return 2.0 * d / (params.amplitude * n)
+    return 2.0 * d / (params.amplitude * params.n_samples)

@@ -111,6 +111,21 @@ class TestGenEstimate:
         assert "EmptyInput" in err
         assert str(empty) in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_estimate_rejects_non_finite_sample(self, tmp_path, capsys, bad):
+        record = tmp_path / "record.csv"
+        rows = [f"{n},{math.cos(2.0 * math.pi * n / 10.0)!r}" for n in range(10)]
+        rows[4] = f"4,{bad}"
+        record.write_text("n,sample\n" + "\n".join(rows) + "\n")
+        table = tmp_path / "estimate.csv"
+        assert main(["estimate", "--in", str(record),
+                     "--out", str(table)]) == 2
+        err = capsys.readouterr().err
+        assert "OutOfRange" in err
+        assert "n=4" in err
+        assert str(record) in err
+        assert not table.exists()
+
 
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self, capsys):

@@ -52,6 +52,37 @@ def test_block_rows_match_per_draw_streams_bitwise():
         assert np.array_equal(block[j], row)
 
 
+def _fresh_substream_normals(seed, draw, channel, count):
+    """One substream from a Philox built for it alone, as the module's
+    docstring specifies it: an oracle independent of the block code."""
+    key = np.array([seed % 2**64, 0x9E3779B97F4A7C15], dtype=np.uint64)
+    counter = np.array([0, draw % 2**64, channel, 0], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(counter=counter, key=key))
+    return ndtri(gen.random(count) + 2.0**-54)
+
+
+@pytest.mark.parametrize("channel", [rng.CH_PHASE, rng.CH_ADDITIVE])
+@pytest.mark.parametrize("count", [1, 3, 4, 33])
+def test_block_rows_match_fresh_philox_per_draw(channel, count):
+    # counts that leave part of Philox's 4-word buffer unused must not leak
+    # it into the next row; draws 2^64-3 .. 2^64+2 wrap to 0, 1, 2
+    first = 2**64 - 3
+    block = rng.standard_normals_block(17, first, 6, channel, count)
+    assert block.shape == (6, count)
+    for j in range(6):
+        want = _fresh_substream_normals(17, first + j, channel, count)
+        assert np.array_equal(block[j], want)
+
+
+def test_back_to_back_blocks_share_no_state():
+    ch = rng.CH_ADDITIVE
+    a = rng.standard_normals_block(3, 10, 4, ch, 7)
+    b = rng.standard_normals_block(2**64 + 4, 10, 4, ch, 7)
+    for j in range(4):
+        assert np.array_equal(a[j], _fresh_substream_normals(3, 10 + j, ch, 7))
+        assert np.array_equal(b[j], _fresh_substream_normals(4, 10 + j, ch, 7))
+
+
 def test_normal_moments():
     z = rng.standard_normals(2, 0, rng.CH_ADDITIVE, 10**6)
     n = z.size

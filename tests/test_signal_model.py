@@ -188,3 +188,8 @@ class TestSampleCsv:
             read_samples_csv(io.StringIO("n,sample\n0,1.0\n2,0.5\n"))
         with pytest.raises(OutOfRange):
             read_samples_csv(io.StringIO("n,sample\n0,not-a-number\n"))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_rejected_naming_its_row(self, bad):
+        with pytest.raises(OutOfRange, match="n=1"):
+            read_samples_csv(io.StringIO(f"n,sample\n0,1.0\n1,{bad}\n"))

@@ -85,6 +85,24 @@ class TestDftBin:
         for j in range(8):
             assert d[j] == dft_bin(m[j], 3)
 
+    def test_matches_scalar_goertzel_loop_bitwise(self):
+        # the scalar recurrence, one Python float at a time, is the
+        # reference: the vectorized rows must do the same operations
+        def goertzel(s, k):
+            w = 2.0 * math.pi * k / len(s)
+            coeff = 2.0 * math.cos(w)
+            v1 = v2 = 0.0
+            for x in s.tolist():
+                v1, v2 = x + coeff * v1 - v2, v1
+            return v1 * cmath.exp(1j * w) - v2
+
+        gen = np.random.default_rng(21)
+        for n in (3, 4, 7, 20, 33, 128, 1000):
+            for scale in (1e-8, 1.0, 1e8):
+                s = scale * gen.standard_normal(n)
+                for k in (1, (n - 1) // 2):  # lowest and highest bin
+                    assert dft_bin(s, k) == goertzel(s, k)
+
     def test_bin_range_validation(self):
         s = np.zeros(8)
         with pytest.raises(OutOfRange):
@@ -122,6 +140,14 @@ class TestEstimatePhase:
         p = params_for(4)
         r = SignalRealization(samples=np.zeros(4), params=p, seed=0)
         with pytest.raises(ZeroVector):
+            estimate_phase(r)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_record_rejected(self, bad):
+        p = params_for(4)
+        samples = np.array([1.0, bad, -1.0, 0.0])
+        r = SignalRealization(samples=samples, params=p, seed=0)
+        with pytest.raises(OutOfRange):
             estimate_phase(r)
 
     def test_mean_of_reduced_statistic_tracks_theory(self):
