@@ -220,7 +220,7 @@ def _cmd_estimate(args) -> int:
     try:
         with open(in_path) as fp:
             samples = read_samples_csv(fp)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise OutOfRange(f"cannot read {in_path}: {exc}") from exc
     except (EmptyInput, OutOfRange) as exc:
         raise type(exc)(f"{in_path}: {exc}") from exc
@@ -597,6 +597,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2 if isinstance(exc, ValueError) else 3
     except ValueError as exc:
         print(f"syncphase: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # --in and --config are read under their own handlers, so an OSError
+        # here comes from writing the result
+        print(f"syncphase: cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

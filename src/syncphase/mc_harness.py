@@ -149,6 +149,21 @@ class HzResult(NamedTuple):
     p_value: float
 
 
+def _hz_pair_sum(half: np.ndarray, d_diag: np.ndarray, b2: float) -> float:
+    """Sum over all pairs (i, j) of exp(-b2/2 * squared Mahalanobis distance).
+
+    The distance d_i + d_j - 2 half_ij is built in one (n, n) buffer (half
+    is overwritten), with the same operations, so the same bits, as the
+    allocating expression exp(-0.5 * b2 * (d_i + d_j - 2.0 * half_ij)).
+    """
+    half *= 2.0
+    buf = np.add.outer(d_diag, d_diag)
+    buf -= half
+    buf *= -0.5 * b2
+    np.exp(buf, out=buf)
+    return float(np.sum(buf))
+
+
 def henze_zirkler(samples: np.ndarray) -> HzResult:
     """Henze-Zirkler multivariate-normality test (smooth-parameter default).
 
@@ -178,13 +193,11 @@ def henze_zirkler(samples: np.ndarray) -> HzResult:
     centered = x - x.mean(axis=0)
     half = centered @ inv @ centered.T
     d_diag = np.diag(half).copy()
-    # squared Mahalanobis distances between all pairs
-    d_pair = d_diag[:, None] + d_diag[None, :] - 2.0 * half
 
     beta = ((2 * p + 1) * n / 4.0) ** (1.0 / (p + 4)) / math.sqrt(2.0)
     b2 = beta * beta
 
-    term_pair = float(np.sum(np.exp(-0.5 * b2 * d_pair))) / (n * n)
+    term_pair = _hz_pair_sum(half, d_diag, b2) / (n * n)
     term_single = float(np.sum(np.exp(-0.5 * b2 * d_diag / (1.0 + b2)))) / n
     statistic = n * (
         term_pair

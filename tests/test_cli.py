@@ -103,6 +103,14 @@ class TestGenEstimate:
         assert "cannot read" in err
         assert str(missing) in err
 
+    def test_estimate_directory_input_is_validation_error(self, tmp_path,
+                                                         capsys):
+        assert main(["estimate", "--in", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read" in err
+        assert str(tmp_path) in err
+        assert "Traceback" not in err
+
     def test_estimate_empty_csv_names_the_file(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("# comment only\nn,sample\n")
@@ -234,6 +242,18 @@ class TestOutputConventions:
         assert main(["rmse", "--config", str(tmp_path / "nope.json"),
                      "--n", "20"]) == 2
         assert "bad config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["rmse", "--n", "20"],
+                                      ["gen", "--n", "20"]])
+    @pytest.mark.parametrize("where", ["directory", "missing_parent"])
+    def test_unwritable_out_is_validation_error(self, tmp_path, capsys, argv,
+                                                where):
+        out = tmp_path if where == "directory" else tmp_path / "no" / "t.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("syncphase: cannot write output")
+        assert str(out) in err
+        assert len(err.splitlines()) == 1
 
     def test_non_object_config_is_validation_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"

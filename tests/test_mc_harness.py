@@ -13,6 +13,7 @@ from syncphase.errors import (
 )
 from syncphase.mc_harness import (
     HIST_BINS,
+    _hz_pair_sum,
     McConfig,
     McReport,
     TestBatteryReport as BatteryReport,
@@ -174,6 +175,21 @@ class TestHenzeZirkler:
         s0 = henze_zirkler(x).statistic
         s1 = henze_zirkler(x @ a.T + b).statistic
         assert s1 == pytest.approx(s0, rel=1e-12)
+
+    def test_pair_sum_matches_allocating_expression_bitwise(self):
+        # the allocating expression is the reference: the in-place buffer
+        # must do the same operations on the same values
+        gen = np.random.default_rng(31)
+        for n in (20, 21, 64, 200, 500, 999, 1000, 1500, 2000, 2000):
+            x = gen.standard_normal((n, 2)) @ gen.standard_normal((2, 2))
+            centered = x - x.mean(axis=0)
+            cov = np.cov(x, rowvar=False, bias=True)
+            half = centered @ np.linalg.inv(cov) @ centered.T
+            d_diag = np.diag(half).copy()
+            b2 = ((5 * n / 4.0) ** (1.0 / 6.0) / math.sqrt(2.0)) ** 2
+            d_pair = d_diag[:, None] + d_diag[None, :] - 2.0 * half
+            want = float(np.sum(np.exp(-0.5 * b2 * d_pair)))
+            assert _hz_pair_sum(half, d_diag, b2) == want
 
     def test_degenerate_inputs(self):
         gen = np.random.default_rng(0)

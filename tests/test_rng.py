@@ -1,4 +1,6 @@
 """Tests for the counter-based noise streams."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -62,7 +64,8 @@ def _fresh_substream_normals(seed, draw, channel, count):
 
 
 @pytest.mark.parametrize("channel", [rng.CH_PHASE, rng.CH_ADDITIVE])
-@pytest.mark.parametrize("count", [1, 3, 4, 33])
+@pytest.mark.parametrize("count", [1, 3, 4, 33, 0, rng._KERNEL_MAX_COUNT,
+                                   rng._KERNEL_MAX_COUNT + 1])
 def test_block_rows_match_fresh_philox_per_draw(channel, count):
     # counts that leave part of Philox's 4-word buffer unused must not leak
     # it into the next row; draws 2^64-3 .. 2^64+2 wrap to 0, 1, 2
@@ -72,6 +75,32 @@ def test_block_rows_match_fresh_philox_per_draw(channel, count):
     for j in range(6):
         want = _fresh_substream_normals(17, first + j, channel, count)
         assert np.array_equal(block[j], want)
+
+
+def test_kernel_sub_blocks_match_fresh_philox_per_draw():
+    # three kernel sub-blocks; the draw word wraps past 2^64 inside the third
+    count = 20
+    rows = rng._SUB_BLOCK // 5  # draws per sub-block at 5 Philox blocks each
+    n_draws = 3 * rows
+    first = 2**64 - 2 * rows - 7
+    block = rng.standard_normals_block(23, first, n_draws, rng.CH_ADDITIVE,
+                                       count)
+    for j in range(n_draws):
+        want = _fresh_substream_normals(23, first + j, rng.CH_ADDITIVE, count)
+        assert np.array_equal(block[j], want), j
+
+
+def test_kernel_work_memory_does_not_grow_with_draws():
+    # tracemalloc sees NumPy's buffers: the peak is the output plus work buffers
+    # sized by the sub-block, whatever the number of draws
+    tracemalloc.start()
+    try:
+        z = rng.standard_normals_block(1, 0, 50_000, rng.CH_PHASE, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert z.shape == (50_000, 20)
+    assert peak - z.nbytes < 4 * 2**20
 
 
 def test_back_to_back_blocks_share_no_state():
