@@ -8,8 +8,10 @@ Conventions:
   * outputs are CSV with ``#`` provenance comments (tool version, command,
     seed, grid hash) and are byte-deterministic for identical invocations;
     ``--json`` emits the same rows as a JSON document instead;
-  * a JSON config file (``--config``) can supply any long option; explicit
-    command-line flags win over config values;
+  * each command declares its options once, in its ``_command`` table; a
+    JSON config file (``--config``) can supply any of them by table key
+    (``snr_db`` for ``--snr-db``, ``in_path`` for ``--in``, ``json_output``
+    for ``--json``), an unknown key is an error, and flags win over config;
   * exit codes: 0 success, 1 usage, 2 validation, 3 numeric failure.
 """
 
@@ -23,7 +25,7 @@ import math
 import re
 import sys
 from itertools import product
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -53,7 +55,6 @@ from .signal_model import (
     make_params,
     read_samples_csv,
     sigma_x_for_snr,
-    write_samples_csv,
 )
 from .spectral_estimator import estimate_phase, theoretical_moments
 
@@ -78,44 +79,126 @@ class _Parser(argparse.ArgumentParser):
 
 
 # --- option plumbing ----------------------------------------------------------
+# Casts run after parsing, so a bad value exits 2 (validation) and not 1.
 
 def _cast_float(value) -> float:
-    if isinstance(value, str) and value.strip().lower() in ("inf", "+inf", "infinity"):
-        return math.inf
-    return float(value)
+    if isinstance(value, bool):
+        raise ValueError(f"not a number: {value!r}")
+    return float(value)  # parses "inf", "+inf" and "infinity" too
 
 
 def _cast_int(value) -> int:
-    i = int(str(value), 10) if isinstance(value, str) else int(value)
-    return i
+    if isinstance(value, str):
+        return int(value, 10)
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
+def _tokens(value) -> list:
+    if isinstance(value, list):  # a JSON list from the config file
+        tokens = value
+    else:
+        tokens = [tok for tok in str(value).split(",") if tok.strip() != ""]
+    if not tokens:
+        raise ValueError("empty list")
+    return tokens
 
 
 def _cast_float_list(value) -> List[float]:
-    if isinstance(value, (list, tuple)):
-        return [_cast_float(v) for v in value]
-    return [_cast_float(tok) for tok in str(value).split(",") if tok.strip() != ""]
+    return [_cast_float(v) for v in _tokens(value)]
 
 
 def _cast_int_list(value) -> List[int]:
-    if isinstance(value, (list, tuple)):
-        return [_cast_int(v) for v in value]
-    return [_cast_int(tok) for tok in str(value).split(",") if tok.strip() != ""]
+    return [_cast_int(v) for v in _tokens(value)]
 
 
-def _resolve(args: argparse.Namespace, key: str, cast, default=_REQUIRED):
-    value = getattr(args, key, None)
-    if value is None:
-        value = getattr(args, "_config_data", {}).get(key)
-    if value is None:
-        if default is _REQUIRED:
-            raise OutOfRange(f"missing required option --{key.replace('_', '-')}")
-        return default
-    try:
-        return cast(value)
-    except (TypeError, ValueError) as exc:
-        raise OutOfRange(
-            f"bad value for --{key.replace('_', '-')}: {value!r}"
-        ) from exc
+def _cast_flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"not true or false: {value!r}")
+    return value
+
+
+class _Opt(NamedTuple):
+    """One option of a command: its cast, its default, and its flag.
+
+    A default is written as the text a user would pass, so it goes through
+    the same cast and the help shows it as typed.
+    """
+
+    cast: Callable[[Any], Any]
+    default: Any = _REQUIRED
+    flag: str = ""  # "" means "--" plus the key with "-" for "_"
+
+
+# Option key -> help text, shared by every command that takes the option.
+_HELP = {
+    "amplitude": "tone amplitude",
+    "f0": "signal frequency in Hz",
+    "fs": "sampling rate in Hz",
+    "snr_db": "SNR in dB; 'inf' for noiseless",
+    "sigma_p_deg": "phase-noise std in degrees",
+    "phi_deg": "true phase in degrees",
+    "n": "record length",
+    "seed": "master seed",
+    "out": "output path (default stdout)",
+    "json_output": "emit JSON instead of CSV",
+    "in_path": "input CSV (n,sample rows)",
+    "theta_start_deg": "first tabulated angle in degrees",
+    "theta_stop_deg": "last tabulated angle in degrees",
+    "points": "number of tabulation points",
+    "draws": "number of Monte-Carlo draws",
+    "hist_out": "also write the 720-bin estimate histogram here",
+    "reps": "normality-test repetitions",
+    "hz_draws": "draws per repetition",
+    "hoeffding_draws": "draws for the independence statistic",
+    "alpha": "significance level",
+}
+
+# Options shared by several commands.
+_SIGNAL = dict(amplitude=_Opt(_cast_float, "1.0"), f0=_Opt(str, "1.0"),
+               fs=_Opt(str, "10.0"))
+_OUTPUT = dict(out=_Opt(str, None),
+               json_output=_Opt(_cast_flag, False, "--json"))
+
+# Command name -> (help text, function, option table).
+_COMMANDS: Dict[str, tuple] = {}
+
+
+def _command(name: str, help_text: str, **options: _Opt):
+    """Register the decorated function as command ``name`` with ``options``."""
+    table = {key: opt._replace(flag=opt.flag or "--" + key.replace("_", "-"))
+             for key, opt in options.items()}
+
+    def register(func):
+        _COMMANDS[name] = (help_text, func, table)
+        return func
+    return register
+
+
+def _resolve(table: Dict[str, _Opt], args: argparse.Namespace,
+             config: Dict[str, Any]) -> argparse.Namespace:
+    """Cast every option of ``table`` from its flag, else from the config
+    file, else take its default."""
+    unknown = sorted(set(config) - set(table))
+    if unknown:
+        raise OutOfRange(f"unknown config key(s): {', '.join(unknown)}")
+    resolved = argparse.Namespace()
+    for key, opt in table.items():
+        value = getattr(args, key)
+        if value is None:
+            value = config.get(key)
+        if value is None:
+            value = opt.default
+        if value is _REQUIRED:
+            raise OutOfRange(f"missing required option {opt.flag}")
+        if value is not None:
+            try:
+                value = opt.cast(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise OutOfRange(f"bad value for {opt.flag}: {value!r}") from exc
+        setattr(resolved, key, value)
+    return resolved
 
 
 def _fmt(value) -> str:
@@ -128,13 +211,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _grid_hash(grid: Dict[str, Any]) -> str:
+def _grid_hash(o: argparse.Namespace, *keys: str, **extra) -> str:
+    """Digest of the options ``keys`` of ``o`` plus ``extra``."""
+    grid = {key: getattr(o, key) for key in keys}
+    grid.update(extra)
     canon = json.dumps(grid, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
 def _write_table(
-    args: argparse.Namespace,
+    o: argparse.Namespace,
     command: str,
     columns: Sequence[str],
     rows: Sequence[Sequence[Any]],
@@ -142,9 +228,8 @@ def _write_table(
     out_path: Optional[str],
 ) -> None:
     meta = {"tool": f"syncphase {__version__}", "command": command, **provenance}
-    as_json = bool(getattr(args, "json_output", False))
     buffer = io.StringIO()
-    if as_json:
+    if o.json_output:
         doc = {
             "provenance": meta,
             "columns": list(columns),
@@ -158,25 +243,21 @@ def _write_table(
         buffer.write(",".join(columns) + "\n")
         for row in rows:
             buffer.write(",".join(_fmt(v) for v in row) + "\n")
-    text = buffer.getvalue()
     if out_path:
         with open(out_path, "w") as fp:
-            fp.write(text)
+            fp.write(buffer.getvalue())
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(buffer.getvalue())
 
 
-def _params_from(args, *, snr_db, sigma_p_deg, n, phi_deg=0.0):
-    amplitude = _resolve(args, "amplitude", _cast_float, 1.0)
-    f0 = _resolve(args, "f0", str, "1.0")
-    fs = _resolve(args, "fs", str, "10.0")
+def _params_from(o, snr_db, sigma_p_deg, n, phi_deg=0.0):
     snr = math.inf if math.isinf(snr_db) else 10.0 ** (snr_db / 10.0)
     return make_params(
-        amplitude,
-        f0,
-        fs,
+        o.amplitude,
+        o.f0,
+        o.fs,
         phase=math.radians(phi_deg),
-        sigma_additive=sigma_x_for_snr(amplitude, snr),
+        sigma_additive=sigma_x_for_snr(o.amplitude, snr),
         sigma_phase=math.radians(sigma_p_deg),
         n_samples=n,
     )
@@ -184,49 +265,33 @@ def _params_from(args, *, snr_db, sigma_p_deg, n, phi_deg=0.0):
 
 # --- commands -------------------------------------------------------------------
 
-def _cmd_gen(args) -> int:
-    snr_db = _resolve(args, "snr_db", _cast_float, math.inf)
-    sigma_p = _resolve(args, "sigma_p_deg", _cast_float, 0.0)
-    phi = _resolve(args, "phi_deg", _cast_float, 0.0)
-    n = _resolve(args, "n", _cast_int)
-    seed = _resolve(args, "seed", _cast_int, 0)
-    params = _params_from(args, snr_db=snr_db, sigma_p_deg=sigma_p, n=n, phi_deg=phi)
-    realization = generate(params, seed)
-    comments = [
-        f"tool: syncphase {__version__}",
-        "command: gen",
-        f"seed: {seed}",
-        f"f0: {params.f0!r}",
-        f"fs: {params.fs!r}",
-        f"snr_db: {_fmt(snr_db)}",
-        f"sigma_p_deg: {sigma_p!r}",
-        f"phi_deg: {phi!r}",
-    ]
-    out_path = _resolve(args, "out", str, None)
-    buffer = io.StringIO()
-    write_samples_csv(buffer, realization.samples, comments)
-    if out_path:
-        with open(out_path, "w") as fp:
-            fp.write(buffer.getvalue())
-    else:
-        sys.stdout.write(buffer.getvalue())
+@_command("gen", "generate one noisy record as CSV",
+          **_SIGNAL, snr_db=_Opt(_cast_float, "inf"),
+          sigma_p_deg=_Opt(_cast_float, "0"), phi_deg=_Opt(_cast_float, "0"),
+          n=_Opt(_cast_int), seed=_Opt(_cast_int, "0"), **_OUTPUT)
+def _cmd_gen(o) -> int:
+    params = _params_from(o, o.snr_db, o.sigma_p_deg, o.n, o.phi_deg)
+    samples = generate(params, o.seed).samples
+    # the CSV is the format read_samples_csv reads: n,sample rows
+    _write_table(
+        o, "gen", ["n", "sample"], [[i, float(v)] for i, v in enumerate(samples)],
+        {"seed": o.seed, "f0": params.f0, "fs": params.fs, "snr_db": o.snr_db,
+         "sigma_p_deg": o.sigma_p_deg, "phi_deg": o.phi_deg}, o.out,
+    )
     return 0
 
 
-def _cmd_estimate(args) -> int:
-    in_path = _resolve(args, "in_path", str, None)
-    if in_path is None:
-        raise OutOfRange("missing required option --in")
+@_command("estimate", "estimate the phase of a record CSV",
+          in_path=_Opt(str, flag="--in"), **_SIGNAL, **_OUTPUT)
+def _cmd_estimate(o) -> int:
     try:
-        with open(in_path) as fp:
+        with open(o.in_path) as fp:
             samples = read_samples_csv(fp)
     except OSError as exc:
-        raise OutOfRange(f"cannot read {in_path}: {exc}") from exc
+        raise OutOfRange(f"cannot read {o.in_path}: {exc}") from exc
     except (EmptyInput, OutOfRange) as exc:
-        raise type(exc)(f"{in_path}: {exc}") from exc
-    params = _params_from(
-        args, snr_db=math.inf, sigma_p_deg=0.0, n=samples.shape[0]
-    )
+        raise type(exc)(f"{o.in_path}: {exc}") from exc
+    params = _params_from(o, math.inf, 0.0, samples.shape[0])
     realization = SignalRealization(samples=samples, params=params, seed=0)
     result = estimate_phase(realization)
     rows = [[
@@ -235,34 +300,24 @@ def _cmd_estimate(args) -> int:
         result.d_reduced.real,
         result.d_reduced.imag,
     ]]
-    _write_table(
-        args,
-        "estimate",
-        ["phase_deg", "phase_rad", "d_re", "d_im"],
-        rows,
-        {"input": in_path},
-        _resolve(args, "out", str, None),
-    )
+    _write_table(o, "estimate", ["phase_deg", "phase_rad", "d_re", "d_im"],
+                 rows, {"input": o.in_path}, o.out)
     return 0
 
 
-def _sorted_grid(snr_list, sigma_list, n_list):
-    return sorted(product(snr_list, sigma_list, n_list))
-
-
-def _cmd_rmse(args) -> int:
-    snr_list = _resolve(args, "snr_db", _cast_float_list, [0.0])
-    sigma_list = _resolve(args, "sigma_p_deg", _cast_float_list, [0.0])
-    n_list = _resolve(args, "n", _cast_int_list)
-    grid = {"snr_db": snr_list, "sigma_p_deg": sigma_list, "n": n_list}
+@_command("rmse", "analytic error sweep over a parameter grid",
+          **_SIGNAL, snr_db=_Opt(_cast_float_list, "0"),
+          sigma_p_deg=_Opt(_cast_float_list, "0"), n=_Opt(_cast_int_list),
+          **_OUTPUT)
+def _cmd_rmse(o) -> int:
     columns = [
         "snr_db", "sigma_p_deg", "n", "rmse_analytic_deg",
         "rmse_linear_approx_deg", "rmse_floor_deg", "crlb_deg2",
         "efficiency", "regime", "diagnostics",
     ]
     rows = []
-    for snr_db, sigma_p, n in _sorted_grid(snr_list, sigma_list, n_list):
-        params = _params_from(args, snr_db=snr_db, sigma_p_deg=sigma_p, n=n)
+    for snr_db, sigma_p, n in sorted(product(o.snr_db, o.sigma_p_deg, o.n)):
+        params = _params_from(o, snr_db, sigma_p, n)
         moments = theoretical_moments(params)
         linear = rmse_linear_approx(n, moments.snr)
         floor = rmse_floor_approx(n, moments.beta_p)
@@ -296,57 +351,51 @@ def _cmd_rmse(args) -> int:
             regime.value,
             diagnostics,
         ])
-    _write_table(
-        args, "rmse", columns, rows,
-        {"grid-sha256": _grid_hash(grid)},
-        _resolve(args, "out", str, None),
-    )
+    _write_table(o, "rmse", columns, rows,
+                 {"grid-sha256": _grid_hash(o, "snr_db", "sigma_p_deg", "n")},
+                 o.out)
     return 0
 
 
-def _cmd_pdf(args) -> int:
-    snr_db = _resolve(args, "snr_db", _cast_float)
-    sigma_p = _resolve(args, "sigma_p_deg", _cast_float, 0.0)
-    phi = _resolve(args, "phi_deg", _cast_float, 0.0)
-    n = _resolve(args, "n", _cast_int)
-    start = _resolve(args, "theta_start_deg", _cast_float, -180.0)
-    stop = _resolve(args, "theta_stop_deg", _cast_float, 180.0)
-    points = _resolve(args, "points", _cast_int, 721)
+@_command("pdf", "tabulate the phase-estimate density",
+          **_SIGNAL, snr_db=_Opt(_cast_float),
+          sigma_p_deg=_Opt(_cast_float, "0"), phi_deg=_Opt(_cast_float, "0"),
+          n=_Opt(_cast_int), theta_start_deg=_Opt(_cast_float, "-180"),
+          theta_stop_deg=_Opt(_cast_float, "180"), points=_Opt(_cast_int, "721"),
+          **_OUTPUT)
+def _cmd_pdf(o) -> int:
+    start, stop, points = o.theta_start_deg, o.theta_stop_deg, o.points
     if points < 2:
         raise OutOfRange(f"--points must be >= 2, got {points}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise OutOfRange("--theta-start-deg and --theta-stop-deg must be finite")
     if not stop > start:
         raise OutOfRange("--theta-stop-deg must exceed --theta-start-deg")
-    params = _params_from(args, snr_db=snr_db, sigma_p_deg=sigma_p, n=n, phi_deg=phi)
+    params = _params_from(o, o.snr_db, o.sigma_p_deg, o.n, o.phi_deg)
     pdf = PolarPdf.from_moments(theoretical_moments(params))
     thetas = np.linspace(start, stop, points)
     values = pdf_value(pdf, np.radians(thetas))
     rows = [[float(t), float(g)] for t, g in zip(thetas, values)]
     _write_table(
-        args, "pdf", ["theta_deg", "g_value"], rows,
-        {"grid-sha256": _grid_hash({
-            "snr_db": snr_db, "sigma_p_deg": sigma_p, "phi_deg": phi, "n": n,
-            "theta": [start, stop, points],
-        })},
-        _resolve(args, "out", str, None),
+        o, "pdf", ["theta_deg", "g_value"], rows,
+        {"grid-sha256": _grid_hash(o, "snr_db", "sigma_p_deg", "phi_deg", "n",
+                                   theta=[start, stop, points])},
+        o.out,
     )
     return 0
 
 
-def _cmd_mc(args) -> int:
-    snr_db = _resolve(args, "snr_db", _cast_float)
-    sigma_p = _resolve(args, "sigma_p_deg", _cast_float, 0.0)
-    phi = _resolve(args, "phi_deg", _cast_float, 0.0)
-    n = _resolve(args, "n", _cast_int)
-    draws = _resolve(args, "draws", _cast_int)
-    seed = _resolve(args, "seed", _cast_int, 0)
-    workers = _resolve(args, "workers", _cast_int, 1)
-    params = _params_from(args, snr_db=snr_db, sigma_p_deg=sigma_p, n=n, phi_deg=phi)
-    report = run_mc(McConfig(params=params, n_draws=draws, master_seed=seed,
-                             n_workers_hint=workers))
-    provenance = {"seed": seed, "grid-sha256": _grid_hash({
-        "snr_db": snr_db, "sigma_p_deg": sigma_p, "phi_deg": phi,
-        "n": n, "draws": draws,
-    })}
+@_command("mc", "Monte-Carlo estimate of the error statistics",
+          **_SIGNAL, snr_db=_Opt(_cast_float),
+          sigma_p_deg=_Opt(_cast_float, "0"), phi_deg=_Opt(_cast_float, "0"),
+          n=_Opt(_cast_int), seed=_Opt(_cast_int, "0"), draws=_Opt(_cast_int),
+          hist_out=_Opt(str, None), **_OUTPUT)
+def _cmd_mc(o) -> int:
+    params = _params_from(o, o.snr_db, o.sigma_p_deg, o.n, o.phi_deg)
+    report = run_mc(McConfig(params=params, n_draws=o.draws,
+                             master_seed=o.seed))
+    provenance = {"seed": o.seed, "grid-sha256": _grid_hash(
+        o, "snr_db", "sigma_p_deg", "phi_deg", "n", "draws")}
     rows = [[
         report.n_draws,
         math.degrees(report.rmse_empirical),
@@ -357,33 +406,32 @@ def _cmd_mc(args) -> int:
         math.degrees(report.mc_standard_error),
     ]]
     _write_table(
-        args, "mc",
+        o, "mc",
         ["n_draws", "rmse_empirical_deg", "bias_empirical_deg",
          "mean_d_re", "mean_d_im", "var_d", "mc_standard_error_deg"],
-        rows, provenance, _resolve(args, "out", str, None),
+        rows, provenance, o.out,
     )
-    hist_path = _resolve(args, "hist_out", str, None)
-    if hist_path:
+    if o.hist_out:
         centers = 0.5 * (report.hist_edges[:-1] + report.hist_edges[1:])
         hist_rows = [
             [float(np.degrees(c)), int(k)]
             for c, k in zip(centers, report.hist_counts)
         ]
         _write_table(
-            args, "mc-hist", ["theta_deg", "count"], hist_rows,
-            provenance, hist_path,
+            o, "mc-hist", ["theta_deg", "count"], hist_rows,
+            provenance, o.hist_out,
         )
     return 0
 
 
-def _cmd_divergence(args) -> int:
-    snr_list = _resolve(args, "snr_db", _cast_float_list)
-    sigma_p = _resolve(args, "sigma_p_deg", _cast_float, 0.0)
-    n = _resolve(args, "n", _cast_int)
-    grid = {"snr_db": snr_list, "sigma_p_deg": sigma_p, "n": n}
+@_command("divergence", "divergences between the exact density, uniform, "
+                        "and Gaussian approximations",
+          **_SIGNAL, snr_db=_Opt(_cast_float_list),
+          sigma_p_deg=_Opt(_cast_float, "0"), n=_Opt(_cast_int), **_OUTPUT)
+def _cmd_divergence(o) -> int:
     rows = []
-    for snr_db in sorted(snr_list):
-        params = _params_from(args, snr_db=snr_db, sigma_p_deg=sigma_p, n=n)
+    for snr_db in sorted(o.snr_db):
+        params = _params_from(o, snr_db, o.sigma_p_deg, o.n)
         moments = theoretical_moments(params)
         p = density_from_pdf(PolarPdf.from_moments(moments))
         q_gauss = gaussian_approximation(moments)
@@ -395,60 +443,53 @@ def _cmd_divergence(args) -> int:
             kl_gauss = None
         rows.append([snr_db, kl_uniform, bhat, kl_gauss])
     _write_table(
-        args, "divergence",
+        o, "divergence",
         ["snr_db", "kl_to_uniform", "bhat_to_gauss", "kl_to_gauss_or_NA"],
-        rows, {"grid-sha256": _grid_hash(grid)},
-        _resolve(args, "out", str, None),
+        rows, {"grid-sha256": _grid_hash(o, "snr_db", "sigma_p_deg", "n")},
+        o.out,
     )
     return 0
 
 
-def _cmd_efficiency(args) -> int:
-    snr_db = _resolve(args, "snr_db", _cast_float)
-    sigma_p = _resolve(args, "sigma_p_deg", _cast_float, 0.0)
-    n_list = _resolve(args, "n", _cast_int_list)
-    grid = {"snr_db": snr_db, "sigma_p_deg": sigma_p, "n": n_list}
+@_command("efficiency", "CRLB efficiency across record lengths",
+          **_SIGNAL, snr_db=_Opt(_cast_float),
+          sigma_p_deg=_Opt(_cast_float, "0"), n=_Opt(_cast_int_list),
+          **_OUTPUT)
+def _cmd_efficiency(o) -> int:
     rows = []
-    for n in sorted(n_list):
-        params = _params_from(args, snr_db=snr_db, sigma_p_deg=sigma_p, n=n)
+    for n in sorted(o.n):
+        params = _params_from(o, o.snr_db, o.sigma_p_deg, n)
         moments = theoretical_moments(params)
         rmse = rmse_polar(PolarPdf.from_moments(moments))
         rows.append([
-            snr_db, sigma_p, n,
+            o.snr_db, o.sigma_p_deg, n,
             math.degrees(rmse),
             crlb(moments) * math.degrees(1.0) ** 2,
             efficiency(moments, rmse),
         ])
     _write_table(
-        args, "efficiency",
+        o, "efficiency",
         ["snr_db", "sigma_p_deg", "n", "rmse_analytic_deg", "crlb_deg2",
          "efficiency"],
-        rows, {"grid-sha256": _grid_hash(grid)},
-        _resolve(args, "out", str, None),
+        rows, {"grid-sha256": _grid_hash(o, "snr_db", "sigma_p_deg", "n")},
+        o.out,
     )
     return 0
 
 
-def _cmd_normality(args) -> int:
-    snr_list = _resolve(args, "snr_db", _cast_float_list)
-    sigma_list = _resolve(args, "sigma_p_deg", _cast_float_list, [0.0])
-    n_list = _resolve(args, "n", _cast_int_list, [20])
-    seed = _resolve(args, "seed", _cast_int, 0)
-    reps = _resolve(args, "reps", _cast_int, 10)
-    hz_draws = _resolve(args, "hz_draws", _cast_int, 2000)
-    hoeffding_draws = _resolve(args, "hoeffding_draws", _cast_int, 100_000)
-    alpha = _resolve(args, "alpha", _cast_float, 0.05)
-    grid_points = _sorted_grid(snr_list, sigma_list, n_list)
-    grid = {"snr_db": snr_list, "sigma_p_deg": sigma_list, "n": n_list,
-            "reps": reps, "hz_draws": hz_draws,
-            "hoeffding_draws": hoeffding_draws}
-    params_list = [
-        _params_from(args, snr_db=s, sigma_p_deg=sp, n=n)
-        for s, sp, n in grid_points
-    ]
+@_command("normality", "normality/independence battery on the bin statistic",
+          **_SIGNAL, snr_db=_Opt(_cast_float_list),
+          sigma_p_deg=_Opt(_cast_float_list, "0"),
+          n=_Opt(_cast_int_list, "20"), seed=_Opt(_cast_int, "0"),
+          reps=_Opt(_cast_int, "10"), hz_draws=_Opt(_cast_int, "2000"),
+          hoeffding_draws=_Opt(_cast_int, "100000"),
+          alpha=_Opt(_cast_float, "0.05"), **_OUTPUT)
+def _cmd_normality(o) -> int:
+    grid_points = sorted(product(o.snr_db, o.sigma_p_deg, o.n))
+    params_list = [_params_from(o, *point) for point in grid_points]
     reports = run_convergence_battery(
-        params_list, seed, repetitions=reps, hz_draws=hz_draws,
-        hoeffding_draws=hoeffding_draws, alpha=alpha,
+        params_list, o.seed, repetitions=o.reps, hz_draws=o.hz_draws,
+        hoeffding_draws=o.hoeffding_draws, alpha=o.alpha,
     )
     rows = []
     for (snr_db, sigma_p, n), rep in zip(grid_points, reports):
@@ -464,134 +505,78 @@ def _cmd_normality(args) -> int:
             rep.failure if rep.failure else "",
         ])
     _write_table(
-        args, "normality",
+        o, "normality",
         ["snr_db", "sigma_p_deg", "n", "hz_statistic", "hz_p_values",
          "hz_p_adjusted", "fisher_statistic", "fisher_p_value",
          "hoeffding_d", "verdict_normality", "failure"],
-        rows, {"seed": seed, "grid-sha256": _grid_hash(grid)},
-        _resolve(args, "out", str, None),
+        rows, {"seed": o.seed, "grid-sha256": _grid_hash(
+            o, "snr_db", "sigma_p_deg", "n", "reps", "hz_draws",
+            "hoeffding_draws")},
+        o.out,
     )
     return 0
 
 
 # --- parser ----------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
-    table = {
-        "amplitude": dict(help="tone amplitude (default 1.0)"),
-        "f0": dict(help="signal frequency in Hz (default 1.0)"),
-        "fs": dict(help="sampling rate in Hz (default 10.0)"),
-        "snr_db": dict(help="SNR in dB; 'inf' for noiseless; lists comma-separated"),
-        "sigma_p_deg": dict(help="phase-noise std in degrees; lists comma-separated"),
-        "phi_deg": dict(help="true phase in degrees (default 0)"),
-        "n": dict(help="record length(s); lists comma-separated"),
-        "seed": dict(help="master seed (default 0)"),
-        "out": dict(help="output path (default stdout)"),
-    }
-    for name in names:
-        flag = "--" + name.replace("_", "-")
-        sub.add_argument(flag, dest=name, default=None, **table[name])
+def _help(key: str, opt: _Opt) -> str:
+    text = _HELP[key]
+    if opt.cast in (_cast_float_list, _cast_int_list):
+        text += "; comma-separated list"
+    if opt.default is _REQUIRED:
+        return text + " (required)"
+    if isinstance(opt.default, str):
+        return f"{text} (default {opt.default})"
+    return text
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="syncphase",
                      description="Phase extraction from a synchronously "
                                  "sampled sinusoid: analytics and Monte-Carlo.")
     parser.add_argument("--version", action="version",
                         version=f"syncphase {__version__}")
     subs = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    def new_sub(name, help_text, func):
+    for name, (help_text, _, table) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
-        sub.add_argument("--config", dest="config", default=None,
-                         help="JSON file of option defaults")
-        sub.add_argument("--json", dest="json_output", action="store_true",
-                         help="emit JSON instead of CSV")
-        sub.set_defaults(func=func)
-        return sub
-
-    sub = new_sub("gen", "generate one noisy record as CSV", _cmd_gen)
-    _add_common(sub, "amplitude", "f0", "fs", "snr_db", "sigma_p_deg",
-                "phi_deg", "n", "seed", "out")
-
-    sub = new_sub("estimate", "estimate the phase of a record CSV", _cmd_estimate)
-    sub.add_argument("--in", dest="in_path", default=None,
-                     help="input CSV (n,sample rows)")
-    _add_common(sub, "amplitude", "f0", "fs", "out")
-
-    sub = new_sub("rmse", "analytic error sweep over a parameter grid", _cmd_rmse)
-    _add_common(sub, "amplitude", "f0", "fs", "snr_db", "sigma_p_deg", "n", "out")
-
-    sub = new_sub("pdf", "tabulate the phase-estimate density", _cmd_pdf)
-    _add_common(sub, "amplitude", "f0", "fs", "snr_db", "sigma_p_deg",
-                "phi_deg", "n", "out")
-    sub.add_argument("--theta-start-deg", dest="theta_start_deg", default=None)
-    sub.add_argument("--theta-stop-deg", dest="theta_stop_deg", default=None)
-    sub.add_argument("--points", dest="points", default=None,
-                     help="number of tabulation points (default 721)")
-
-    sub = new_sub("mc", "Monte-Carlo estimate of the error statistics", _cmd_mc)
-    _add_common(sub, "amplitude", "f0", "fs", "snr_db", "sigma_p_deg",
-                "phi_deg", "n", "seed", "out")
-    sub.add_argument("--draws", dest="draws", default=None,
-                     help="number of Monte-Carlo draws")
-    sub.add_argument("--workers", dest="workers", default=None,
-                     help="worker hint (results never depend on it)")
-    sub.add_argument("--hist-out", dest="hist_out", default=None,
-                     help="also write the 720-bin estimate histogram here")
-
-    sub = new_sub("divergence", "divergences between the exact density, "
-                                "uniform, and Gaussian approximations",
-                  _cmd_divergence)
-    _add_common(sub, "amplitude", "f0", "fs", "snr_db", "sigma_p_deg", "n", "out")
-
-    sub = new_sub("efficiency", "CRLB efficiency across record lengths",
-                  _cmd_efficiency)
-    _add_common(sub, "amplitude", "f0", "fs", "snr_db", "sigma_p_deg", "n", "out")
-
-    sub = new_sub("normality", "normality/independence battery on the bin "
-                               "statistic", _cmd_normality)
-    _add_common(sub, "amplitude", "f0", "fs", "snr_db", "sigma_p_deg", "n",
-                "seed", "out")
-    sub.add_argument("--reps", dest="reps", default=None,
-                     help="normality-test repetitions (default 10)")
-    sub.add_argument("--hz-draws", dest="hz_draws", default=None,
-                     help="draws per repetition (default 2000)")
-    sub.add_argument("--hoeffding-draws", dest="hoeffding_draws", default=None,
-                     help="draws for the independence statistic (default 100000)")
-    sub.add_argument("--alpha", dest="alpha", default=None,
-                     help="significance level (default 0.05)")
-
+        sub.add_argument("--config", help="JSON object of option values by "
+                         "key: snr_db for --snr-db, in_path for --in, "
+                         "json_output for --json")
+        for key, opt in table.items():
+            # None marks a flag not given, so a config value can fill it
+            extra = {"action": "store_true"} if opt.cast is _cast_flag else {}
+            sub.add_argument(opt.flag, dest=key, default=None,
+                             help=_help(key, opt), **extra)
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 1
-    if not getattr(args, "command", None):
-        parser.print_usage(sys.stderr)
+    if not args.command:
+        _PARSER.print_usage(sys.stderr)
         return 1
-    config_path = getattr(args, "config", None)
-    if config_path:
+    config = {}
+    if args.config:
         try:
-            with open(config_path) as fp:
-                data = json.load(fp)
+            with open(args.config) as fp:
+                config = json.load(fp)
         except (OSError, json.JSONDecodeError) as exc:
-            print(f"syncphase: bad config {config_path}: {exc}", file=sys.stderr)
+            print(f"syncphase: bad config {args.config}: {exc}", file=sys.stderr)
             return 2
-        if not isinstance(data, dict):
-            print(f"syncphase: config {config_path} must be a JSON object",
+        if not isinstance(config, dict):
+            print(f"syncphase: config {args.config} must be a JSON object",
                   file=sys.stderr)
             return 2
-        args._config_data = data
-    else:
-        args._config_data = {}
+    _, func, table = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        return func(_resolve(table, args, config))
     except SyncPhaseError as exc:
         print(f"syncphase: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 3

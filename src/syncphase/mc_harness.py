@@ -3,9 +3,9 @@
 Determinism contract: every aggregate is a pure function of
 (params, n_draws, master_seed).  Draw ``d`` always consumes the substreams
 keyed by ``(master_seed, d, channel)``; work is split into fixed-size chunks
-(a function of N and n_draws only, never of the worker hint) and chunk
-partials are combined by pairwise summation, so results are bit-identical
-regardless of how the work would be scheduled.
+(a function of N and n_draws only) and chunk partials are combined by
+pairwise summation, so results are bit-identical regardless of how the work
+would be scheduled.
 
 The battery couples a multivariate-normality test (Henze-Zirkler) applied to
 repeated batches of the bin statistic, Benjamini-Hochberg adjustment across
@@ -45,7 +45,6 @@ class McConfig:
     params: SignalParams
     n_draws: int
     master_seed: int
-    n_workers_hint: int = 1  # scheduling hint only; never affects results
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,13 @@ class PolarPdf:
             raise OutOfRange(f"phi must be finite, got {self.phi!r}")
 
     @property
+    def ambient(self) -> float:
+        """e^{-beta^2/(2 sigma^2)}: the scale of the ambient (uniform)
+        component, whose density is this over 2 pi; 0 once it underflows."""
+        ratio = self.beta_p / self.sigma
+        return math.exp(-0.5 * ratio**2) if ratio < 38.0 else 0.0
+
+    @property
     def spread(self) -> float:
         """Error scale sigma/beta_p (std of the small-error linearization)."""
         return self.sigma / self.beta_p
@@ -106,9 +113,7 @@ def pdf_value(pdf: PolarPdf, theta) -> Union[float, np.ndarray]:
 
     c = np.cos(t)
     s = np.sin(t)
-    # e^{-beta^2/(2 sigma^2)}: ambient (uniform) component scale
-    core = math.exp(-0.5 * (beta / sigma) ** 2) if beta / sigma < 38.0 else 0.0
-    ambient = core / TWO_PI
+    ambient = pdf.ambient / TWO_PI
 
     pref = beta * c / (2.0 * _SQRT2PI * sigma)
     z = -beta * c / (sigma * _SQRT2)
@@ -122,7 +127,7 @@ def pdf_value(pdf: PolarPdf, theta) -> Union[float, np.ndarray]:
     if np.any(neg):
         # erfc(z)*e^{-b^2 s^2/2sig^2} == erfcx(z)*e^{-b^2/2sig^2}: combining
         # the exponents analytically avoids underflow-times-overflow
-        out[neg] += pref[neg] * erfcx(z[neg]) * core
+        out[neg] += pref[neg] * erfcx(z[neg]) * pdf.ambient
     if np.ndim(theta) == 0:
         return float(out)
     return out
@@ -162,8 +167,7 @@ def _moment_integral(pdf: PolarPdf, power: int, *, rel_tol, abs_tol, max_panels)
         max_panels=max_panels,
         breakpoints=[-5.0, -1.0, 1.0, 5.0],
     )
-    core = math.exp(-0.5 * (pdf.beta_p / pdf.sigma) ** 2) if pdf.beta_p / pdf.sigma < 38.0 else 0.0
-    ambient = core / TWO_PI
+    ambient = pdf.ambient / TWO_PI
     if power == 2:
         remainder = ambient * (2.0 / 3.0) * (math.pi**3 - limit**3)
     elif power == 0:

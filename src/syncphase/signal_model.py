@@ -142,7 +142,10 @@ def make_params(
         # only reachable for very short records (fs > 2*f0 forces k < N/2)
         raise NonSynchronous(f"derived bin index k={k} must be >= 1")
 
-    ph = float(phase) % TWO_PI
+    ph = float(phase)
+    if not math.isfinite(ph):
+        raise OutOfRange(f"phase must be finite, got {phase!r}")
+    ph %= TWO_PI
 
     return SignalParams(
         amplitude=amp,

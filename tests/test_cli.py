@@ -6,6 +6,7 @@ formatting conventions, and exit codes as a user would see them.
 """
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -161,6 +162,30 @@ class TestExitCodes:
         assert main(["gen", "--n", "twelve"]) == 2
         assert "--n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["gen", "mc"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_phase_is_validation_error(self, tmp_path, capsys,
+                                                  command, bad):
+        out = tmp_path / "t.csv"
+        argv = [command, "--snr-db", "0", "--n", "20", "--phi-deg", bad,
+                "--out", str(out)]
+        if command == "mc":
+            argv += ["--draws", "100"]
+        assert main(argv) == 2
+        assert "phase must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["rmse", "--n", ","], "--n"),
+        (["efficiency", "--snr-db", "0", "--n", ""], "--n"),
+        (["rmse", "--n", "20", "--snr-db", ","], "--snr-db"),
+    ])
+    def test_empty_list_is_validation_error(self, capsys, argv, flag):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"bad value for {flag}:" in err
+        assert err.count("\n") == 1
+
     def test_missing_required_option_is_validation_error(self, capsys):
         assert main(["mc", "--snr-db", "0", "--n", "20"]) == 2
         assert "--draws" in capsys.readouterr().err
@@ -237,6 +262,76 @@ class TestOutputConventions:
         assert fcell(columns, rows[0], "snr_db") == 0.0     # flag beat config
         assert fcell(columns, rows[0], "sigma_p_deg") == 1.0
         assert fcell(columns, rows[0], "n") == 100
+
+    def test_unknown_config_key_is_validation_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"snr-db": "20", "n": "100"}))
+        table = tmp_path / "t.csv"
+        assert main(["rmse", "--config", str(config),
+                     "--out", str(table)]) == 2
+        assert "snr-db" in capsys.readouterr().err
+        assert not table.exists()
+
+    @pytest.mark.parametrize("data, flag", [
+        ({"n": 20.7}, "--n"),
+        ({"n": 20, "seed": True}, "--seed"),
+        ({"n": 20, "snr_db": True}, "--snr-db"),
+        ({"n": 20, "json_output": "yes"}, "--json"),
+    ])
+    def test_config_values_are_type_checked(self, tmp_path, capsys, data,
+                                            flag):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        assert main(["gen", "--config", str(config)]) == 2
+        assert f"bad value for {flag}:" in capsys.readouterr().err
+
+    def test_config_integral_float_is_an_integer(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 20.0, "seed": 7}))
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        assert main(["gen", "--config", str(config), "--out", str(a)]) == 0
+        assert main(["gen", "--n", "20", "--seed", "7", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_config_can_select_json(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"json_output": True}))
+        table = tmp_path / "t.json"
+        assert main(["rmse", "--config", str(config), "--snr-db", "inf,20",
+                     "--n", "50", "--out", str(table)]) == 0
+        doc = json.loads(table.read_text())
+        assert doc["provenance"]["command"] == "rmse"
+        assert len(doc["rows"]) == 2
+
+    def test_gen_json_mirrors_csv(self, tmp_path):
+        csv_path = tmp_path / "r.csv"
+        json_path = tmp_path / "r.json"
+        argv = ["gen", "--n", "10", "--snr-db", "0", "--seed", "1"]
+        assert main(argv + ["--out", str(csv_path)]) == 0
+        assert main(argv + ["--json", "--out", str(json_path)]) == 0
+        meta, columns, rows = read_table(csv_path)
+        doc = json.loads(json_path.read_text())
+        assert doc["columns"] == columns == ["n", "sample"]
+        assert doc["provenance"]["command"] == "gen"
+        assert doc["provenance"]["seed"] == 1
+        assert [[r["n"], r["sample"]] for r in doc["rows"]] == \
+            [[int(n), float(v)] for n, v in rows]
+
+    @pytest.mark.parametrize("command", [
+        "gen", "estimate", "rmse", "pdf", "mc", "divergence", "efficiency",
+        "normality"])
+    def test_help_lists_exactly_the_table(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        _, _, table = cli._COMMANDS[command]
+        flags = {opt.flag for opt in table.values()}
+        usage = out.split("\n\n")[0]
+        assert set(re.findall(r"\[(--[a-z][a-z0-9-]*)", usage)) == \
+            flags | {"--config"}
+        for key, opt in table.items():
+            if opt.cast is not cli._cast_flag:
+                assert f"{opt.flag} {key.upper()}" in out
 
     def test_missing_config_file_is_validation_error(self, tmp_path, capsys):
         assert main(["rmse", "--config", str(tmp_path / "nope.json"),
@@ -380,6 +475,13 @@ class TestPdfCommand:
                      "--points", "1"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("bound", [["--theta-stop-deg", "inf"],
+                                       ["--theta-start-deg=-inf"],
+                                       ["--theta-start-deg", "nan"]])
+    def test_non_finite_window_is_validation_error(self, capsys, bound):
+        assert main(["pdf", "--snr-db", "0", "--n", "20"] + bound) == 2
+        assert "must be finite" in capsys.readouterr().err
+
 
 class TestMcCommand:
     def test_row_matches_library_run(self, tmp_path):
@@ -422,15 +524,6 @@ class TestMcCommand:
         assert centers[-1] == pytest.approx(179.75, abs=1e-9)
         assert np.diff(centers) == pytest.approx(0.5, abs=1e-9)
         assert sum(counts) == 5000
-
-    def test_worker_hint_never_changes_results(self, tmp_path):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        argv = ["mc", "--snr-db", "0", "--n", "20", "--draws", "3000",
-                "--seed", "4"]
-        assert main(argv + ["--workers", "1", "--out", str(a)]) == 0
-        assert main(argv + ["--workers", "5", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
 
 
 class TestDivergenceCommand:

@@ -87,18 +87,6 @@ class TestRunMc:
             pytest.approx(math.sqrt(float(np.mean(err**2))), rel=1e-12)
         assert int(report.hist_counts.sum()) == 450_001
 
-    def test_worker_hint_never_changes_results(self):
-        p = params_for(50, snr_db=6.0, sigma_p=0.02)
-        one = run_mc(McConfig(params=p, n_draws=4000, master_seed=9,
-                              n_workers_hint=1))
-        many = run_mc(McConfig(params=p, n_draws=4000, master_seed=9,
-                               n_workers_hint=7))
-        assert one.rmse_empirical == many.rmse_empirical
-        assert one.bias_empirical == many.bias_empirical
-        assert one.mean_d == many.mean_d
-        assert one.var_d == many.var_d
-        assert np.array_equal(one.hist_counts, many.hist_counts)
-
     def test_rmse_bounds_bias(self):
         report = run_mc(McConfig(params=params_for(10, snr_db=-5.0),
                                  n_draws=3000, master_seed=4))

@@ -75,6 +75,12 @@ class TestMakeParams:
             make_params(amplitude=1.0, f0=1.0, fs=4.0, n_samples=4,
                         sigma_phase=-0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_rejected(self, bad):
+        with pytest.raises(OutOfRange, match="phase"):
+            make_params(amplitude=1.0, f0=1.0, fs=4.0, n_samples=4,
+                        phase=bad)
+
     def test_phase_normalized_to_principal_interval(self):
         p = make_params(amplitude=1.0, f0=1.0, fs=4.0, n_samples=4,
                         phase=-math.pi / 2.0)
