@@ -4,7 +4,7 @@ Conventions:
   * angles and angular spreads cross this boundary in degrees; everything
     internal is radians;
   * SNR flags take dB values, with the token ``inf`` meaning a noiseless
-    record;
+    record (``-inf`` is SNR 0 and is rejected);
   * outputs are CSV with ``#`` provenance comments (tool version, command,
     seed, grid hash) and are byte-deterministic for identical invocations;
     ``--json`` emits the same rows as a JSON document instead;
@@ -12,7 +12,9 @@ Conventions:
     JSON config file (``--config``) can supply any of them by table key
     (``snr_db`` for ``--snr-db``, ``in_path`` for ``--in``, ``json_output``
     for ``--json``), an unknown key is an error, and flags win over config;
-  * exit codes: 0 success, 1 usage, 2 validation, 3 numeric failure.
+  * exit codes: 0 success, 1 usage, 2 validation (including an input whose
+    arithmetic overflows or whose arrays do not fit in memory), 3 numeric
+    failure.
 """
 
 from __future__ import annotations
@@ -251,13 +253,12 @@ def _write_table(
 
 
 def _params_from(o, snr_db, sigma_p_deg, n, phi_deg=0.0):
-    snr = math.inf if math.isinf(snr_db) else 10.0 ** (snr_db / 10.0)
     return make_params(
         o.amplitude,
         o.f0,
         o.fs,
         phase=math.radians(phi_deg),
-        sigma_additive=sigma_x_for_snr(o.amplitude, snr),
+        sigma_additive=sigma_x_for_snr(o.amplitude, 10.0 ** (snr_db / 10.0)),
         sigma_phase=math.radians(sigma_p_deg),
         n_samples=n,
     )
@@ -324,11 +325,7 @@ def _cmd_rmse(o) -> int:
         bound = crlb(moments)
         diagnostics = ""
         one_minus_b2 = (1 - moments.beta_p) * (1 + moments.beta_p)
-        if (
-            params.sigma_phase > 0
-            and not math.isinf(moments.snr)
-            and one_minus_b2 < 100.0 / moments.snr
-        ):
+        if params.sigma_phase > 0 and one_minus_b2 < 100.0 / moments.snr:
             generic = rmse_floor_approx(n, moments.beta_p, moments.snr)
             diagnostics = f"floor_generic_deg={math.degrees(generic)!r}"
         try:
@@ -413,10 +410,8 @@ def _cmd_mc(o) -> int:
     )
     if o.hist_out:
         centers = 0.5 * (report.hist_edges[:-1] + report.hist_edges[1:])
-        hist_rows = [
-            [float(np.degrees(c)), int(k)]
-            for c, k in zip(centers, report.hist_counts)
-        ]
+        hist_rows = list(zip(np.degrees(centers).tolist(),
+                             report.hist_counts.tolist()))
         _write_table(
             o, "mc-hist", ["theta_deg", "count"], hist_rows,
             provenance, o.hist_out,
@@ -582,6 +577,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2 if isinstance(exc, ValueError) else 3
     except ValueError as exc:
         print(f"syncphase: {exc}", file=sys.stderr)
+        return 2
+    except (OverflowError, MemoryError) as exc:
+        # an input too large for a float or for memory is a validation error
+        kind = "out of memory" if isinstance(exc, MemoryError) else "overflow"
+        print(f"syncphase: {kind}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         # --in and --config are read under their own handlers, so an OSError

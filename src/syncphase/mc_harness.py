@@ -63,8 +63,9 @@ class McReport:
         self.hist_counts.setflags(write=False)
 
 
-def _pairwise_sum(parts: Sequence[float]) -> float:
-    """Pairwise reduction; summation order depends only on len(parts)."""
+def _pairwise_sum(parts: Sequence):
+    """Pairwise reduction of floats or of equal-shape arrays (element-wise);
+    summation order depends only on len(parts)."""
     items = list(parts)
     if not items:
         return 0.0
@@ -89,11 +90,8 @@ def run_mc(config: McConfig) -> McReport:
     chunk = _chunk_size(params.n_samples)
     edges = np.linspace(-math.pi, math.pi, HIST_BINS + 1)
 
-    s_e: List[float] = []
-    s_e2: List[float] = []
-    s_e4: List[float] = []
-    s_d: List[complex] = []
-    s_d2: List[float] = []
+    # per chunk: [sum e, sum e^2, sum e^4, Re sum d, Im sum d, sum |d|^2]
+    partials: List[np.ndarray] = []
     counts = np.zeros(HIST_BINS, dtype=np.int64)
 
     for start in range(0, config.n_draws, chunk):
@@ -103,21 +101,19 @@ def run_mc(config: McConfig) -> McReport:
         phi_hat[phi_hat == -math.pi] = math.pi
         err = np.asarray(wrap_angle(phi_hat - params.phase))
         e2 = err * err
-
-        s_e.append(float(np.sum(err)))
-        s_e2.append(float(np.sum(e2)))
-        s_e4.append(float(np.sum(e2 * e2)))
-        s_d.append(complex(np.sum(d)))
-        s_d2.append(float(np.sum(d.real**2 + d.imag**2)))
+        chunk_d = complex(np.sum(d))
+        partials.append(np.array([
+            np.sum(err), np.sum(e2), np.sum(e2 * e2),
+            chunk_d.real, chunk_d.imag, np.sum(d.real**2 + d.imag**2),
+        ]))
         counts += np.histogram(phi_hat, bins=edges)[0]
 
+    # element-wise, so each statistic sees the additions of its own
+    # scalar pairwise reduction
     n = config.n_draws
-    sum_e = _pairwise_sum(s_e)
-    sum_e2 = _pairwise_sum(s_e2)
-    sum_e4 = _pairwise_sum(s_e4)
-    sum_d = complex(_pairwise_sum([z.real for z in s_d]),
-                    _pairwise_sum([z.imag for z in s_d]))
-    sum_d2 = _pairwise_sum(s_d2)
+    sum_e, sum_e2, sum_e4, sum_re, sum_im, sum_d2 = \
+        _pairwise_sum(partials).tolist()
+    sum_d = complex(sum_re, sum_im)
 
     rmse = math.sqrt(max(sum_e2 / n, 0.0))
     bias = sum_e / n

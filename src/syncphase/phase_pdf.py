@@ -133,8 +133,9 @@ def pdf_value(pdf: PolarPdf, theta) -> Union[float, np.ndarray]:
     return out
 
 
-def _moment_integral(pdf: PolarPdf, power: int, *, rel_tol, abs_tol, max_panels) -> float:
-    """integral of (theta - phi)^power * g(theta) over the principal circle."""
+def _moment_integral(pdf: PolarPdf, power: int, *, rel_tol: float) -> float:
+    """integral of (theta - phi)^power * g(theta) over the principal circle,
+    for power 1 or 2."""
     centered = PolarPdf(beta_p=pdf.beta_p, sigma=pdf.sigma, phi=0.0)
     spread = centered.spread
 
@@ -145,8 +146,6 @@ def _moment_integral(pdf: PolarPdf, power: int, *, rel_tol, abs_tol, max_panels)
             -math.pi,
             math.pi,
             rel_tol=rel_tol,
-            abs_tol=abs_tol,
-            max_panels=max_panels,
             breakpoints=[m for m in marks if -math.pi < m < math.pi],
         )
 
@@ -163,48 +162,24 @@ def _moment_integral(pdf: PolarPdf, power: int, *, rel_tol, abs_tol, max_panels)
         -U_LIMIT,
         U_LIMIT,
         rel_tol=rel_tol,
-        abs_tol=abs_tol,
-        max_panels=max_panels,
         breakpoints=[-5.0, -1.0, 1.0, 5.0],
     )
-    ambient = pdf.ambient / TWO_PI
+    remainder = 0.0  # the ambient floor is even: it adds no odd moment
     if power == 2:
+        ambient = pdf.ambient / TWO_PI
         remainder = ambient * (2.0 / 3.0) * (math.pi**3 - limit**3)
-    elif power == 0:
-        remainder = ambient * 2.0 * (math.pi - limit)
-    elif power % 2 == 1:
-        remainder = 0.0
-    else:
-        raise ValueError(f"unsupported moment power {power}")
     return lobe + remainder
 
 
-def rmse_polar(
-    pdf: PolarPdf,
-    *,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-14,
-    max_panels: int = 2000,
-) -> float:
+def rmse_polar(pdf: PolarPdf, *, rel_tol: float = 1e-10) -> float:
     """Root-mean-square error of the estimate about the lobe center phi,
     from the closed-form density (no sampling)."""
-    second = _moment_integral(
-        pdf, 2, rel_tol=rel_tol, abs_tol=abs_tol, max_panels=max_panels
-    )
-    return math.sqrt(second)
+    return math.sqrt(_moment_integral(pdf, 2, rel_tol=rel_tol))
 
 
-def bias_polar(
-    pdf: PolarPdf,
-    *,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-14,
-    max_panels: int = 2000,
-) -> float:
+def bias_polar(pdf: PolarPdf) -> float:
     """Mean signed error; zero by symmetry, evaluated as a sanity channel."""
-    return _moment_integral(
-        pdf, 1, rel_tol=rel_tol, abs_tol=abs_tol, max_panels=max_panels
-    )
+    return _moment_integral(pdf, 1, rel_tol=1e-10)
 
 
 def rmse_cartesian_oracle(moments: TheoreticalMoments) -> float:
@@ -274,36 +249,28 @@ def rmse_linear_approx(n_samples: int, snr: float) -> float:
     """Small-error additive-noise-only approximation 1/sqrt(N*SNR)."""
     if n_samples < 1:
         raise OutOfRange(f"n_samples must be >= 1, got {n_samples!r}")
-    if math.isinf(snr) and snr > 0:
-        return 0.0
     if not (snr > 0.0):
         raise OutOfRange(f"snr must be > 0, got {snr!r}")
     return 1.0 / math.sqrt(n_samples * snr)
 
 
 def rmse_floor_approx(
-    n_samples: int, beta_p: float, snr: Optional[float] = None
+    n_samples: int, beta_p: float, snr: float = math.inf
 ) -> float:
-    """High-SNR error floor set by phase noise.
+    """Error floor sqrt((1 - beta_p^2 + 1/snr) / (beta_p^2 * N)).
 
-    With snr=None: sqrt((1/beta_p^2 - 1)/N), the saturation value no amount
-    of additive-SNR can beat.  With a finite snr the additive term is kept:
-    sqrt((1 - beta_p^2 + 1/snr) / (beta_p^2 * N)).
+    At the default snr=inf the additive term 1/snr is 0 and this is
+    sqrt((1/beta_p^2 - 1)/N): the phase-noise saturation value that no
+    amount of additive SNR can beat.
     """
     if n_samples < 1:
         raise OutOfRange(f"n_samples must be >= 1, got {n_samples!r}")
     if not (0.0 < beta_p <= 1.0):
         raise OutOfRange(f"beta_p must be in (0, 1], got {beta_p!r}")
-    one_minus_b2 = (1.0 - beta_p) * (1.0 + beta_p)
-    if snr is None:
-        inv = 0.0
-    elif math.isinf(snr) and snr > 0:
-        inv = 0.0
-    elif snr > 0:
-        inv = 1.0 / snr
-    else:
+    if not (snr > 0.0):
         raise OutOfRange(f"snr must be > 0, got {snr!r}")
-    return math.sqrt((one_minus_b2 + inv) / (beta_p**2 * n_samples))
+    one_minus_b2 = (1.0 - beta_p) * (1.0 + beta_p)
+    return math.sqrt((one_minus_b2 + 1.0 / snr) / (beta_p**2 * n_samples))
 
 
 class Regime(str, enum.Enum):
@@ -329,8 +296,7 @@ def classify_regime(
     if abs(rmse - limit) <= 0.02 * limit:
         return Regime.UNIFORM_SATURATED
     one_minus_b2 = (1.0 - moments.beta_p) * (1.0 + moments.beta_p)
-    threshold = 0.0 if math.isinf(moments.snr) else 10.0 / moments.snr
-    if one_minus_b2 > threshold:
+    if one_minus_b2 > 10.0 / moments.snr:
         return Regime.PHASE_NOISE_FLOOR
     if moments.beta_p > 0.9999 and not math.isinf(moments.snr):
         linear = rmse_linear_approx(moments.n_samples, moments.snr)

@@ -207,8 +207,15 @@ def noisy_records(
 
 def generate(params: SignalParams, seed: int, draw_index: int = 0) -> SignalRealization:
     """Draw one record. Pure function of (params, seed, draw_index): the
-    one-row batch of :func:`noisy_records` starting at ``draw_index``."""
-    samples = noisy_records(params, seed, draw_index, 1)[0]
+    one-row batch of :func:`noisy_records` starting at ``draw_index``.
+
+    Raises OutOfRange when a sample overflows (amplitude or noise near the
+    largest float).
+    """
+    with np.errstate(over="ignore"):  # reported by the check below
+        samples = noisy_records(params, seed, draw_index, 1)[0]
+    if not np.all(np.isfinite(samples)):
+        raise OutOfRange("a sample overflowed: amplitude or noise too large")
     return SignalRealization(samples=samples, params=params, seed=seed, draw_index=draw_index)
 
 
@@ -220,16 +227,13 @@ def snr_linear(params: SignalParams) -> float:
 
 
 def snr_db(params: SignalParams) -> float:
-    s = snr_linear(params)
-    return math.inf if math.isinf(s) else 10.0 * math.log10(s)
+    return 10.0 * math.log10(snr_linear(params))
 
 
 def sigma_x_for_snr(amplitude: float, snr: float) -> float:
     """Additive-noise std that realizes a target linear SNR (inf -> 0.0)."""
     if not (amplitude > 0.0):
         raise NonPositiveAmplitude(f"amplitude must be > 0, got {amplitude!r}")
-    if math.isinf(snr) and snr > 0:
-        return 0.0
     if not (snr > 0.0):
         raise OutOfRange(f"snr must be > 0, got {snr!r}")
     return amplitude / math.sqrt(2.0 * snr)

@@ -161,8 +161,7 @@ def theoretical_moments(params: SignalParams) -> TheoreticalMoments:
     beta_p = math.exp(-0.5 * sp2)
     one_minus_beta_sq = -math.expm1(-sp2)  # 1 - beta_p^2, accurate for tiny sigma
     snr = snr_linear(params)
-    inv_snr = 0.0 if math.isinf(snr) else 1.0 / snr
-    variance = (2.0 / params.n_samples) * (one_minus_beta_sq + inv_snr)
+    variance = (2.0 / params.n_samples) * (one_minus_beta_sq + 1.0 / snr)
     mean = beta_p * cmath.exp(1j * params.phase)
     return TheoreticalMoments(
         mean=mean,
@@ -183,7 +182,16 @@ def reduced_dft_draws(
     Entry j reproduces estimate_phase(generate(params, master_seed,
     first_draw + j)).d_reduced: the records come from the same batched
     synthesis, and the bin statistic from the same Goertzel recurrence.
+    Raises OutOfRange when the records, their sum or the scale A*N
+    overflowed.
     """
-    signal = noisy_records(params, master_seed, first_draw, n_draws)
-    d = dft_bin_batch(signal, params.bin_index)
-    return 2.0 * d / (params.amplitude * params.n_samples)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        signal = noisy_records(params, master_seed, first_draw, n_draws)
+        d = dft_bin_batch(signal, params.bin_index)
+        scale = params.amplitude * params.n_samples
+        reduced = 2.0 * d / scale
+    # an infinite scale would quietly reduce a finite sum to 0
+    if not (math.isfinite(scale) and np.all(np.isfinite(reduced))):
+        raise OutOfRange("a bin statistic overflowed: amplitude, noise or "
+                         "record length too large")
+    return reduced

@@ -186,6 +186,74 @@ class TestExitCodes:
         assert f"bad value for {flag}:" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--snr-db=-inf", "--n", "20"],
+        ["mc", "--snr-db=-inf", "--n", "20", "--draws", "10"],
+        ["pdf", "--snr-db=-inf", "--n", "20"],
+        ["efficiency", "--snr-db=-inf", "--n", "20"],
+        ["rmse", "--snr-db", "0,-inf", "--n", "20"],
+        ["divergence", "--snr-db", "0,-inf", "--n", "20"],
+        ["normality", "--snr-db", "0,-inf", "--n", "20", "--reps", "1",
+         "--hz-draws", "20", "--hoeffding-draws", "10"],
+    ])
+    def test_minus_inf_snr_is_validation_error(self, tmp_path, capsys, argv):
+        # -inf dB is SNR 0, not a noiseless record
+        out = tmp_path / "t.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "snr must be > 0" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_minus_inf_snr_from_config_is_validation_error(self, tmp_path,
+                                                           capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"snr_db": "-inf", "n": 20}))
+        assert main(["gen", "--config", str(config)]) == 2
+        assert "snr must be > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["rmse", "--snr-db", "4000", "--n", "20"],        # 10**400
+        ["rmse", "--amplitude", "1e200", "--snr-db", "0", "--n", "20"],
+    ])
+    def test_overflow_is_validation_error(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("syncphase: overflow:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, argv", [
+        ("pdf_value", ["pdf", "--snr-db", "0", "--n", "20"]),
+        ("run_convergence_battery", ["normality", "--snr-db", "0",
+                                     "--n", "20"]),
+    ])
+    def test_out_of_memory_is_validation_error(self, monkeypatch, capsys,
+                                               name, argv):
+        # stands in for a huge --points or --hz-draws, which would really
+        # try to allocate
+        def exhaust(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB")
+
+        monkeypatch.setattr(cli, name, exhaust)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "syncphase: out of memory: Unable to allocate 745. GiB\n"
+
+    @pytest.mark.filterwarnings("error")  # no overflow warning either
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n", "20", "--amplitude", "1e308", "--snr-db", "0"],
+        ["mc", "--amplitude", "1e306", "--snr-db", "inf", "--sigma-p-deg",
+         "1", "--n", "1000", "--draws", "10"],
+    ])
+    def test_non_finite_result_is_validation_error(self, tmp_path, capsys,
+                                                   argv):
+        out = tmp_path / "t.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("syncphase: OutOfRange:")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_required_option_is_validation_error(self, capsys):
         assert main(["mc", "--snr-db", "0", "--n", "20"]) == 2
         assert "--draws" in capsys.readouterr().err

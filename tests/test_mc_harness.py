@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from syncphase import mc_harness
 from syncphase.errors import (
     EmptyInput,
     LengthMismatch,
@@ -86,6 +87,39 @@ class TestRunMc:
         assert report.rmse_empirical == \
             pytest.approx(math.sqrt(float(np.mean(err**2))), rel=1e-12)
         assert int(report.hist_counts.sum()) == 450_001
+
+    def test_chunk_partials_reduce_like_scalar_sums(self, monkeypatch):
+        # 7 draws per chunk: 50 draws make 8 chunks, the last one partial;
+        # each statistic must be the scalar pairwise sum of its chunk sums,
+        # bit for bit
+        monkeypatch.setattr(mc_harness, "_CHUNK_BUDGET", 7 * 20)
+        p = params_for(20, snr_db=2.0, sigma_p=0.1, phase=0.4)
+        report = run_mc(McConfig(params=p, n_draws=50, master_seed=SEED))
+        s_e, s_e2, s_e4, s_re, s_im, s_d2 = ([] for _ in range(6))
+        for start in range(0, 50, 7):
+            d = reduced_dft_draws(p, SEED, start, min(7, 50 - start))
+            a = np.arctan2(d.imag, d.real)
+            a[a == -math.pi] = math.pi
+            err = np.asarray(wrap_angle(a - p.phase))
+            s_e.append(float(np.sum(err)))
+            s_e2.append(float(np.sum(err * err)))
+            s_e4.append(float(np.sum((err * err) ** 2)))
+            z = complex(np.sum(d))
+            s_re.append(z.real)
+            s_im.append(z.imag)
+            s_d2.append(float(np.sum(d.real**2 + d.imag**2)))
+        sum_e, sum_e2, sum_e4, sum_re, sum_im, sum_d2 = (
+            mc_harness._pairwise_sum(s)
+            for s in (s_e, s_e2, s_e4, s_re, s_im, s_d2))
+        mean_d = complex(sum_re, sum_im) / 50
+        rmse = math.sqrt(sum_e2 / 50)
+        assert report.bias_empirical == sum_e / 50
+        assert report.rmse_empirical == rmse
+        assert report.mean_d == mean_d
+        assert report.var_d == sum_d2 / 50 - abs(mean_d) ** 2
+        mse_var = (sum_e4 - sum_e2**2 / 50) / 49
+        assert report.mc_standard_error == \
+            math.sqrt(mse_var / 50) / (2.0 * rmse)
 
     def test_rmse_bounds_bias(self):
         report = run_mc(McConfig(params=params_for(10, snr_db=-5.0),

@@ -123,6 +123,15 @@ class TestToneAndGenerate:
         assert np.allclose(
             phase_only.samples + additive, both.samples, atol=1e-12)
 
+    def test_overflowing_record_rejected(self):
+        # A = 1e308 at 0 dB: the noise pushes 2 of 20 samples past the
+        # largest float
+        p = make_params(amplitude=1e308, f0=1.0, fs=10.0,
+                        sigma_additive=sigma_x_for_snr(1e308, 1.0),
+                        n_samples=20)
+        with pytest.raises(OutOfRange, match="overflowed"):
+            generate(p, seed=0)
+
     def test_samples_are_read_only(self):
         r = generate(quarter_period(), seed=1)
         with pytest.raises((ValueError, RuntimeError)):

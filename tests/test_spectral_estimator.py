@@ -240,3 +240,13 @@ class TestReducedDraws:
     def test_negative_count_rejected(self):
         with pytest.raises(OutOfRange):
             reduced_dft_draws(params_for(8), 0, 0, -1)
+
+    @pytest.mark.parametrize("sigma_p_deg", [1.0, 170.0])
+    def test_overflowing_statistic_rejected(self, sigma_p_deg):
+        # Finite records with A*N > max float.  At 1 degree the Goertzel sum
+        # overflows too; at 170 degrees (beta_p ~ 0.01) it stays finite and
+        # only the scale A*N overflows, which would reduce it to 0.
+        p = make_params(amplitude=1e306, f0=1.0, fs=1000.0,
+                        sigma_phase=math.radians(sigma_p_deg), n_samples=1000)
+        with pytest.raises(OutOfRange, match="overflowed"):
+            reduced_dft_draws(p, 0, 0, 10)
