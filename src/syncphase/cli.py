@@ -43,13 +43,10 @@ from .errors import EmptyInput, OutOfRange, SupportMismatch, SyncPhaseError
 from .mc_harness import McConfig, run_convergence_battery, run_mc
 from .phase_pdf import (
     PolarPdf,
-    classify_regime,
-    crlb,
-    efficiency,
+    error_report,
     pdf_value,
     rmse_floor_approx,
     rmse_linear_approx,
-    rmse_polar,
 )
 from .signal_model import (
     SignalRealization,
@@ -320,16 +317,16 @@ def _cmd_rmse(o) -> int:
     for snr_db, sigma_p, n in sorted(product(o.snr_db, o.sigma_p_deg, o.n)):
         params = _params_from(o, snr_db, sigma_p, n)
         moments = theoretical_moments(params)
+        # ahead of the report: the NA row needs them; beta_p = 0 exits here
         linear = rmse_linear_approx(n, moments.snr)
         floor = rmse_floor_approx(n, moments.beta_p)
-        bound = crlb(moments)
         diagnostics = ""
         one_minus_b2 = (1 - moments.beta_p) * (1 + moments.beta_p)
         if params.sigma_phase > 0 and one_minus_b2 < 100.0 / moments.snr:
             generic = rmse_floor_approx(n, moments.beta_p, moments.snr)
             diagnostics = f"floor_generic_deg={math.degrees(generic)!r}"
         try:
-            rmse = rmse_polar(PolarPdf.from_moments(moments))
+            report = error_report(moments)
         except SyncPhaseError as exc:
             rows.append([
                 snr_db, sigma_p, n, None, math.degrees(linear),
@@ -337,15 +334,14 @@ def _cmd_rmse(o) -> int:
                 f"{type(exc).__name__}: {exc}",
             ])
             continue
-        regime = classify_regime(moments, rmse=rmse)
         rows.append([
             snr_db, sigma_p, n,
-            math.degrees(rmse),
-            math.degrees(linear),
-            math.degrees(floor),
-            bound * math.degrees(1.0) ** 2,
-            efficiency(moments, rmse),
-            regime.value,
+            math.degrees(report.rmse_analytic),
+            math.degrees(report.rmse_linear_approx),
+            math.degrees(report.rmse_floor_approx),
+            report.crlb * math.degrees(1.0) ** 2,
+            report.efficiency,
+            report.regime.value,
             diagnostics,
         ])
     _write_table(o, "rmse", columns, rows,
@@ -454,13 +450,12 @@ def _cmd_efficiency(o) -> int:
     rows = []
     for n in sorted(o.n):
         params = _params_from(o, o.snr_db, o.sigma_p_deg, n)
-        moments = theoretical_moments(params)
-        rmse = rmse_polar(PolarPdf.from_moments(moments))
+        report = error_report(theoretical_moments(params))
         rows.append([
             o.snr_db, o.sigma_p_deg, n,
-            math.degrees(rmse),
-            crlb(moments) * math.degrees(1.0) ** 2,
-            efficiency(moments, rmse),
+            math.degrees(report.rmse_analytic),
+            report.crlb * math.degrees(1.0) ** 2,
+            report.efficiency,
         ])
     _write_table(
         o, "efficiency",

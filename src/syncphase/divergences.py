@@ -112,8 +112,7 @@ def density_from_pdf(pdf: PolarPdf) -> DensityGrid:
 
 def uniform_density(n_nodes: int = DENSE_NODES) -> DensityGrid:
     """The uniform density 1/(2 pi) on [-pi, pi]."""
-    nodes = np.linspace(-math.pi, math.pi, n_nodes)
-    return DensityGrid(nodes=nodes, values=np.full(n_nodes, 1.0 / TWO_PI))
+    return uniform_density_on(np.linspace(-math.pi, math.pi, n_nodes))
 
 
 def uniform_density_on(nodes: np.ndarray) -> DensityGrid:

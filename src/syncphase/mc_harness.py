@@ -390,9 +390,13 @@ def run_convergence_battery(
                 p_raw.append(result.p_value)
             adjusted = benjamini_hochberg(p_raw)
             fisher_stat, fisher_p = fisher_combine(adjusted)
-            d_ind = reduced_dft_draws(
-                params, master_seed, repetitions * hz_draws, hoeffding_draws
-            )
+            # run_mc's chunks bound memory; one call checks a count < 1
+            first = repetitions * hz_draws
+            chunk = _chunk_size(params.n_samples)
+            d_ind = np.concatenate([reduced_dft_draws(
+                params, master_seed, first + start,
+                min(chunk, hoeffding_draws - start))
+                for start in range(0, max(hoeffding_draws, 1), chunk)])
             hd = hoeffding_d(d_ind.real, d_ind.imag)
             reports.append(
                 TestBatteryReport(
@@ -404,7 +408,6 @@ def run_convergence_battery(
                     fisher_p_value=fisher_p,
                     hoeffding_statistic=hd,
                     verdict_normality=bool(fisher_p >= alpha),
-                    failure=None,
                 )
             )
         except (SingularCovariance, TooFewPoints) as exc:

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import erfc, erfcx
 
-from .errors import DegenerateSigma, OutOfRange, QuadratureNonConvergence
+from .errors import DegenerateSigma, OutOfRange
 from .quadrature import integrate
 from .spectral_estimator import TheoreticalMoments
 
@@ -307,10 +307,10 @@ def classify_regime(
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Analytic error summary for one configuration."""
+    """Analytic error summary for one configuration, in radians.  The bias
+    (zero by symmetry) is not a field: :func:`bias_polar` evaluates it."""
 
     rmse_analytic: float
-    bias_analytic: float
     crlb: float
     efficiency: float
     rmse_linear_approx: float
@@ -319,18 +319,15 @@ class ErrorReport:
 
 
 def error_report(moments: TheoreticalMoments) -> ErrorReport:
-    """Assemble the full analytic error summary for one configuration.
+    """Assemble the analytic error summary for one configuration.
 
     Note the efficiency field is CRLB/rmse^2 verbatim; outside the
     concentrated regime the bound is not attainable and the ratio may exceed
     one — interpret it together with `regime`.
     """
-    pdf = PolarPdf.from_moments(moments)
-    rmse = rmse_polar(pdf)
-    bias = bias_polar(pdf)
+    rmse = rmse_polar(PolarPdf.from_moments(moments))
     return ErrorReport(
         rmse_analytic=rmse,
-        bias_analytic=bias,
         crlb=crlb(moments),
         efficiency=efficiency(moments, rmse),
         rmse_linear_approx=rmse_linear_approx(moments.n_samples, moments.snr),

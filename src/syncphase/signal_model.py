@@ -18,7 +18,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, TextIO, Union
+from typing import Iterable, TextIO, Union
 
 import numpy as np
 
@@ -220,10 +220,15 @@ def generate(params: SignalParams, seed: int, draw_index: int = 0) -> SignalReal
 
 
 def snr_linear(params: SignalParams) -> float:
-    """A^2 / (2*sigma_additive^2); +inf for a noiseless record (not an error)."""
+    """A^2 / (2*sigma_additive^2); +inf for a noiseless record (not an error).
+    Where a square is subnormal or 0, it is (A/sigma_additive)^2 / 2."""
     if params.sigma_additive == 0.0:
         return math.inf
-    return params.amplitude**2 / (2.0 * params.sigma_additive**2)
+    a2, s2 = params.amplitude**2, params.sigma_additive**2
+    if min(a2, s2) < np.finfo(float).tiny:
+        ratio = params.amplitude / params.sigma_additive
+        return 0.5 * ratio * ratio  # halved first: no spurious overflow
+    return a2 / (2.0 * s2)
 
 
 def snr_db(params: SignalParams) -> float:

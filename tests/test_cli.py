@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 import syncphase.cli as cli
+import syncphase.phase_pdf as phase_pdf
 from syncphase import __version__
 from syncphase.cli import main
 from syncphase.errors import QuadratureNonConvergence
 from syncphase.mc_harness import McConfig, run_mc
 from syncphase.signal_model import make_params, sigma_x_for_snr
+from syncphase.spectral_estimator import theoretical_moments
 
 SEED = 12
 
@@ -222,6 +224,18 @@ class TestExitCodes:
         assert err.startswith("syncphase: overflow:")
         assert err.count("\n") == 1
 
+    def test_tiny_amplitude_is_a_pure_scale(self, tmp_path):
+        # A^2 and sigma^2 both underflow at A = 1e-200; their ratio does not
+        tiny, unit = tmp_path / "tiny.csv", tmp_path / "unit.csv"
+        argv = ["rmse", "--snr-db", "0", "--n", "20"]
+        assert main(argv + ["--amplitude", "1e-200", "--out", str(tiny)]) == 0
+        assert main(argv + ["--out", str(unit)]) == 0
+        _, columns, rows = read_table(tiny)
+        _, _, unit_rows = read_table(unit)
+        for name in ("rmse_analytic_deg", "crlb_deg2", "efficiency"):
+            assert fcell(columns, rows[0], name) == pytest.approx(
+                fcell(columns, unit_rows[0], name), rel=1e-12)
+
     @pytest.mark.parametrize("name, argv", [
         ("pdf_value", ["pdf", "--snr-db", "0", "--n", "20"]),
         ("run_convergence_battery", ["normality", "--snr-db", "0",
@@ -272,7 +286,8 @@ class TestExitCodes:
                                            best_estimate=0.1,
                                            error_estimate=1e-3)
 
-        monkeypatch.setattr(cli, "rmse_polar", explode)
+        # the CLI reaches the quadrature through phase_pdf.error_report
+        monkeypatch.setattr(phase_pdf, "rmse_polar", explode)
         assert main(["efficiency", "--snr-db", "0", "--sigma-p-deg", "1",
                      "--n", "20"]) == 3
         assert "QuadratureNonConvergence" in capsys.readouterr().err
@@ -509,6 +524,56 @@ class TestRmseCommand:
                   for r in rows]
         assert ratios[0] - 1.0 < 0.01
         assert ratios[1] - 1.0 > 0.10
+
+
+def _report_for(snr_db, sigma_p_deg, n):
+    """The library's report for the params the CLI builds from its defaults."""
+    sigma_x = sigma_x_for_snr(1.0, 10.0 ** (snr_db / 10.0))
+    params = make_params(1.0, "1.0", "10.0", sigma_additive=sigma_x,
+                         sigma_phase=math.radians(sigma_p_deg), n_samples=n)
+    return phase_pdf.error_report(theoretical_moments(params))
+
+
+def _json_rows(capsys, argv):
+    assert main(argv + ["--json"]) == 0
+    return json.loads(capsys.readouterr().out)["rows"]
+
+
+# (snr_db, sigma_p_deg, n): spreads sigma/beta_p of 0.22, 0.010 and 1.1e-4
+# rad, so both quadrature branches (spread >= and < NARROW_SPREAD)
+REPORT_CELLS = [(0.0, 0.0, 20), (20.0, 1.0, 100), (40.0, 0.2, 10000)]
+
+
+@pytest.mark.parametrize("snr_db, sigma_p_deg, n", REPORT_CELLS)
+def test_rmse_row_is_the_error_report(capsys, snr_db, sigma_p_deg, n):
+    [row] = _json_rows(capsys, ["rmse", "--snr-db", repr(snr_db),
+                                "--sigma-p-deg", repr(sigma_p_deg),
+                                "--n", str(n)])
+    report = _report_for(snr_db, sigma_p_deg, n)
+    assert row["rmse_analytic_deg"] == math.degrees(report.rmse_analytic)
+    assert row["rmse_linear_approx_deg"] == \
+        math.degrees(report.rmse_linear_approx)
+    assert row["rmse_floor_deg"] == math.degrees(report.rmse_floor_approx)
+    assert row["crlb_deg2"] == report.crlb * math.degrees(1.0) ** 2
+    assert row["efficiency"] == report.efficiency
+    assert row["regime"] == report.regime.value
+
+
+@pytest.mark.parametrize("snr_db, sigma_p_deg, n", REPORT_CELLS)
+def test_efficiency_row_is_the_error_report(capsys, snr_db, sigma_p_deg, n):
+    [row] = _json_rows(capsys, ["efficiency", "--snr-db", repr(snr_db),
+                                "--sigma-p-deg", repr(sigma_p_deg),
+                                "--n", str(n)])
+    report = _report_for(snr_db, sigma_p_deg, n)
+    assert row["rmse_analytic_deg"] == math.degrees(report.rmse_analytic)
+    assert row["crlb_deg2"] == report.crlb * math.degrees(1.0) ** 2
+    assert row["efficiency"] == report.efficiency
+
+
+def test_report_cells_cover_both_quadrature_branches():
+    spreads = [math.sqrt(_report_for(*c).crlb) for c in REPORT_CELLS]
+    assert any(s >= phase_pdf.NARROW_SPREAD for s in spreads)
+    assert any(s < phase_pdf.NARROW_SPREAD for s in spreads)
 
 
 class TestPdfCommand:

@@ -1,5 +1,6 @@
 """Tests for the Monte-Carlo engine and the statistical-test battery."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -368,6 +369,37 @@ class TestConvergenceBattery:
         assert "SingularCovariance" in reports[0].failure
         assert not reports[0].verdict_normality
         assert reports[1].failure is None
+
+    def test_hoeffding_batch_is_chunked_bit_for_bit(self, monkeypatch):
+        # 13 draws per chunk: 100 draws make 8 chunks, the last one partial;
+        # the batch is draws 20..119, after the one 20-draw HZ batch
+        p = params_for(20, snr_db=0.0, sigma_p=math.radians(1.0))
+        d = reduced_dft_draws(p, SEED, 20, 100)
+        want = hoeffding_d(d.real, d.imag)
+        kwargs = dict(repetitions=1, hz_draws=20, hoeffding_draws=100)
+        (whole,) = run_convergence_battery([p], SEED, **kwargs)
+        monkeypatch.setattr(mc_harness, "_CHUNK_BUDGET", 13 * 20)
+        (chunked,) = run_convergence_battery([p], SEED, **kwargs)
+        assert whole.hoeffding_statistic == want
+        assert chunked.hoeffding_statistic == want
+        assert chunked.hz_p_values == whole.hz_p_values
+
+    def test_hoeffding_batch_memory_does_not_grow_with_draws(
+            self, monkeypatch):
+        # 20-draw chunks at N=1000: in one piece the 2000 draws' records
+        # and noise would take 32 MB; in chunks the peak is set by the
+        # chunk, plus 16 B per draw for the statistics
+        monkeypatch.setattr(mc_harness, "_CHUNK_BUDGET", 20 * 1000)
+        p = params_for(1000, snr_db=0.0, sigma_p=math.radians(1.0))
+        tracemalloc.start()
+        try:
+            (report,) = run_convergence_battery(
+                [p], SEED, repetitions=1, hz_draws=20, hoeffding_draws=2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.failure is None
+        assert peak < 4 * 2**20
 
     def test_parameter_validation(self):
         p = params_for(20, snr_db=0.0)

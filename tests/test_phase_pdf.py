@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import syncphase.phase_pdf as phase_pdf
 from syncphase.errors import DegenerateSigma, OutOfRange
 from syncphase.phase_pdf import (
+    NARROW_SPREAD,
     ErrorReport,
     PolarPdf,
     Regime,
@@ -385,7 +387,6 @@ class TestErrorReport:
         report = error_report(mom)
         assert isinstance(report, ErrorReport)
         assert 0.0 < report.rmse_analytic <= rmse_uniform_limit()
-        assert abs(report.bias_analytic) < 1e-6
         assert report.crlb == crlb(mom)
         assert report.efficiency == \
             pytest.approx(report.crlb / report.rmse_analytic**2, rel=1e-12)
@@ -395,6 +396,22 @@ class TestErrorReport:
         assert report.rmse_floor_approx == \
             rmse_floor_approx(mom.n_samples, mom.beta_p)
         assert report.regime == classify_regime(mom)
+
+    @pytest.mark.parametrize("n, snr_db, wide", [(20, 0.0, True),
+                                                  (1000, 40.0, False)])
+    def test_one_quadrature_per_report(self, monkeypatch, n, snr_db, wide):
+        # the report integrates the RMSE only; the bias is bias_polar's
+        mom = moments_for(n, snr_db=snr_db)
+        assert (PolarPdf.from_moments(mom).spread >= NARROW_SPREAD) == wide
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(phase_pdf, "integrate", counting)
+        error_report(mom)
+        assert len(calls) == 1
 
     def test_noiseless_configuration_rejected(self):
         with pytest.raises(DegenerateSigma):

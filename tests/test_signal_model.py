@@ -175,6 +175,19 @@ class TestSnrHelpers:
     def test_sigma_for_snr_inverts(self):
         assert sigma_x_for_snr(1.0, 0.5) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("amplitude", [1e-155, 1e-200, 1e-300])
+    def test_snr_survives_underflowing_squares(self, amplitude):
+        # A^2 and sigma^2 are subnormal or 0 here; their ratio is not
+        p = make_params(amplitude=amplitude, f0=1.0, fs=4.0,
+                        sigma_additive=amplitude / 10.0, n_samples=4)
+        assert snr_linear(p) == pytest.approx(50.0, rel=1e-15)
+
+    def test_snr_keeps_its_bits_in_the_normal_range(self):
+        for amplitude, sigma in ((1.0, 0.3), (1e-150, 7e-151), (1e150, 3.0)):
+            p = make_params(amplitude=amplitude, f0=1.0, fs=4.0,
+                            sigma_additive=sigma, n_samples=4)
+            assert snr_linear(p) == amplitude**2 / (2.0 * sigma**2)
+
     def test_noiseless_snr_is_infinite(self):
         p = quarter_period()
         assert snr_linear(p) == math.inf
