@@ -4,8 +4,12 @@ Determinism contract: every aggregate is a pure function of
 (params, n_draws, master_seed).  Draw ``d`` always consumes the substreams
 keyed by ``(master_seed, d, channel)``; work is split into fixed-size chunks
 (a function of N and n_draws only) and chunk partials are combined by
-pairwise summation, so results are bit-identical regardless of how the work
-would be scheduled.
+pairwise summation.  Within a chunk, ``reduced_dft_draws`` may compute the
+two halves of the draws on two threads; each draw's statistic depends on its
+own substreams alone and lands at its own index, so that split is layout
+only.  The reduction of a chunk (arctan2, wrap, sums, histogram) runs on one
+thread over the whole chunk, in the same order with or without the split.
+Results are therefore bit-identical however the work is scheduled.
 
 The battery couples a multivariate-normality test (Henze-Zirkler) applied to
 repeated batches of the bin statistic, Benjamini-Hochberg adjustment across

@@ -229,8 +229,10 @@ def rmse_cartesian_oracle(moments: TheoreticalMoments) -> float:
 
 
 def crlb(moments: TheoreticalMoments) -> float:
-    """Cramer-Rao lower bound on the error variance: sigma^2 / beta_p^2."""
-    return moments.sigma2 / moments.beta_p**2
+    """Cramer-Rao lower bound on the error variance: sigma^2 / beta_p^2;
+    inf where beta_p^2 underflows to 0 (sigma_p above about 27.3 rad)."""
+    b2 = moments.beta_p**2
+    return moments.sigma2 / b2 if b2 > 0.0 else math.inf
 
 
 def efficiency(moments: TheoreticalMoments, rmse: float) -> float:
@@ -246,12 +248,16 @@ def rmse_uniform_limit() -> float:
 
 
 def rmse_linear_approx(n_samples: int, snr: float) -> float:
-    """Small-error additive-noise-only approximation 1/sqrt(N*SNR)."""
+    """Small-error additive-noise-only approximation 1/sqrt(N*SNR), taken
+    as 1/sqrt(N)/sqrt(SNR) where the product N*SNR overflows."""
     if n_samples < 1:
         raise OutOfRange(f"n_samples must be >= 1, got {n_samples!r}")
     if not (snr > 0.0):
         raise OutOfRange(f"snr must be > 0, got {snr!r}")
-    return 1.0 / math.sqrt(n_samples * snr)
+    n_snr = n_samples * snr
+    if n_snr == math.inf:  # 0.0 for a noiseless snr either way
+        return 1.0 / math.sqrt(n_samples) / math.sqrt(snr)
+    return 1.0 / math.sqrt(n_snr)
 
 
 def rmse_floor_approx(
@@ -261,7 +267,8 @@ def rmse_floor_approx(
 
     At the default snr=inf the additive term 1/snr is 0 and this is
     sqrt((1/beta_p^2 - 1)/N): the phase-noise saturation value that no
-    amount of additive SNR can beat.
+    amount of additive SNR can beat.  It is inf where beta_p^2 underflows
+    to 0 (sigma_p above about 27.3 rad).
     """
     if n_samples < 1:
         raise OutOfRange(f"n_samples must be >= 1, got {n_samples!r}")
@@ -270,7 +277,10 @@ def rmse_floor_approx(
     if not (snr > 0.0):
         raise OutOfRange(f"snr must be > 0, got {snr!r}")
     one_minus_b2 = (1.0 - beta_p) * (1.0 + beta_p)
-    return math.sqrt((one_minus_b2 + 1.0 / snr) / (beta_p**2 * n_samples))
+    denominator = beta_p**2 * n_samples
+    if denominator == 0.0:
+        return math.inf
+    return math.sqrt((one_minus_b2 + 1.0 / snr) / denominator)
 
 
 class Regime(str, enum.Enum):

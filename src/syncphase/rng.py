@@ -2,11 +2,14 @@
 
 Reproducibility contract: the noise consumed by draw ``d`` of a Monte-Carlo
 run is a pure function of ``(master_seed, d, channel)`` — no global state, no
-dependence on batching, chunking or worker count.  Each (draw, channel) pair
+dependence on batching, chunking or thread.  Each (draw, channel) pair
 owns a private Philox-4x64 counter block: the key is ``[seed mod 2^64,
 _KEY_SALT]`` and the stream starts at counter ``[0, draw mod 2^64, channel,
 0]``.  Standard normals are produced by applying the inverse normal CDF to
-the counter-based uniform stream.
+the counter-based uniform stream.  ``spectral_estimator.reduced_dft_draws``
+fills the two halves of a large batch on two threads at once; each call
+builds its own generator or kernel buffers and a row's words depend only on
+its substream, so the split is layout only and gives the same bits.
 
 Two paths fill a block, chosen by ``count`` (samples per substream); both
 give the words of a Philox freshly built for each substream:
@@ -26,8 +29,21 @@ native loop's cost is the per-draw state setter and ``random`` call (about
 3 us per substream), not the Philox arithmetic, and the kernel avoids both;
 its own cost grows with ``count``.  Filling 2000 draws on 2 cores
 (NumPy 2.4), the kernel took 0.3x the native time at count 20, 0.6x at 48
-and 0.87x at 96, and the two were equal within noise from about 104 to 128.
-So the kernel fills counts up to 96 and the native loop longer records.
+and 0.87x at 96.  The native loop holds the GIL, so under
+``reduced_dft_draws``' two-thread split it does not scale, while the kernel
+does.  Kernel time over native time for ``reduced_dft_draws`` at 0 dB and
+1 degree, medians of interleaved runs (31 at 2*10^5 samples for counts 96
+to 112, 21 above; 9 at 4*10^6):
+
+    count            96    100   104   108   112   120   128   200   256
+    one thread, 2e5  0.91  0.96  1.13  1.08  1.02  1.09  1.11  1.24  1.32
+    one thread, 4e6  1.00  0.99  0.95  1.00  0.91  0.82  0.97  1.22  1.25
+    two threads, 4e6 0.65  0.72   -     -    0.74  0.72  0.71  0.95  1.09
+
+Split, the kernel wins up to 200.  On one thread it stops winning after
+100: at 100 it won 26 of 31 small batches, from 104 to 112 at most 14 of
+31, at 120 and above none of 21.  So the kernel fills counts up to 100
+and the native loop longer records.
 
 The kernel works in sub-blocks of ``_SUB_BLOCK`` Philox blocks (3276 draws
 at count 20) over one set of work buffers (about 1.8 MB), updated in
@@ -65,7 +81,7 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 # Largest samples-per-substream count filled by the NumPy kernel; measured,
 # see the module docstring.
-_KERNEL_MAX_COUNT = 96
+_KERNEL_MAX_COUNT = 100
 # Philox blocks per kernel sub-block.
 _SUB_BLOCK = 16384
 

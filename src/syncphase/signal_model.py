@@ -236,12 +236,28 @@ def snr_db(params: SignalParams) -> float:
 
 
 def sigma_x_for_snr(amplitude: float, snr: float) -> float:
-    """Additive-noise std that realizes a target linear SNR (inf -> 0.0)."""
+    """Additive-noise std that realizes a target linear SNR (inf -> 0.0).
+
+    A/sqrt(2*snr), taken as A/sqrt(2)/sqrt(snr) where 2*snr overflows.
+    Raises OutOfRange when a finite SNR still gives a std of 0 (a tiny A at
+    a high SNR): that configuration has noise, but no float can hold it.
+    """
     if not (amplitude > 0.0):
         raise NonPositiveAmplitude(f"amplitude must be > 0, got {amplitude!r}")
     if not (snr > 0.0):
         raise OutOfRange(f"snr must be > 0, got {snr!r}")
-    return amplitude / math.sqrt(2.0 * snr)
+    if snr == math.inf:
+        return 0.0
+    two_snr = 2.0 * snr
+    if two_snr == math.inf:
+        sigma = amplitude / math.sqrt(2.0) / math.sqrt(snr)
+    else:
+        sigma = amplitude / math.sqrt(two_snr)
+    if sigma == 0.0:
+        raise OutOfRange(
+            f"additive-noise std underflows to 0 for amplitude {amplitude!r} "
+            f"at SNR {snr!r}")
+    return sigma
 
 
 # --- sample CSV (schema: n,sample) -------------------------------------------

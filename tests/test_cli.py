@@ -224,6 +224,52 @@ class TestExitCodes:
         assert err.startswith("syncphase: overflow:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["rmse", "--amplitude", "1e-200", "--snr-db", "3000", "--n", "20"],
+        ["mc", "--amplitude", "1e-200", "--snr-db", "3000", "--n", "20",
+         "--draws", "10"],
+    ])
+    def test_noise_std_underflow_is_validation_error(self, capsys, argv):
+        # a finite SNR whose noise std underflows to 0 is not noiseless
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "underflows to 0" in err
+        assert err.count("\n") == 1
+
+    def test_snr_whose_double_overflows_keeps_its_noise(self, capsys):
+        # 3080 dB: 2*SNR overflows; the row was the noiseless NA row
+        [row] = _json_rows(capsys, ["rmse", "--snr-db", "3080", "--n", "20"])
+        assert row["regime"] == "Linear"
+        assert row["rmse_analytic_deg"] == pytest.approx(
+            row["rmse_linear_approx_deg"], rel=1e-6, abs=0.0)
+        assert row["rmse_analytic_deg"] > 0.0
+
+    def test_overflowing_record_length_snr_product_stays_linear(self, capsys):
+        # at N=1000, N*SNR overflows: the linear column read 0.0 and the
+        # cell was called Transitional
+        rows = _json_rows(capsys, ["rmse", "--snr-db", "3060",
+                                   "--n", "20,1000"])
+        assert [row["regime"] for row in rows] == ["Linear", "Linear"]
+        for row in rows:
+            assert row["rmse_linear_approx_deg"] == pytest.approx(
+                row["rmse_analytic_deg"], rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize("command, columns", [
+        ("rmse", ("rmse_floor_deg", "crlb_deg2", "efficiency")),
+        ("efficiency", ("crlb_deg2", "efficiency")),
+    ])
+    @pytest.mark.parametrize("sigma_p_deg", ["1560", "1600"])
+    def test_underflowing_beta_p_squared_gives_infinite_bounds(
+            self, capsys, command, columns, sigma_p_deg):
+        # beta_p^2 is subnormal at 1560 deg and 0 at 1600 deg, which ended
+        # in a ZeroDivisionError traceback
+        [row] = _json_rows(capsys, [command, "--snr-db", "0", "--sigma-p-deg",
+                                    sigma_p_deg, "--n", "20"])
+        for name in columns:
+            assert row[name] == math.inf
+        assert row["rmse_analytic_deg"] == pytest.approx(
+            math.degrees(math.pi / math.sqrt(3.0)), rel=1e-12)
+
     def test_tiny_amplitude_is_a_pure_scale(self, tmp_path):
         # A^2 and sigma^2 both underflow at A = 1e-200; their ratio does not
         tiny, unit = tmp_path / "tiny.csv", tmp_path / "unit.csv"

@@ -305,6 +305,22 @@ class TestApproximations:
         assert rmse_floor_approx(50, beta, snr=math.inf) == \
             rmse_floor_approx(50, beta)
 
+    def test_linear_approx_survives_an_overflowing_product(self):
+        # N*SNR overflows to inf here, which would give 0
+        assert 1000 * 1e306 == math.inf
+        assert rmse_linear_approx(1000, 1e306) == pytest.approx(
+            10.0 ** -154.5, rel=1e-14, abs=0.0)
+        assert rmse_linear_approx(20, 1e306) == 1.0 / math.sqrt(20 * 1e306)
+
+    def test_floor_and_crlb_are_infinite_where_beta_p_squared_underflows(
+            self):
+        # sigma_p = 1600 deg: beta_p ~ 1e-169 is positive, beta_p^2 is 0
+        mom = moments_for(20, snr_db=0.0, sigma_p=math.radians(1600.0))
+        assert mom.beta_p > 0.0 and mom.beta_p**2 == 0.0
+        assert rmse_floor_approx(20, mom.beta_p) == math.inf
+        assert rmse_floor_approx(20, mom.beta_p, mom.snr) == math.inf
+        assert crlb(mom) == math.inf
+
     def test_linear_approx_limits_and_validation(self):
         assert rmse_linear_approx(10, math.inf) == 0.0
         with pytest.raises(OutOfRange):

@@ -196,6 +196,29 @@ class TestSnrHelpers:
     def test_infinite_snr_means_zero_sigma(self):
         assert sigma_x_for_snr(2.0, math.inf) == 0.0
 
+    @pytest.mark.parametrize("snr", [1e308, 1.7976931348623157e308])
+    def test_sigma_survives_an_overflowing_twice_snr(self, snr):
+        # 2*snr overflows to inf, which would make the record noiseless
+        sigma = sigma_x_for_snr(1.0, snr)
+        assert 2.0 * (sigma * math.sqrt(snr)) ** 2 == pytest.approx(1.0,
+                                                                    rel=1e-15)
+
+    def test_sigma_keeps_its_bits_below_the_overflow(self):
+        for amplitude, snr in ((1.0, 100.0), (3.0, 1e-300), (1e-150, 1e250),
+                               (1.0, 8.9e307)):
+            assert sigma_x_for_snr(amplitude, snr) == \
+                amplitude / math.sqrt(2.0 * snr)
+
+    @pytest.mark.parametrize("amplitude, snr", [
+        (1e-200, 1e300),   # the quotient underflows
+        (5e-324, 4.0),
+        (1e-300, 1e308),   # 2*snr overflows and the quotient underflows
+    ])
+    def test_sigma_underflowing_to_zero_is_rejected(self, amplitude, snr):
+        # a finite SNR has noise; a std of 0 would be read as noiseless
+        with pytest.raises(OutOfRange, match="underflows to 0"):
+            sigma_x_for_snr(amplitude, snr)
+
 
 class TestSampleCsv:
     def test_round_trip(self):

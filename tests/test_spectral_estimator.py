@@ -1,6 +1,10 @@
 """Tests for the single-bin DFT estimator and its theoretical moments."""
 import cmath
 import math
+import multiprocessing
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from syncphase.spectral_estimator import (
     reduced_dft_draws,
     theoretical_moments,
 )
+import syncphase.spectral_estimator as spectral_estimator
 from syncphase import rng
 
 SEED = 12
@@ -250,3 +255,169 @@ class TestReducedDraws:
                         sigma_phase=math.radians(sigma_p_deg), n_samples=1000)
         with pytest.raises(OutOfRange, match="overflowed"):
             reduced_dft_draws(p, 0, 0, 10)
+
+
+def one_draw_at_a_time(params, seed, first_draw, n_draws):
+    return np.concatenate([reduced_dft_draws(params, seed, first_draw + j, 1)
+                           for j in range(n_draws)])
+
+
+def no_pool():
+    raise AssertionError("this batch must stay on the calling thread")
+
+
+@pytest.fixture
+def two_threads(monkeypatch):
+    """Force the two-thread split, whatever this host's CPU count, and
+    record the (thread, first draw, draws) of every half."""
+    monkeypatch.setattr(spectral_estimator, "_THREADS", 2)
+    halves = []
+    reduce_into = spectral_estimator._reduce_into
+
+    def recording(out, params, master_seed, first_draw, scale):
+        halves.append((threading.current_thread() is threading.main_thread(),
+                       first_draw, out.shape[0]))
+        reduce_into(out, params, master_seed, first_draw, scale)
+
+    monkeypatch.setattr(spectral_estimator, "_reduce_into", recording)
+    return halves
+
+
+class TestTwoThreadSplit:
+    # A small threshold keeps the one-draw-at-a-time references cheap; the
+    # split code is the same at any threshold.
+    MIN_SAMPLES = 2000
+
+    @pytest.mark.parametrize("n, extra", [
+        (20, 0), (20, 1), (20, 2),     # NumPy Philox kernel fill
+        (200, 0), (200, 1),           # native Philox fill
+    ])
+    @pytest.mark.parametrize("first_draw", [0, 2**64 - 7])
+    def test_split_equals_one_draw_at_a_time(self, monkeypatch, two_threads,
+                                             n, extra, first_draw):
+        assert (n <= rng._KERNEL_MAX_COUNT) == (n == 20)
+        monkeypatch.setattr(spectral_estimator, "_SPLIT_MIN_SAMPLES",
+                            self.MIN_SAMPLES)
+        n_draws = -(-self.MIN_SAMPLES // n) + extra  # odd and even counts
+        p = params_for(n, snr_db=3.0, sigma_p=0.2, phase=0.7)
+        d = reduced_dft_draws(p, SEED, first_draw, n_draws)
+        mid = n_draws // 2
+        assert sorted(two_threads) == [(False, first_draw + mid, n_draws - mid),
+                                       (True, first_draw, mid)]
+        two_threads.clear()
+        want = one_draw_at_a_time(p, SEED, first_draw, n_draws)
+        assert d.tobytes() == want.tobytes()
+
+    def test_split_at_the_measured_threshold_keeps_its_bits(
+            self, monkeypatch, two_threads):
+        n = 1000
+        n_draws = spectral_estimator._SPLIT_MIN_SAMPLES // n + 1
+        p = params_for(n, snr_db=0.0, sigma_p=math.radians(1.0), phase=1.0)
+        d = reduced_dft_draws(p, SEED, 5, n_draws)
+        assert sorted(main for main, _, _ in two_threads) == [False, True]
+        monkeypatch.setattr(spectral_estimator, "_THREADS", 1)
+        two_threads.clear()
+        sequential = reduced_dft_draws(p, SEED, 5, n_draws)
+        assert two_threads == [(True, 5, n_draws)]
+        assert d.tobytes() == sequential.tobytes()
+        head = one_draw_at_a_time(p, SEED, 5, 3)
+        tail = one_draw_at_a_time(p, SEED, 5 + n_draws - 3, 3)
+        assert d[:3].tobytes() == head.tobytes()
+        assert d[-3:].tobytes() == tail.tobytes()
+
+    def test_single_cpu_never_splits(self, monkeypatch, two_threads):
+        monkeypatch.setattr(spectral_estimator, "_THREADS", 1)
+        monkeypatch.setattr(spectral_estimator, "_SPLIT_MIN_SAMPLES",
+                            self.MIN_SAMPLES)
+        monkeypatch.setattr(spectral_estimator, "_worker_pool", no_pool)
+        p = params_for(20, snr_db=3.0, sigma_p=0.2)
+        d = reduced_dft_draws(p, SEED, 0, 301)
+        assert two_threads == [(True, 0, 301)]
+        assert d.tobytes() == one_draw_at_a_time(p, SEED, 0, 301).tobytes()
+
+    @pytest.mark.parametrize("n, n_draws", [
+        (20, 4000),   # a mc_short op, 80k samples
+        (20, 2000),   # a normality battery batch, 40k samples
+        (1000, None),  # one sample short of the threshold
+    ])
+    def test_batch_below_threshold_never_touches_the_pool(
+            self, monkeypatch, two_threads, n, n_draws):
+        if n_draws is None:
+            n_draws = -(-spectral_estimator._SPLIT_MIN_SAMPLES // n) - 1
+        assert n * n_draws < spectral_estimator._SPLIT_MIN_SAMPLES
+        monkeypatch.setattr(spectral_estimator, "_worker_pool", no_pool)
+        reduced_dft_draws(params_for(n, snr_db=0.0, sigma_p=0.1), SEED, 0,
+                          n_draws)
+        assert two_threads == [(True, 0, n_draws)]
+
+    def test_overflow_in_the_worker_half_is_rejected_silently(
+            self, monkeypatch, two_threads):
+        # Only the worker's half overflows.  NumPy's error state is per
+        # thread, so the worker must set its own or warn.
+        monkeypatch.setattr(spectral_estimator, "_SPLIT_MIN_SAMPLES",
+                            self.MIN_SAMPLES)
+        records = spectral_estimator.noisy_records
+
+        def overflowing_second_half(params, seed, first_draw, n_draws):
+            signal = records(params, seed, first_draw, n_draws)
+            if first_draw > 0:
+                signal *= 1e308
+            return signal
+
+        monkeypatch.setattr(spectral_estimator, "noisy_records",
+                            overflowing_second_half)
+        p = params_for(100, snr_db=0.0, sigma_p=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange, match="overflowed"):
+                reduced_dft_draws(p, SEED, 0, 40)
+        assert sorted(main for main, _, _ in two_threads) == [False, True]
+
+    def test_concurrent_callers_share_the_pool(self, monkeypatch):
+        # more calling threads than cores, switching often, all queueing on
+        # the one worker: every result keeps its bits
+        monkeypatch.setattr(spectral_estimator, "_SPLIT_MIN_SAMPLES",
+                            self.MIN_SAMPLES)
+        p = params_for(20, snr_db=3.0, sigma_p=0.2)
+        windows = [(start, 150 + start // 100) for start in range(0, 800, 100)]
+        monkeypatch.setattr(spectral_estimator, "_THREADS", 1)
+        want = [reduced_dft_draws(p, SEED, a, n) for a, n in windows]
+        monkeypatch.setattr(spectral_estimator, "_THREADS", 2)
+        got = [None] * len(windows)
+
+        def call(i):
+            got[i] = reduced_dft_draws(p, SEED, *windows[i])
+
+        callers = [threading.Thread(target=call, args=(i,))
+                   for i in range(len(windows))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for g, w in zip(got, want):
+            assert g is not None and g.tobytes() == w.tobytes()
+
+    def test_forked_child_still_splits(self, monkeypatch):
+        # The child inherits the pool object but not its thread.
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
+        monkeypatch.setattr(spectral_estimator, "_THREADS", 2)
+        monkeypatch.setattr(spectral_estimator, "_SPLIT_MIN_SAMPLES",
+                            self.MIN_SAMPLES)
+        p = params_for(20, snr_db=3.0, sigma_p=0.2)
+        reduced_dft_draws(p, SEED, 0, 200)  # the pool and its thread exist
+        child = multiprocessing.get_context("fork").Process(
+            target=reduced_dft_draws, args=(p, SEED, 0, 200))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=10)
+            pytest.fail("the forked child's split never finished")
+        assert child.exitcode == 0
