@@ -9,7 +9,11 @@ two halves of the draws on two threads; each draw's statistic depends on its
 own substreams alone and lands at its own index, so that split is layout
 only.  The reduction of a chunk (arctan2, wrap, sums, histogram) runs on one
 thread over the whole chunk, in the same order with or without the split.
-Results are therefore bit-identical however the work is scheduled.
+Henze-Zirkler's pair sum may run the two top-level nodes of its pairwise
+summation on two threads; each node adds its terms in np.sum's own order
+and the two are added as np.sum adds them, so that split does not change a
+bit either.  Results are therefore bit-identical however the work is
+scheduled.
 
 The battery couples a multivariate-normality test (Henze-Zirkler) applied to
 repeated batches of the bin statistic, Benjamini-Hochberg adjustment across
@@ -35,6 +39,7 @@ from .errors import (
 )
 from .phase_pdf import wrap_angle
 from .signal_model import SignalParams
+from . import spectral_estimator
 from .spectral_estimator import reduced_dft_draws
 
 TWO_PI = 2.0 * math.pi
@@ -148,19 +153,106 @@ class HzResult(NamedTuple):
     p_value: float
 
 
-def _hz_pair_sum(half: np.ndarray, d_diag: np.ndarray, b2: float) -> float:
-    """Sum over all pairs (i, j) of exp(-b2/2 * squared Mahalanobis distance).
+# Pair terms per leaf of _hz_pair_sum: a node of NumPy's pairwise-sum tree
+# that is built and summed in one reused buffer.  Measured on 2 cores (NumPy
+# 2.4) at n = 2000, medians of 601 interleaved runs, one thread and two:
+# 2^15 terms 20.8 and 14.8 ms, 2^16 20.6 and 12.7 ms, 2^17 21.8 and
+# 12.9 ms.  Summing the whole (n, n) matrix at once took 38-52 ms.
+_HZ_TILE = 2**16
+# NumPy's pairwise_sum adds up to this many terms in one unrolled loop and
+# splits only longer runs, so no leaf may be shorter.
+_NUMPY_PAIRWISE_BLOCK = 128
+# Smallest pair count (n^2) that _hz_pair_sum splits across two threads.
+# Measured on 2 cores, the split's speed against one thread over 601
+# interleaved runs, median (quartiles) and share of runs won, at n = 300,
+# 500, 700, 1000, 1400 and 2000: 1.01x (0.79-1.17) 52%, 1.25x (0.99-1.41)
+# 74%, 1.37x (1.07-1.55) 81%, 1.50x (1.21-1.68) 86%, 1.57x (1.28-1.74) 88%,
+# 1.60x (1.34-1.76) 91%.  n = 700 is the smallest measured size whose lower
+# quartile gains.
+_HZ_SPLIT_MIN_PAIRS = 490_000
 
-    The distance d_i + d_j - 2 half_ij is built in one (n, n) buffer (half
-    is overwritten), with the same operations, so the same bits, as the
-    allocating expression exp(-0.5 * b2 * (d_i + d_j - 2.0 * half_ij)).
-    """
-    half *= 2.0
-    buf = np.add.outer(d_diag, d_diag)
-    buf -= half
-    buf *= -0.5 * b2
+
+def _pairwise_split(m: int) -> int:
+    # where NumPy's pairwise_sum splits a run of m > 128 terms
+    left = m // 2
+    return left - left % 8
+
+
+def _hz_pair_node(half: np.ndarray, d_diag: np.ndarray, scale: float,
+                  start: int, count: int, tile: int,
+                  scratch: Optional[Tuple[np.ndarray, np.ndarray]] = None
+                  ) -> float:
+    """Sum of the pair terms at flat indices [start, start + count) of the
+    (n, n) pair matrix, added in the order np.sum adds that node."""
+    n = d_diag.shape[0]
+    if scratch is None:  # one pair of leaf buffers per thread
+        size = min(count, tile)
+        scratch = (np.empty(size + 2 * n), np.empty(size))
+    if count > tile:
+        left = _pairwise_split(count)
+        return (_hz_pair_node(half, d_diag, scale, start, left, tile,
+                              scratch)
+                + _hz_pair_node(half, d_diag, scale, start + left,
+                                count - left, tile, scratch))
+    rows, twice = scratch
+    stop = start + count
+    first, col = divmod(start, n)
+    last = (stop - 1) // n
+    # d_i + d_j over the whole rows the leaf spans; the leaf starts at col
+    np.add(d_diag[first:last + 1, None], d_diag,
+           out=rows[:(last - first + 1) * n].reshape(-1, n))
+    buf = rows[col:col + count]
+    np.multiply(half.reshape(-1)[start:stop], 2.0, out=twice[:count])
+    buf -= twice[:count]
+    buf *= scale
     np.exp(buf, out=buf)
     return float(np.sum(buf))
+
+
+def _hz_pair_sum(half: np.ndarray, d_diag: np.ndarray, b2: float) -> float:
+    """Sum over all pairs (i, j) of exp(-b2/2 * squared Mahalanobis distance),
+    with the bits of the allocating expression
+    np.sum(np.exp(-0.5 * b2 * (d_i + d_j - 2.0 * half_ij))).
+
+    That expression builds an (n, n) matrix and np.sum adds its n^2 terms
+    with NumPy's pairwise summation, one recursion over the flat index
+    range whose split points depend only on the length.  Here the same
+    recursion runs in Python down to leaves of about ``_HZ_TILE`` terms:
+    each leaf builds its terms in a small reused buffer, with the same
+    element-wise operations in the same order, and np.sum of that buffer
+    adds them exactly as the whole-matrix sum adds that subtree.  So the
+    result has the same bits, while the only (n, n) array is ``half``,
+    which is read and left unmodified.  This leans on NumPy's pairwise
+    order (the split at m // 2 rounded down to a multiple of 8, and a plain
+    loop at 128 terms or fewer); the bit-exactness tests fail loudly if a
+    NumPy upgrade changes it.
+
+    From ``_HZ_SPLIT_MIN_PAIRS`` pairs on, when the process may use two CPUs
+    (``spectral_estimator._THREADS``), the two top-level nodes run on this
+    thread and on the worker of ``spectral_estimator._worker_pool()``, and
+    are added as NumPy adds them.
+
+    ``half`` stays the whole product centered @ inv @ centered.T, built
+    once by the caller.  Row blocks of that product, computed apart, need
+    not have its bits, since BLAS picks its kernel by shape: with OpenBLAS
+    0.3.31 at n = 2000, every one-row block differed from its row of the
+    whole product (126 of 126).
+    """
+    n = d_diag.shape[0]
+    total = n * n
+    tile = max(_HZ_TILE, _NUMPY_PAIRWISE_BLOCK)
+    scale = -0.5 * b2
+    if not (spectral_estimator._THREADS > 1
+            and total >= _HZ_SPLIT_MIN_PAIRS):
+        return _hz_pair_node(half, d_diag, scale, 0, total, tile)
+    left = _pairwise_split(total)
+    worker = spectral_estimator._worker_pool().submit(
+        _hz_pair_node, half, d_diag, scale, left, total - left, tile)
+    try:
+        head = _hz_pair_node(half, d_diag, scale, 0, left, tile)
+    finally:
+        tail = worker.result()
+    return head + tail
 
 
 def henze_zirkler(samples: np.ndarray) -> HzResult:
@@ -373,10 +465,16 @@ def run_convergence_battery(
     Benjamini-Hochberg and then Fisher combination; Hoeffding's D is
     computed between Re/Im on a further batch of `hoeffding_draws` draws.
     A degenerate point (e.g. noiseless input with singular covariance) is
-    recorded via the `failure` field and the run continues.
+    recorded via the `failure` field and the run continues; sizes the tests
+    cannot run on raise OutOfRange before any draw.
     """
     if repetitions < 1:
         raise OutOfRange("repetitions must be >= 1")
+    if hz_draws < 20:
+        raise OutOfRange(f"hz_draws must be >= 20, got {hz_draws}")
+    if hoeffding_draws < 5:
+        raise OutOfRange(
+            f"hoeffding_draws must be >= 5, got {hoeffding_draws}")
     if not (0.0 < alpha < 1.0):
         raise OutOfRange(f"alpha must be in (0, 1), got {alpha!r}")
     reports: List[TestBatteryReport] = []
@@ -394,13 +492,13 @@ def run_convergence_battery(
                 p_raw.append(result.p_value)
             adjusted = benjamini_hochberg(p_raw)
             fisher_stat, fisher_p = fisher_combine(adjusted)
-            # run_mc's chunks bound memory; one call checks a count < 1
+            # run_mc's chunks bound memory
             first = repetitions * hz_draws
             chunk = _chunk_size(params.n_samples)
             d_ind = np.concatenate([reduced_dft_draws(
                 params, master_seed, first + start,
                 min(chunk, hoeffding_draws - start))
-                for start in range(0, max(hoeffding_draws, 1), chunk)])
+                for start in range(0, hoeffding_draws, chunk)])
             hd = hoeffding_d(d_ind.real, d_ind.imag)
             reports.append(
                 TestBatteryReport(
@@ -414,7 +512,7 @@ def run_convergence_battery(
                     verdict_normality=bool(fisher_p >= alpha),
                 )
             )
-        except (SingularCovariance, TooFewPoints) as exc:
+        except SingularCovariance as exc:
             reports.append(
                 TestBatteryReport(
                     params=params,

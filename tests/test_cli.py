@@ -773,3 +773,20 @@ class TestNormalityCommand:
         assert "SingularCovariance" in text
         _, columns, rows = read_table(table)
         assert cell(columns, rows[0], "verdict_normality") == "false"
+
+    @pytest.mark.parametrize("sizes, message", [
+        (["--reps", "0"], "repetitions must be >= 1"),
+        (["--hz-draws", "0"], "hz_draws must be >= 20, got 0"),
+        (["--hz-draws", "19"], "hz_draws must be >= 20, got 19"),
+        (["--hoeffding-draws", "4"], "hoeffding_draws must be >= 5, got 4"),
+    ])
+    def test_bad_battery_size_is_validation_error(self, tmp_path, capsys,
+                                                  sizes, message):
+        # was a NaN row with a TooFewPoints failure and exit 0
+        out = tmp_path / "t.csv"
+        argv = ["normality", "--snr-db", "0", "--n", "20", "--reps", "1",
+                "--hz-draws", "20", "--hoeffding-draws", "10"]
+        assert main(argv + sizes + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"syncphase: OutOfRange: {message}\n"
+        assert not out.exists()

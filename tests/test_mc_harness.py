@@ -1,11 +1,13 @@
 """Tests for the Monte-Carlo engine and the statistical-test battery."""
+import gc
 import math
+import multiprocessing
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from syncphase import mc_harness
+from syncphase import mc_harness, spectral_estimator
 from syncphase.errors import (
     EmptyInput,
     LengthMismatch,
@@ -46,6 +48,15 @@ def phase_estimates(params, seed, n_draws):
     a = np.angle(d)
     a[a == -math.pi] = math.pi
     return a
+
+
+def no_pool():
+    raise AssertionError("this batch must stay on the calling thread")
+
+
+def hz_must_equal(x, want):
+    if henze_zirkler(x) != want:
+        raise SystemExit(1)
 
 
 class TestRunMc:
@@ -213,6 +224,99 @@ class TestHenzeZirkler:
             d_pair = d_diag[:, None] + d_diag[None, :] - 2.0 * half
             want = float(np.sum(np.exp(-0.5 * b2 * d_pair)))
             assert _hz_pair_sum(half, d_diag, b2) == want
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("tile", [64, None])
+    def test_tiled_pair_sum_matches_on_one_and_two_threads(
+            self, monkeypatch, threads, tile):
+        # With a 64-term tile (NumPy's 128-term loop is the smallest leaf)
+        # and the split forced, leaves and the top split fall mid-row.
+        monkeypatch.setattr(spectral_estimator, "_THREADS", threads)
+        monkeypatch.setattr(mc_harness, "_HZ_SPLIT_MIN_PAIRS", 0)
+        if tile is not None:
+            monkeypatch.setattr(mc_harness, "_HZ_TILE", tile)
+        pools = []
+        worker_pool = spectral_estimator._worker_pool
+
+        def recording_pool():
+            pools.append(True)
+            return worker_pool()
+
+        monkeypatch.setattr(spectral_estimator, "_worker_pool",
+                            recording_pool)
+        gen = np.random.default_rng(47)
+        for n in (20, 21, 37, 999, 2001):
+            x = gen.standard_normal((n, 2)) @ gen.standard_normal((2, 2))
+            centered = x - x.mean(axis=0)
+            cov = np.cov(x, rowvar=False, bias=True)
+            half = centered @ np.linalg.inv(cov) @ centered.T
+            d_diag = np.diag(half).copy()
+            b2 = ((5 * n / 4.0) ** (1.0 / 6.0) / math.sqrt(2.0)) ** 2
+            before = half.tobytes()
+            want = float(np.sum(np.exp(
+                -0.5 * b2 * (d_diag[:, None] + d_diag[None, :] - 2.0 * half))))
+            assert _hz_pair_sum(half, d_diag, b2) == want, n
+            assert half.tobytes() == before, n
+        assert len(pools) == (5 if threads == 2 else 0)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_pair_sum_holds_one_matrix_and_keeps_none(self, monkeypatch,
+                                                      threads):
+        # n = 1000: the (n, n) product is 8 MB, two matrices are 16 MB, and
+        # a matrix kept after a call would stay traced.  With the cycle
+        # collector off, a reference cycle would keep one too.
+        monkeypatch.setattr(spectral_estimator, "_THREADS", threads)
+        x = np.random.default_rng(19).standard_normal((1000, 2))
+        henze_zirkler(x)  # the pool and its thread exist
+        gc.disable()
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                henze_zirkler(x)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert peak < 14 * 2**20
+        assert current < 2**20
+
+    def test_batch_below_threshold_never_touches_the_pool(self, monkeypatch):
+        # the CLI tests' --hz-draws 20
+        assert 20 * 20 < mc_harness._HZ_SPLIT_MIN_PAIRS
+        monkeypatch.setattr(spectral_estimator, "_THREADS", 2)
+        monkeypatch.setattr(spectral_estimator, "_worker_pool", no_pool)
+        p = params_for(20, snr_db=0.0, sigma_p=math.radians(1.0))
+        (report,) = run_convergence_battery(
+            [p], SEED, repetitions=1, hz_draws=20, hoeffding_draws=10)
+        assert report.failure is None
+
+    def test_single_cpu_never_starts_the_pool(self, monkeypatch):
+        x = np.random.default_rng(13).standard_normal((2000, 2))
+        assert 2000 * 2000 >= mc_harness._HZ_SPLIT_MIN_PAIRS
+        monkeypatch.setattr(spectral_estimator, "_THREADS", 2)
+        split = henze_zirkler(x)
+        monkeypatch.setattr(spectral_estimator, "_THREADS", 1)
+        monkeypatch.setattr(spectral_estimator, "_worker_pool", no_pool)
+        sequential = henze_zirkler(x)
+        assert sequential.statistic.hex() == split.statistic.hex()
+        assert sequential.p_value.hex() == split.p_value.hex()
+
+    def test_forked_child_still_splits(self, monkeypatch):
+        # The child inherits the pool object but not its thread.
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
+        monkeypatch.setattr(spectral_estimator, "_THREADS", 2)
+        x = np.random.default_rng(17).standard_normal((2000, 2))
+        want = henze_zirkler(x)  # the pool and its thread exist
+        child = multiprocessing.get_context("fork").Process(
+            target=hz_must_equal, args=(x, want))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=10)
+            pytest.fail("the forked child's split never finished")
+        assert child.exitcode == 0
 
     def test_degenerate_inputs(self):
         gen = np.random.default_rng(0)
@@ -407,3 +511,26 @@ class TestConvergenceBattery:
             run_convergence_battery([p], master_seed=0, repetitions=0)
         with pytest.raises(OutOfRange):
             run_convergence_battery([p], master_seed=0, alpha=1.5)
+
+    @pytest.mark.parametrize("sizes", [
+        dict(hz_draws=0), dict(hz_draws=19), dict(hoeffding_draws=4),
+        dict(hoeffding_draws=-1),
+    ])
+    def test_bad_sizes_are_rejected_before_any_draw(self, monkeypatch,
+                                                    sizes):
+        # they were a NaN row with a TooFewPoints failure
+        def no_draws(*args):
+            raise AssertionError("a bad size must be rejected first")
+
+        monkeypatch.setattr(mc_harness, "reduced_dft_draws", no_draws)
+        p = params_for(20, snr_db=0.0)
+        with pytest.raises(OutOfRange, match="must be >="):
+            run_convergence_battery([p], master_seed=0, **sizes)
+
+    def test_smallest_sizes_give_a_full_row(self):
+        p = params_for(20, snr_db=0.0, sigma_p=math.radians(1.0))
+        (report,) = run_convergence_battery(
+            [p], SEED, repetitions=1, hz_draws=20, hoeffding_draws=5)
+        assert report.failure is None
+        assert math.isfinite(report.fisher_p_value)
+        assert math.isfinite(report.hoeffding_statistic)
