@@ -72,7 +72,6 @@ from .divergences import (
     gaussian_approximation,
     gaussian_density,
     kl_divergence,
-    uniform_density,
     uniform_density_on,
 )
 from .mc_harness import (

@@ -110,11 +110,6 @@ def density_from_pdf(pdf: PolarPdf) -> DensityGrid:
     return DensityGrid(nodes=nodes, values=pdf_value(pdf, nodes))
 
 
-def uniform_density(n_nodes: int = DENSE_NODES) -> DensityGrid:
-    """The uniform density 1/(2 pi) on [-pi, pi]."""
-    return uniform_density_on(np.linspace(-math.pi, math.pi, n_nodes))
-
-
 def uniform_density_on(nodes: np.ndarray) -> DensityGrid:
     """The uniform phase density sampled on a caller-supplied node set."""
     nodes = np.asarray(nodes, dtype=float)

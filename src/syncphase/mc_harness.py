@@ -42,8 +42,6 @@ from .signal_model import SignalParams
 from . import spectral_estimator
 from .spectral_estimator import reduced_dft_draws
 
-TWO_PI = 2.0 * math.pi
-
 HIST_BINS = 720
 # target samples per chunk; keeps peak memory flat across record lengths
 _CHUNK_BUDGET = 4_000_000
@@ -317,62 +315,57 @@ def henze_zirkler(samples: np.ndarray) -> HzResult:
 
 # --- Hoeffding's D ------------------------------------------------------------
 
-def _bivariate_ranks(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Q_i = 1 + sum_{j != i} u(x_i - x_j) u(y_i - y_j), u = (1, 1/2, 0) for
-    (positive, zero, negative) arguments.  Fenwick-tree sweep in x order,
-    O(n log n) including all tie corrections."""
-    n = x.shape[0]
-    y_codes = np.unique(y, return_inverse=True)[1]
-    m = int(y_codes.max()) + 1
-    tree = [0] * (m + 1)
+def _run_ends(v: np.ndarray, c: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """lo + hi and c[lo] + c[hi] per entry, [lo, hi) its run in sorted v."""
+    edge = np.flatnonzero(np.r_[True, v[1:] != v[:-1], True])
+    size = np.diff(edge)
+    return (np.repeat(edge[:-1] + edge[1:], size),
+            np.repeat(c[edge[:-1]] + c[edge[1:]], size))
 
-    def update(i: int) -> None:
-        i += 1
-        while i <= m:
-            tree[i] += 1
-            i += i & (-i)
 
-    def query(i: int) -> int:  # count of codes <= i
-        i += 1
-        total = 0
-        while i > 0:
-            total += tree[i]
-            i -= i & (-i)
-        return total
+def _bivariate_ranks(x: np.ndarray, y: np.ndarray, r: np.ndarray,
+                     s: np.ndarray) -> np.ndarray:
+    """Hoeffding's Q from the midranks r, s and the concordance K (see
+    :func:`hoeffding_d`), counted exactly in O(n log^2 n).
 
-    order = np.lexsort((y_codes, x))
-    q = np.empty(n, dtype=float)
-    start = 0
-    xs = x[order]
-    while start < n:
-        stop = start
-        while stop < n and xs[stop] == xs[start]:
-            stop += 1
-        block = order[start:stop]
-        codes = y_codes[block]
-        # contributions from strictly smaller x (already in the tree)
-        for idx, code in zip(block.tolist(), codes.tolist()):
-            c = int(code)
-            below = query(c - 1) if c > 0 else 0
-            equal = query(c) - below
-            q[idx] = below + 0.5 * equal
-        # within-block: x ties contribute 1/2 * u(y_i - y_j)
-        if stop - start > 1:
-            uniq, inverse, cnt = np.unique(
-                codes, return_inverse=True, return_counts=True
-            )
-            less = np.concatenate(([0], np.cumsum(cnt)))[inverse]
-            same = cnt[inverse] - 1
-            q[block] += 0.5 * less + 0.25 * same
-        for code in codes.tolist():
-            update(int(code))
-        start = stop
-    return q + 1.0
+    With dense integer codes a of x and b of y, a pair with a_i != a_j has
+    one highest differing bit L; there both points lie in the group
+    a >> (L+1), the larger code in its upper half.  Each level sorts the
+    points by (group, b) once; a running count C of upper-half points gives
+    each point the other half's points of its group with a smaller and a
+    larger b.  An upper point adds (smaller - larger) to K, a lower point
+    (larger - smaller).  x ties are never split; y ties share a key.
+    """
+    a, b = (np.unique(v, return_inverse=True)[1] for v in (x, y))
+    width = int(b.max()) + 1
+    k = np.zeros(a.shape[0], dtype=np.int64)
+    upper_before = np.zeros(a.shape[0] + 1, dtype=np.int64)  # C
+    for level in range(int(a.max()).bit_length()):
+        group = (a >> (level + 1)) * width
+        order = np.argsort(group + b)
+        group = group[order]
+        upper = (a[order] >> level) & 1
+        np.cumsum(upper, out=upper_before[1:])
+        # runs [lo, hi) of a key, [g_lo, g_hi) of a group: upper points
+        # above minus below are C[g_hi] - C[hi] - C[lo] + C[g_lo], and all
+        # points below minus above (lo - g_lo) - (g_hi - hi)
+        run_pos, run_upper = _run_ends(group + b[order], upper_before)
+        group_pos, group_upper = _run_ends(group, upper_before)
+        np.add.at(k, order, group_upper - run_upper
+                  + upper * (run_pos - group_pos))
+    return 1.0 + (k + 2.0 * (r + s) - x.shape[0] - 3) / 4.0
 
 
 def hoeffding_d(x: np.ndarray, y: np.ndarray) -> float:
     """Hoeffding's D statistic of dependence, scaled by 30 so the comonotone
     large-sample limit is 1.  Supports ties through midranks.
+
+    The bivariate ranks are Q_i = 1 + sum_{j != i} u(x_i - x_j) u(y_i - y_j)
+    with u = (1, 1/2, 0) for (positive, zero, negative) arguments.  As
+    u = (1 + sgn)/2 and the midrank is r_i = (n + 1 + sum_j sgn(x_i - x_j))/2,
+    Q_i = 1 + (K_i + 2(r_i + s_i) - n - 3)/4 for any ties, with the
+    concordance K_i = sum_j sgn(x_i - x_j) sgn(y_i - y_j).  Every term is a
+    multiple of 1/4 below 2^53, so Q is exact (:func:`_bivariate_ranks`).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -388,7 +381,7 @@ def hoeffding_d(x: np.ndarray, y: np.ndarray) -> float:
 
     r = rankdata(x, method="average")
     s = rankdata(y, method="average")
-    q = _bivariate_ranks(x, y)
+    q = _bivariate_ranks(x, y, r, s)
 
     d1 = float(np.sum((q - 1.0) * (q - 2.0)))
     d2 = float(np.sum((r - 1.0) * (r - 2.0) * (s - 1.0) * (s - 2.0)))

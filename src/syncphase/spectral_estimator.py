@@ -47,7 +47,6 @@ def dft_bin(samples: np.ndarray, k: int) -> complex:
     s = np.asarray(samples, dtype=float)
     if s.ndim != 1:
         raise OutOfRange("samples must be a 1-D array")
-    _check_bin(s.shape[0], k)
     return complex(dft_bin_batch(s[None, :], k)[0])
 
 
@@ -116,9 +115,9 @@ def _principal(angle: float) -> float:
 def estimate_phase(realization: SignalRealization) -> PhaseStatistic:
     """Extract the phase estimate from one record.
 
-    Raises OutOfRange when a sample is nan or infinite, and ZeroVector when
-    the record (or the bin statistic itself) is identically zero, in which
-    case arg() is undefined.
+    Raises OutOfRange when a sample is nan or infinite or A*N is too small
+    (see _reduction_scale), and ZeroVector when the record (or the bin
+    statistic itself) is identically zero, in which case arg() is undefined.
     """
     samples = realization.samples
     params = realization.params
@@ -129,8 +128,8 @@ def estimate_phase(realization: SignalRealization) -> PhaseStatistic:
     if not np.any(samples):
         raise ZeroVector("all-zero record: phase is undefined")
 
-    d = dft_bin(samples, params.bin_index)
-    d_reduced = 2.0 * d / (params.amplitude * params.n_samples)
+    scale = _reduction_scale(params)
+    d_reduced = complex(_reduce(dft_bin(samples, params.bin_index), scale))
     if d_reduced == 0:
         raise ZeroVector("DFT bin statistic is zero: phase is undefined")
     return PhaseStatistic(
@@ -211,13 +210,26 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+def _reduction_scale(params: SignalParams) -> float:
+    """A*N.  NumPy divides by it as a product with 1/(A*N), so a subnormal
+    A*N, whose reciprocal overflows, raises OutOfRange."""
+    scale = params.amplitude * params.n_samples
+    if math.isinf(1.0 / scale):
+        raise OutOfRange(f"A*N = {scale!r} is too small: 1/(A*N) overflows")
+    return scale
+
+
+def _reduce(d, scale: float, out: Optional[np.ndarray] = None):
+    """2*D/(A*N) for the single-record and the batched path alike."""
+    return np.divide(2.0 * d, scale, out=out)
+
+
 def _reduce_into(out: np.ndarray, params: SignalParams, master_seed: int,
                  first_draw: int, scale: float) -> None:
     # NumPy's error state is per thread: each half sets its own
     with np.errstate(over="ignore", invalid="ignore"):  # checked by the caller
         signal = noisy_records(params, master_seed, first_draw, out.shape[0])
-        d = dft_bin_batch(signal, params.bin_index)
-        np.divide(2.0 * d, scale, out=out)
+        _reduce(dft_bin_batch(signal, params.bin_index), scale, out=out)
 
 
 def reduced_dft_draws(
@@ -227,9 +239,9 @@ def reduced_dft_draws(
 
     Entry j reproduces estimate_phase(generate(params, master_seed,
     first_draw + j)).d_reduced: the records come from the same batched
-    synthesis, and the bin statistic from the same Goertzel recurrence.
-    Raises OutOfRange when the records, their sum or the scale A*N
-    overflowed.
+    synthesis, the bin statistic from the same Goertzel recurrence and
+    reduction.  Raises OutOfRange before any draw when A*N is too small,
+    and after them when the records, their sum or the scale A*N overflowed.
 
     A batch of at least ``_SPLIT_MIN_SAMPLES`` samples is split in two
     halves of draws when the process may use two CPUs: this thread computes
@@ -243,7 +255,7 @@ def reduced_dft_draws(
     """
     if n_draws < 0:
         raise OutOfRange("n_draws must be non-negative")
-    scale = params.amplitude * params.n_samples
+    scale = _reduction_scale(params)
     reduced = np.empty(n_draws, dtype=complex)
     split = _THREADS > 1 and n_draws * params.n_samples >= _SPLIT_MIN_SAMPLES
     mid = n_draws // 2 if split else n_draws

@@ -687,6 +687,23 @@ class TestMcCommand:
         assert fcell(columns, row, "mc_standard_error_deg") == \
             math.degrees(report.mc_standard_error)
 
+    @pytest.mark.parametrize("argv", [
+        ["mc", "--draws", "100"],
+        ["normality", "--reps", "1", "--hz-draws", "20",
+         "--hoeffding-draws", "10"],
+    ])
+    def test_subnormal_scale_is_validation_error(self, tmp_path, capsys,
+                                                 argv):
+        # A*N = 2e-309 is subnormal: was "a bin statistic overflowed:
+        # amplitude, noise or record length too large"
+        out = tmp_path / "t.csv"
+        assert main(argv + ["--amplitude", "1e-310", "--snr-db", "0",
+                            "--n", "20", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("syncphase: OutOfRange: A*N = ")
+        assert "too small" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_histogram_side_table(self, tmp_path):
         table = tmp_path / "t.csv"
         hist = tmp_path / "hist.csv"

@@ -14,7 +14,6 @@ from syncphase.divergences import (
     gaussian_density,
     kl_divergence,
     phase_nodes,
-    uniform_density,
     uniform_density_on,
 )
 from syncphase.errors import LengthMismatch, OutOfRange, SupportMismatch
@@ -39,11 +38,11 @@ def g0_density(snr_db, n=1000):
 
 class TestDensityGrid:
     def test_mass_property(self):
-        grid = uniform_density()
+        grid = uniform_density_on(np.linspace(-math.pi, math.pi, DENSE_NODES))
         assert grid.mass == pytest.approx(1.0, abs=1e-12)
 
     def test_arrays_become_read_only(self):
-        grid = uniform_density(129)
+        grid = uniform_density_on(np.linspace(-math.pi, math.pi, 129))
         with pytest.raises((ValueError, RuntimeError)):
             grid.values[0] = 2.0
 
@@ -141,14 +140,16 @@ class TestKlDivergence:
 
     def test_shared_node_requirement(self):
         with pytest.raises(LengthMismatch):
-            kl_divergence(uniform_density(65), uniform_density(129))
+            kl_divergence(
+                uniform_density_on(np.linspace(-math.pi, math.pi, 65)),
+                uniform_density_on(np.linspace(-math.pi, math.pi, 129)))
 
 
 class TestBhattacharyya:
     def test_identical_densities(self):
         g = g0_density(-30.0)
         assert abs(bhattacharyya_distance(g, g)) < 1e-10
-        u = uniform_density()
+        u = uniform_density_on(np.linspace(-math.pi, math.pi, DENSE_NODES))
         assert abs(bhattacharyya_distance(u, u)) < 1e-12
 
     def test_gaussian_pair_closed_form(self):
@@ -180,7 +181,9 @@ class TestBhattacharyya:
 
     def test_shared_node_requirement(self):
         with pytest.raises(LengthMismatch):
-            bhattacharyya_distance(uniform_density(65), uniform_density(129))
+            bhattacharyya_distance(
+                uniform_density_on(np.linspace(-math.pi, math.pi, 65)),
+                uniform_density_on(np.linspace(-math.pi, math.pi, 129)))
 
 
 class TestGaussianApproximation:
@@ -216,7 +219,7 @@ class TestGaussianApproximation:
 
 class TestUniformDensity:
     def test_values_and_mass(self):
-        grid = uniform_density(4097)
+        grid = uniform_density_on(np.linspace(-math.pi, math.pi, 4097))
         assert np.all(grid.values == 1.0 / (2.0 * math.pi))
         assert grid.mass == pytest.approx(1.0, abs=1e-12)
 

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from syncphase import mc_harness, spectral_estimator
 from syncphase.errors import (
@@ -355,6 +356,30 @@ def brute_hoeffding(x, y):
     return num / (n * (n - 1) * (n - 2) * (n - 3) * (n - 4))
 
 
+def definitional_ranks(x, y):
+    """Q_i = 1 + sum_{j != i} u(x_i - x_j) u(y_i - y_j), pair by pair."""
+    def u(v):
+        return np.where(v[:, None] > v, 1.0,
+                        np.where(v[:, None] == v, 0.5, 0.0))
+
+    both = u(x) * u(y)
+    np.fill_diagonal(both, 0.0)
+    return 1.0 + both.sum(axis=1)
+
+
+RANK_CASES = {
+    "heavy_ties": lambda gen, n: (gen.integers(0, 4, n) * 1.0,
+                                  gen.integers(0, 3, n) * 1.0),
+    "no_ties": lambda gen, n: (gen.standard_normal(n), gen.standard_normal(n)),
+    "x_all_tied": lambda gen, n: (np.full(n, 2.5), gen.standard_normal(n)),
+    "y_all_tied": lambda gen, n: (gen.standard_normal(n), np.full(n, -1.0)),
+    "signed_zeros": lambda gen, n: (gen.choice([-0.0, 0.0, 1.0], n),
+                                    gen.choice([0.0, -0.0, -2.0], n)),
+    "comonotone": lambda gen, n: (np.arange(n) * 1.0, np.arange(n) * 3.0),
+    "antimonotone": lambda gen, n: (np.arange(n) * 1.0, np.arange(n) * -1.0),
+}
+
+
 class TestHoeffdingD:
     def test_small_samples_match_brute_force(self):
         gen = np.random.default_rng(2)
@@ -392,6 +417,24 @@ class TestHoeffdingD:
             hoeffding_d(np.arange(4.0), np.arange(4.0))
         with pytest.raises(OutOfRange):
             hoeffding_d(np.full(6, math.inf), np.arange(6.0))
+
+    @pytest.mark.parametrize("n", [5, 6, 37, 600])
+    @pytest.mark.parametrize("case", sorted(RANK_CASES))
+    def test_bivariate_ranks_equal_definitional_count(self, case, n):
+        gen = np.random.default_rng(n)
+        for _ in range(5):
+            x, y = RANK_CASES[case](gen, n)
+            r = rankdata(x, method="average")
+            s = rankdata(y, method="average")
+            q = mc_harness._bivariate_ranks(x, y, r, s)
+            assert np.array_equal(q, definitional_ranks(x, y))
+
+    def test_value_is_pinned_at_2000_points(self):
+        # the value the Fenwick-tree rank sweep gave, bit for bit
+        gen = np.random.default_rng(2000)
+        x = gen.standard_normal(2000)
+        y = np.round(0.5 * x + gen.standard_normal(2000), 1)  # 68 values
+        assert hoeffding_d(x, y) == 0.047215001976071
 
 
 class TestPValueMachinery:

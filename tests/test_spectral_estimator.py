@@ -241,6 +241,37 @@ class TestReducedDraws:
         for j in range(6):
             est = estimate_phase(generate(p, seed=21, draw_index=4 + j))
             assert d[j] == est.d_reduced
+        # both paths share one reduction, so the bits agree at any scale
+        for amplitude in (1.0, 0.37, 3e-5, 2.5e7, 1e-300):
+            for n in (7, 20, 128):
+                p = make_params(amplitude, 1.0, n / 2.0, phase=1.0,
+                                sigma_additive=sigma_x_for_snr(amplitude, 1.0),
+                                sigma_phase=0.02, n_samples=n)
+                d = reduced_dft_draws(p, 5, 0, 50)
+                for j in range(50):
+                    est = estimate_phase(generate(p, seed=5, draw_index=j))
+                    assert d[j] == est.d_reduced, (amplitude, n, j)
+
+    @pytest.mark.parametrize("amplitude", [1e-310, 5e-324])
+    def test_subnormal_scale_rejected_before_any_draw(self, monkeypatch,
+                                                      amplitude):
+        # 1/(A*N) overflows: NumPy's division would make the statistic inf
+        p = make_params(amplitude, 1.0, 10.0, sigma_phase=0.02, n_samples=20)
+        rec = generate(p, seed=0)
+
+        def no_draws(*args):
+            raise AssertionError("no record may be drawn")
+
+        monkeypatch.setattr(spectral_estimator, "noisy_records", no_draws)
+        with pytest.raises(OutOfRange, match=r"A\*N = .* is too small"):
+            reduced_dft_draws(p, 0, 0, 10)
+        with pytest.raises(OutOfRange, match=r"A\*N = .* is too small"):
+            estimate_phase(rec)
+
+    def test_smallest_normal_scale_is_reduced(self):
+        p = make_params(1e-308, 1.0, 10.0, sigma_phase=0.02, n_samples=20)
+        d = reduced_dft_draws(p, 0, 0, 10)
+        assert np.all(np.isfinite(d)) and np.all(np.abs(d) > 0.5)
 
     def test_negative_count_rejected(self):
         with pytest.raises(OutOfRange):
