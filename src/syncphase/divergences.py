@@ -19,8 +19,6 @@ from .errors import LengthMismatch, OutOfRange, SupportMismatch
 from .phase_pdf import NARROW_SPREAD, PolarPdf, pdf_value, wrap_angle
 from .spectral_estimator import TheoreticalMoments
 
-TWO_PI = 2.0 * math.pi
-
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 DENSE_NODES = 2**15 + 1   # lobe / uniform-grid resolution
@@ -113,7 +111,8 @@ def density_from_pdf(pdf: PolarPdf) -> DensityGrid:
 def uniform_density_on(nodes: np.ndarray) -> DensityGrid:
     """The uniform phase density sampled on a caller-supplied node set."""
     nodes = np.asarray(nodes, dtype=float)
-    return DensityGrid(nodes=nodes, values=np.full(nodes.shape, 1.0 / TWO_PI))
+    return DensityGrid(nodes=nodes,
+                       values=np.full(nodes.shape, 1.0 / math.tau))
 
 
 def gaussian_density(nodes: np.ndarray, mean: float, std: float,
@@ -127,7 +126,7 @@ def gaussian_density(nodes: np.ndarray, mean: float, std: float,
         raise OutOfRange(f"std must be > 0, got {std!r}")
     nodes = np.asarray(nodes, dtype=float)
     z = (nodes - mean) / std
-    values = np.exp(-0.5 * z * z) / (math.sqrt(TWO_PI) * std)
+    values = np.exp(-0.5 * z * z) / (math.sqrt(math.tau) * std)
     if renormalize:
         values = values / float(_trapezoid(values, nodes))
     return DensityGrid(nodes=nodes, values=values)
@@ -146,7 +145,7 @@ def gaussian_approximation(moments: TheoreticalMoments) -> DensityGrid:
     spread = pdf.spread
     nodes = phase_nodes(spread, pdf.phi)
     z = np.asarray(wrap_angle(nodes - pdf.phi)) / spread
-    values = np.exp(-0.5 * z * z) / (math.sqrt(TWO_PI) * spread)
+    values = np.exp(-0.5 * z * z) / (math.sqrt(math.tau) * spread)
     values = values / float(_trapezoid(values, nodes))
     return DensityGrid(nodes=nodes, values=values)
 

@@ -2,13 +2,12 @@
 
 Determinism contract: every aggregate is a pure function of
 (params, n_draws, master_seed).  Draw ``d`` always consumes the substreams
-keyed by ``(master_seed, d, channel)``; work is split into fixed-size chunks
-(a function of N and n_draws only) and chunk partials are combined by
-pairwise summation.  Within a chunk, ``reduced_dft_draws`` may compute the
-two halves of the draws on two threads; each draw's statistic depends on its
-own substreams alone and lands at its own index, so that split is layout
-only.  The reduction of a chunk (arctan2, wrap, sums, histogram) runs on one
-thread over the whole chunk, in the same order with or without the split.
+keyed by ``(master_seed, d, channel)``.  ``reduced_dft_draws`` alone decides
+how a batch is computed (chunks of at most 4*10^6 samples, a large chunk
+split across two threads); each draw's statistic depends on its own
+substreams alone and lands at its own index, so that is layout only.
+``run_mc`` reduces in chunks of the same size, each on one thread in a fixed
+order, and combines the chunk partials by pairwise summation.
 Henze-Zirkler's pair sum may run the two top-level nodes of its pairwise
 summation on two threads; each node adds its terms in np.sum's own order
 and the two are added as np.sum adds them, so that split does not change a
@@ -25,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,11 +40,9 @@ from .errors import (
 from .phase_pdf import wrap_angle
 from .signal_model import SignalParams
 from . import spectral_estimator
-from .spectral_estimator import reduced_dft_draws
+from .spectral_estimator import _chunk_size, on_two_threads, reduced_dft_draws
 
 HIST_BINS = 720
-# target samples per chunk; keeps peak memory flat across record lengths
-_CHUNK_BUDGET = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -85,15 +83,12 @@ def _pairwise_sum(parts: Sequence):
     return items[0]
 
 
-def _chunk_size(n_samples: int) -> int:
-    return max(1, _CHUNK_BUDGET // max(1, n_samples))
-
-
 def run_mc(config: McConfig) -> McReport:
     """Estimate the phase on n_draws independent records and aggregate."""
     if config.n_draws < 1:
         raise OutOfRange(f"n_draws must be >= 1, got {config.n_draws}")
     params = config.params
+    # reduced_dft_draws chunks alike; here the chunk partials fix the bits
     chunk = _chunk_size(params.n_samples)
     edges = np.linspace(-math.pi, math.pi, HIST_BINS + 1)
 
@@ -227,8 +222,8 @@ def _hz_pair_sum(half: np.ndarray, d_diag: np.ndarray, b2: float) -> float:
 
     From ``_HZ_SPLIT_MIN_PAIRS`` pairs on, when the process may use two CPUs
     (``spectral_estimator._THREADS``), the two top-level nodes run on this
-    thread and on the worker of ``spectral_estimator._worker_pool()``, and
-    are added as NumPy adds them.
+    thread and on the worker of :func:`on_two_threads`, and are added as
+    NumPy adds them.
 
     ``half`` stays the whole product centered @ inv @ centered.T, built
     once by the caller.  Row blocks of that product, computed apart, need
@@ -244,12 +239,9 @@ def _hz_pair_sum(half: np.ndarray, d_diag: np.ndarray, b2: float) -> float:
             and total >= _HZ_SPLIT_MIN_PAIRS):
         return _hz_pair_node(half, d_diag, scale, 0, total, tile)
     left = _pairwise_split(total)
-    worker = spectral_estimator._worker_pool().submit(
-        _hz_pair_node, half, d_diag, scale, left, total - left, tile)
-    try:
-        head = _hz_pair_node(half, d_diag, scale, 0, left, tile)
-    finally:
-        tail = worker.result()
+    head, tail = on_two_threads(
+        partial(_hz_pair_node, half, d_diag, scale, 0, left, tile),
+        partial(_hz_pair_node, half, d_diag, scale, left, total - left, tile))
     return head + tail
 
 
@@ -485,13 +477,8 @@ def run_convergence_battery(
                 p_raw.append(result.p_value)
             adjusted = benjamini_hochberg(p_raw)
             fisher_stat, fisher_p = fisher_combine(adjusted)
-            # run_mc's chunks bound memory
-            first = repetitions * hz_draws
-            chunk = _chunk_size(params.n_samples)
-            d_ind = np.concatenate([reduced_dft_draws(
-                params, master_seed, first + start,
-                min(chunk, hoeffding_draws - start))
-                for start in range(0, hoeffding_draws, chunk)])
+            d_ind = reduced_dft_draws(params, master_seed,
+                                      repetitions * hz_draws, hoeffding_draws)
             hd = hoeffding_d(d_ind.real, d_ind.imag)
             reports.append(
                 TestBatteryReport(

@@ -31,8 +31,6 @@ from .quadrature import integrate
 from .spectral_estimator import TheoreticalMoments
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT2PI = math.sqrt(2.0 * math.pi)
-TWO_PI = 2.0 * math.pi
 
 # Below this spread (in units of the error scale sigma/beta) the lobe is too
 # narrow for panels spanning [-pi, pi]; moment integrals switch to the
@@ -46,7 +44,7 @@ U_LIMIT = 40.0
 def wrap_angle(angle):
     """Wrap to the principal interval (-pi, pi] (vectorized)."""
     a = np.asarray(angle, dtype=float)
-    wrapped = np.mod(a + math.pi, TWO_PI) - math.pi
+    wrapped = np.mod(a + math.pi, math.tau) - math.pi
     wrapped = np.where(wrapped == -math.pi, math.pi, wrapped)
     if np.ndim(angle) == 0:
         return float(wrapped)
@@ -113,9 +111,9 @@ def pdf_value(pdf: PolarPdf, theta) -> Union[float, np.ndarray]:
 
     c = np.cos(t)
     s = np.sin(t)
-    ambient = pdf.ambient / TWO_PI
+    ambient = pdf.ambient / math.tau
 
-    pref = beta * c / (2.0 * _SQRT2PI * sigma)
+    pref = beta * c / (2.0 * math.sqrt(math.tau) * sigma)
     z = -beta * c / (sigma * _SQRT2)
 
     out = np.full(t.shape, ambient, dtype=float)
@@ -166,7 +164,7 @@ def _moment_integral(pdf: PolarPdf, power: int, *, rel_tol: float) -> float:
     )
     remainder = 0.0  # the ambient floor is even: it adds no odd moment
     if power == 2:
-        ambient = pdf.ambient / TWO_PI
+        ambient = pdf.ambient / math.tau
         remainder = ambient * (2.0 / 3.0) * (math.pi**3 - limit**3)
     return lobe + remainder
 
@@ -200,7 +198,7 @@ def rmse_cartesian_oracle(moments: TheoreticalMoments) -> float:
     reach = max(2.0 * moments.beta_p, 8.0 * sigma)
     xlo, xhi = min(mx - 8.0 * sigma, -reach), max(mx + 8.0 * sigma, reach)
     ylo, yhi = min(my - 8.0 * sigma, -reach), max(my + 8.0 * sigma, reach)
-    norm = 1.0 / (TWO_PI * sigma**2)
+    norm = 1.0 / (math.tau * sigma**2)
     inv2s2 = 1.0 / (2.0 * sigma**2)
 
     def _inner_points(lo, hi, a, b):
@@ -214,9 +212,9 @@ def rmse_cartesian_oracle(moments: TheoreticalMoments) -> float:
 
         def f(x):
             err = math.atan2(y, x) - phi
-            err = math.remainder(err, TWO_PI)
+            err = math.remainder(err, math.tau)
             if err <= -math.pi:
-                err += TWO_PI
+                err += math.tau
             return err * err * math.exp(-((x - mx) ** 2 + dy2) * inv2s2)
 
         val, _ = quad(f, xlo, xhi, points=xpts, limit=200, epsabs=1e-13, epsrel=1e-10)

@@ -31,8 +31,6 @@ from .errors import (
     OutOfRange,
 )
 
-TWO_PI = 2.0 * math.pi
-
 Real = Union[int, float, str, Fraction]
 
 
@@ -74,7 +72,7 @@ class SignalParams:
     @property
     def omega(self) -> float:
         """Normalized angular frequency 2*pi*k/N of the tone."""
-        return TWO_PI * self.bin_index / self.n_samples
+        return math.tau * self.bin_index / self.n_samples
 
 
 @dataclass(frozen=True)
@@ -145,7 +143,7 @@ def make_params(
     ph = float(phase)
     if not math.isfinite(ph):
         raise OutOfRange(f"phase must be finite, got {phase!r}")
-    ph %= TWO_PI
+    ph %= math.tau
 
     return SignalParams(
         amplitude=amp,
@@ -167,7 +165,7 @@ def tone_phases(params: SignalParams) -> np.ndarray:
     """
     n = np.arange(params.n_samples, dtype=np.int64)
     reduced = (params.bin_index * n) % params.n_samples
-    return reduced * (TWO_PI / params.n_samples) + params.phase
+    return reduced * (math.tau / params.n_samples) + params.phase
 
 
 def noisy_records(

@@ -17,7 +17,8 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
@@ -28,8 +29,6 @@ from .signal_model import (
     noisy_records,
     snr_linear,
 )
-
-TWO_PI = 2.0 * math.pi
 
 
 def _check_bin(n_samples: int, k: int) -> None:
@@ -66,7 +65,7 @@ def dft_bin_batch(matrix: np.ndarray, k: int) -> np.ndarray:
     m, n_samples = s.shape
     _check_bin(n_samples, k)
 
-    w = TWO_PI * k / n_samples
+    w = math.tau * k / n_samples
     coeff = 2.0 * math.cos(w)
     v1 = np.zeros(m)
     v2 = np.zeros(m)
@@ -93,7 +92,7 @@ def dft_bin_reference(samples: np.ndarray, k: int) -> complex:
     _check_bin(n_samples, k)
 
     idx = (k * np.arange(n_samples, dtype=np.int64)) % n_samples
-    angles = idx * (TWO_PI / n_samples)
+    angles = idx * (math.tau / n_samples)
     re = math.fsum((s * np.cos(angles)).tolist())
     im = math.fsum((s * (-np.sin(angles))).tolist())
     return complex(re, im)
@@ -115,9 +114,10 @@ def _principal(angle: float) -> float:
 def estimate_phase(realization: SignalRealization) -> PhaseStatistic:
     """Extract the phase estimate from one record.
 
-    Raises OutOfRange when a sample is nan or infinite or A*N is too small
-    (see _reduction_scale), and ZeroVector when the record (or the bin
-    statistic itself) is identically zero, in which case arg() is undefined.
+    Raises OutOfRange when a sample is nan or infinite, A*N is too small
+    (see _reduction_scale), or the statistic or A*N overflowed, and
+    ZeroVector when the record (or the bin statistic itself) is identically
+    zero, in which case arg() is undefined.
     """
     samples = realization.samples
     params = realization.params
@@ -129,7 +129,9 @@ def estimate_phase(realization: SignalRealization) -> PhaseStatistic:
         raise ZeroVector("all-zero record: phase is undefined")
 
     scale = _reduction_scale(params)
-    d_reduced = complex(_reduce(dft_bin(samples, params.bin_index), scale))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        d_reduced = complex(_reduce(dft_bin(samples, params.bin_index), scale))
+    _check_finite(scale, d_reduced)
     if d_reduced == 0:
         raise ZeroVector("DFT bin statistic is zero: phase is undefined")
     return PhaseStatistic(
@@ -176,6 +178,8 @@ def theoretical_moments(params: SignalParams) -> TheoreticalMoments:
     )
 
 
+# target samples per chunk; keeps peak memory flat across record lengths
+_CHUNK_BUDGET = 4_000_000
 # Smallest batch, in samples (n_draws * N), that reduced_dft_draws splits
 # across two threads.  Measured on 2 cores (NumPy 2.4), the split's speed
 # against one thread, medians of 11 interleaved runs at N = 20, 100, 128
@@ -188,26 +192,25 @@ _SPLIT_MIN_SAMPLES = 500_000
 # Threads a batch is split across: both cores when the process may use two.
 _THREADS = min(2, len(os.sched_getaffinity(0))
                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-_pool: Optional[ThreadPoolExecutor] = None
+
+
+def _chunk_size(n_samples: int) -> int:
+    return max(1, _CHUNK_BUDGET // max(1, n_samples))
 
 
 def _worker_pool() -> ThreadPoolExecutor:
-    global _pool
-    if _pool is None:
-        _pool = ThreadPoolExecutor(max_workers=1,
-                                   thread_name_prefix="syncphase-draws")
-    return _pool
+    return ThreadPoolExecutor(max_workers=1,
+                              thread_name_prefix="syncphase-draws")
 
 
-def _forget_pool() -> None:
-    # A forked child inherits the pool but not its thread, and its first
-    # split would wait forever; it builds a pool of its own instead.
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+def on_two_threads(head: Callable[[], Any],
+                   tail: Callable[[], Any]) -> Tuple[Any, Any]:
+    """(head(), tail()), with tail run on a worker thread started for this
+    call and head on the calling thread.  The worker is joined before this
+    returns or raises, also when head raises."""
+    with _worker_pool() as pool:
+        worker = pool.submit(tail)
+        return head(), worker.result()
 
 
 def _reduction_scale(params: SignalParams) -> float:
@@ -232,6 +235,13 @@ def _reduce_into(out: np.ndarray, params: SignalParams, master_seed: int,
         _reduce(dft_bin_batch(signal, params.bin_index), scale, out=out)
 
 
+def _check_finite(scale: float, reduced) -> None:
+    # an infinite scale would quietly reduce a finite sum to 0
+    if not (math.isfinite(scale) and np.all(np.isfinite(reduced))):
+        raise OutOfRange("a bin statistic overflowed: amplitude, noise or "
+                         "record length too large")
+
+
 def reduced_dft_draws(
     params: SignalParams, master_seed: int, first_draw: int, n_draws: int
 ) -> np.ndarray:
@@ -243,32 +253,35 @@ def reduced_dft_draws(
     reduction.  Raises OutOfRange before any draw when A*N is too small,
     and after them when the records, their sum or the scale A*N overflowed.
 
-    A batch of at least ``_SPLIT_MIN_SAMPLES`` samples is split in two
-    halves of draws when the process may use two CPUs: this thread computes
-    the first half and one pooled worker thread the second, each into its
-    own slice of the result; a smaller batch is one half.  Every draw is a
-    pure function of (seed, draw, channel), and its row passes through the
-    same row-wise operations in either half, so the split is layout only
-    and the result has the same bits.  The halves overlap where NumPy and
-    SciPy release the GIL, which is everywhere but the native Philox loop
-    (see rng).
+    This is the one place that schedules a batch.  The draws are computed
+    in chunks of at most ``_CHUNK_BUDGET`` samples, so memory beyond the
+    16 bytes per draw of the result does not grow with the batch.  A chunk
+    of at least ``_SPLIT_MIN_SAMPLES`` samples is split in two halves of
+    draws when the process may use two CPUs: this thread computes the first
+    half and a worker thread started for that chunk (see
+    :func:`on_two_threads`) the second, each into its own slice of the
+    result.  Every draw is a pure function of (seed, draw, channel), and
+    its row passes through the same row-wise operations in any chunk or
+    half, so chunks and halves are layout only and the result has the same
+    bits.  The halves overlap where NumPy and SciPy release the GIL, which
+    is everywhere but the native Philox loop (see rng).
     """
     if n_draws < 0:
         raise OutOfRange("n_draws must be non-negative")
     scale = _reduction_scale(params)
     reduced = np.empty(n_draws, dtype=complex)
-    split = _THREADS > 1 and n_draws * params.n_samples >= _SPLIT_MIN_SAMPLES
-    mid = n_draws // 2 if split else n_draws
-    worker = (_worker_pool().submit(_reduce_into, reduced[mid:], params,
-                                    master_seed, first_draw + mid, scale)
-              if split else None)
-    try:
-        _reduce_into(reduced[:mid], params, master_seed, first_draw, scale)
-    finally:
-        if worker is not None:
-            worker.result()
-    # an infinite scale would quietly reduce a finite sum to 0
-    if not (math.isfinite(scale) and np.all(np.isfinite(reduced))):
-        raise OutOfRange("a bin statistic overflowed: amplitude, noise or "
-                         "record length too large")
+    chunk = _chunk_size(params.n_samples)
+    for start in range(0, n_draws, chunk):
+        out = reduced[start:start + chunk]
+        first = first_draw + start
+        if _THREADS > 1 and out.size * params.n_samples >= _SPLIT_MIN_SAMPLES:
+            mid = out.size // 2
+            on_two_threads(
+                partial(_reduce_into, out[:mid], params, master_seed, first,
+                        scale),
+                partial(_reduce_into, out[mid:], params, master_seed,
+                        first + mid, scale))
+        else:
+            _reduce_into(out, params, master_seed, first, scale)
+    _check_finite(scale, reduced)
     return reduced

@@ -129,6 +129,7 @@ def test_criterion_02_linear_regime():
     finish(failures)
 
 
+@pytest.mark.slow
 def test_criterion_03_phase_noise_floor():
     """Phase-noise floor at N=1000, SNR=60 dB: for sigma_p in
     {0.5,1,2,5} degrees the analytic RMSE matches sqrt((1/beta_p^2 - 1)/N)
@@ -174,6 +175,7 @@ def test_criterion_04_generic_high_snr_expression():
     finish(failures)
 
 
+@pytest.mark.slow
 def test_criterion_05_moment_formulas(moment_grid):
     """Reduced-statistic moments over 10^6 draws at N=100, SNR in
     {0,20} dB, sigma_p in {0,2} deg: the empirical mean matches
@@ -195,6 +197,7 @@ def test_criterion_05_moment_formulas(moment_grid):
     finish(failures)
 
 
+@pytest.mark.slow
 def test_criterion_06_unbiasedness(moment_grid):
     """Unbiasedness on the same grid: the analytic bias is zero within
     1e-9 and the empirical bias stays below 4*rmse/sqrt(10^6)."""

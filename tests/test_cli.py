@@ -7,6 +7,7 @@ formatting conventions, and exit codes as a user would see them.
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,23 @@ class TestGenEstimate:
         assert "OutOfRange" in err
         assert "n=4" in err
         assert str(record) in err
+        assert not table.exists()
+
+    def test_estimate_rejects_overflowing_statistic(self, tmp_path, capsys):
+        # A*N = 2e309 and the Goertzel sum overflow: no NaN row, exit 2
+        record = tmp_path / "big.csv"
+        rows = [f"{n},{1e308 * math.cos(4.0 * math.pi * n / 20.0)!r}"
+                for n in range(20)]
+        record.write_text("n,sample\n" + "\n".join(rows) + "\n")
+        table = tmp_path / "estimate.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["estimate", "--in", str(record), "--amplitude",
+                         "1e308", "--f0", "1", "--fs", "10",
+                         "--out", str(table)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "OutOfRange" in err and "overflowed" in err
         assert not table.exists()
 
 

@@ -2,6 +2,7 @@
 import gc
 import math
 import multiprocessing
+import threading
 import tracemalloc
 
 import numpy as np
@@ -105,7 +106,7 @@ class TestRunMc:
         # 7 draws per chunk: 50 draws make 8 chunks, the last one partial;
         # each statistic must be the scalar pairwise sum of its chunk sums,
         # bit for bit
-        monkeypatch.setattr(mc_harness, "_CHUNK_BUDGET", 7 * 20)
+        monkeypatch.setattr(spectral_estimator, "_CHUNK_BUDGET", 7 * 20)
         p = params_for(20, snr_db=2.0, sigma_p=0.1, phase=0.4)
         report = run_mc(McConfig(params=p, n_draws=50, master_seed=SEED))
         s_e, s_e2, s_e4, s_re, s_im, s_d2 = ([] for _ in range(6))
@@ -166,6 +167,7 @@ class TestRunMc:
         band = 3.0 * np.sqrt(report.hist_counts) / report.hist_counts
         assert np.all(rel <= band)
 
+    @pytest.mark.slow
     def test_moments_track_theory_on_grid(self):
         # N=100, 1e6 draws: mean_d within 4 per-axis MC sigma, var_d
         # within 2% of the model variance
@@ -268,7 +270,7 @@ class TestHenzeZirkler:
         # collector off, a reference cycle would keep one too.
         monkeypatch.setattr(spectral_estimator, "_THREADS", threads)
         x = np.random.default_rng(19).standard_normal((1000, 2))
-        henze_zirkler(x)  # the pool and its thread exist
+        henze_zirkler(x)  # warm-up, outside the traced calls
         gc.disable()
         tracemalloc.start()
         try:
@@ -303,12 +305,13 @@ class TestHenzeZirkler:
         assert sequential.p_value.hex() == split.p_value.hex()
 
     def test_forked_child_still_splits(self, monkeypatch):
-        # The child inherits the pool object but not its thread.
+        # The child is forked right after a split; its own split must
+        # start and join a worker of its own.
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("no fork start method on this platform")
         monkeypatch.setattr(spectral_estimator, "_THREADS", 2)
         x = np.random.default_rng(17).standard_normal((2000, 2))
-        want = henze_zirkler(x)  # the pool and its thread exist
+        want = henze_zirkler(x)  # a split before the fork
         child = multiprocessing.get_context("fork").Process(
             target=hz_must_equal, args=(x, want))
         child.start()
@@ -318,6 +321,13 @@ class TestHenzeZirkler:
             child.join(timeout=10)
             pytest.fail("the forked child's split never finished")
         assert child.exitcode == 0
+
+    def test_no_worker_thread_outlives_a_split(self, monkeypatch):
+        monkeypatch.setattr(spectral_estimator, "_THREADS", 2)
+        monkeypatch.setattr(mc_harness, "_HZ_SPLIT_MIN_PAIRS", 0)
+        henze_zirkler(np.random.default_rng(23).standard_normal((300, 2)))
+        assert [t.name for t in threading.enumerate()
+                if t.name.startswith("syncphase")] == []
 
     def test_degenerate_inputs(self):
         gen = np.random.default_rng(0)
@@ -525,7 +535,7 @@ class TestConvergenceBattery:
         want = hoeffding_d(d.real, d.imag)
         kwargs = dict(repetitions=1, hz_draws=20, hoeffding_draws=100)
         (whole,) = run_convergence_battery([p], SEED, **kwargs)
-        monkeypatch.setattr(mc_harness, "_CHUNK_BUDGET", 13 * 20)
+        monkeypatch.setattr(spectral_estimator, "_CHUNK_BUDGET", 13 * 20)
         (chunked,) = run_convergence_battery([p], SEED, **kwargs)
         assert whole.hoeffding_statistic == want
         assert chunked.hoeffding_statistic == want
@@ -536,7 +546,7 @@ class TestConvergenceBattery:
         # 20-draw chunks at N=1000: in one piece the 2000 draws' records
         # and noise would take 32 MB; in chunks the peak is set by the
         # chunk, plus 16 B per draw for the statistics
-        monkeypatch.setattr(mc_harness, "_CHUNK_BUDGET", 20 * 1000)
+        monkeypatch.setattr(spectral_estimator, "_CHUNK_BUDGET", 20 * 1000)
         p = params_for(1000, snr_db=0.0, sigma_p=math.radians(1.0))
         tracemalloc.start()
         try:
@@ -547,6 +557,22 @@ class TestConvergenceBattery:
             tracemalloc.stop()
         assert report.failure is None
         assert peak < 4 * 2**20
+
+    def test_hz_batch_memory_does_not_grow_with_draws(self, monkeypatch):
+        # 20-draw chunks at N=10^4: in one piece the 200 draws' records
+        # and noise would take 32 MB; in chunks the peak is set by the
+        # chunk and the 200-point Henze-Zirkler matrix
+        monkeypatch.setattr(spectral_estimator, "_CHUNK_BUDGET", 20 * 10**4)
+        p = params_for(10**4, snr_db=0.0, sigma_p=math.radians(1.0))
+        tracemalloc.start()
+        try:
+            (report,) = run_convergence_battery(
+                [p], SEED, repetitions=1, hz_draws=200, hoeffding_draws=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.failure is None
+        assert peak < 6 * 2**20
 
     def test_parameter_validation(self):
         p = params_for(20, snr_db=0.0)

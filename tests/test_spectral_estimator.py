@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -155,6 +156,20 @@ class TestEstimatePhase:
         with pytest.raises(OutOfRange):
             estimate_phase(r)
 
+    @pytest.mark.parametrize("record_scale", [1e308, 1.0])
+    def test_overflowing_statistic_rejected(self, record_scale):
+        # A*N = 2e309 overflows.  At 1e308 the Goertzel sum overflows too
+        # (a NaN statistic); at 1.0 it stays finite and the infinite scale
+        # would reduce it to 0.
+        p = make_params(1e308, 1.0, 10.0, n_samples=20)
+        samples = record_scale * np.cos(4.0 * math.pi * np.arange(20) / 20)
+        r = SignalRealization(samples=samples, params=p, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange, match="overflowed"):
+                estimate_phase(r)
+
+    @pytest.mark.slow
     def test_mean_of_reduced_statistic_tracks_theory(self):
         # 0 dB, sigma_p = 1 deg, N = 1000: the empirical mean over 1e6
         # draws must sit within 4 standard errors of beta_p * e^{i phi}
@@ -206,6 +221,7 @@ class TestTheoreticalMoments:
         assert theoretical_moments(params_for(8, snr_db=30.0)).variance > 0.0
         assert theoretical_moments(params_for(8, sigma_p=1e-6)).variance > 0.0
 
+    @pytest.mark.slow
     def test_variance_matches_model_over_grid(self):
         # empirical total variance of the bin statistic within 1% of the
         # model value for N=100, SNR in {0, 10} dB, sigma_p in {0, 2 deg}
@@ -295,6 +311,11 @@ def one_draw_at_a_time(params, seed, first_draw, n_draws):
 
 def no_pool():
     raise AssertionError("this batch must stay on the calling thread")
+
+
+def syncphase_threads():
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith("syncphase")]
 
 
 @pytest.fixture
@@ -405,8 +426,8 @@ class TestTwoThreadSplit:
         assert sorted(main for main, _, _ in two_threads) == [False, True]
 
     def test_concurrent_callers_share_the_pool(self, monkeypatch):
-        # more calling threads than cores, switching often, all queueing on
-        # the one worker: every result keeps its bits
+        # more calling threads than cores, switching often, each splitting
+        # onto a worker of its own: every result keeps its bits
         monkeypatch.setattr(spectral_estimator, "_SPLIT_MIN_SAMPLES",
                             self.MIN_SAMPLES)
         p = params_for(20, snr_db=3.0, sigma_p=0.2)
@@ -435,14 +456,15 @@ class TestTwoThreadSplit:
             assert g is not None and g.tobytes() == w.tobytes()
 
     def test_forked_child_still_splits(self, monkeypatch):
-        # The child inherits the pool object but not its thread.
+        # The child is forked right after a split; its own split must
+        # start and join a worker of its own.
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("no fork start method on this platform")
         monkeypatch.setattr(spectral_estimator, "_THREADS", 2)
         monkeypatch.setattr(spectral_estimator, "_SPLIT_MIN_SAMPLES",
                             self.MIN_SAMPLES)
         p = params_for(20, snr_db=3.0, sigma_p=0.2)
-        reduced_dft_draws(p, SEED, 0, 200)  # the pool and its thread exist
+        reduced_dft_draws(p, SEED, 0, 200)  # a split before the fork
         child = multiprocessing.get_context("fork").Process(
             target=reduced_dft_draws, args=(p, SEED, 0, 200))
         child.start()
@@ -452,3 +474,66 @@ class TestTwoThreadSplit:
             child.join(timeout=10)
             pytest.fail("the forked child's split never finished")
         assert child.exitcode == 0
+
+    @pytest.mark.parametrize("n_draws", [
+        113,  # 40 + 40 + 33: the odd last chunk splits 16/17
+        95,   # 40 + 40 + 15: the last chunk is below the split threshold
+    ])
+    @pytest.mark.parametrize("first_draw", [0, 2**64 - 7])
+    def test_chunks_split_equal_one_draw_at_a_time(
+            self, monkeypatch, two_threads, n_draws, first_draw):
+        n, chunk, min_draws = 20, 40, 30
+        monkeypatch.setattr(spectral_estimator, "_CHUNK_BUDGET", chunk * n)
+        monkeypatch.setattr(spectral_estimator, "_SPLIT_MIN_SAMPLES",
+                            min_draws * n)
+        p = params_for(n, snr_db=3.0, sigma_p=0.2, phase=0.7)
+        d = reduced_dft_draws(p, SEED, first_draw, n_draws)
+        want_halves = []
+        for start in range(0, n_draws, chunk):
+            size = min(chunk, n_draws - start)
+            first = first_draw + start
+            if size < min_draws:
+                want_halves.append((True, first, size))
+            else:
+                mid = size // 2
+                want_halves += [(True, first, mid),
+                                (False, first + mid, size - mid)]
+        assert sorted(two_threads) == sorted(want_halves)
+        two_threads.clear()
+        want = one_draw_at_a_time(p, SEED, first_draw, n_draws)
+        assert d.tobytes() == want.tobytes()
+
+    def test_no_worker_thread_outlives_a_split(self, monkeypatch,
+                                               two_threads):
+        monkeypatch.setattr(spectral_estimator, "_SPLIT_MIN_SAMPLES",
+                            self.MIN_SAMPLES)
+        reduced_dft_draws(params_for(20, snr_db=3.0), SEED, 0, 200)
+        assert sorted(main for main, _, _ in two_threads) == [False, True]
+        assert syncphase_threads() == []
+
+    def test_worker_is_joined_when_head_raises(self):
+        started = threading.Event()
+        finished = []
+
+        def tail():
+            started.wait(timeout=10)
+            time.sleep(0.05)  # still running when head raises
+            finished.append(threading.current_thread().name)
+
+        def head():
+            started.set()
+            raise ValueError("head failed")
+
+        with pytest.raises(ValueError, match="head failed"):
+            spectral_estimator.on_two_threads(head, tail)
+        assert len(finished) == 1
+        assert finished[0].startswith("syncphase-draws")
+        assert syncphase_threads() == []
+
+    def test_two_threads_return_head_then_tail(self):
+        main = threading.current_thread()
+        head, tail = spectral_estimator.on_two_threads(
+            lambda: threading.current_thread(),
+            lambda: threading.current_thread())
+        assert head is main and tail is not main
+        assert not tail.is_alive()
