@@ -3,11 +3,11 @@
 Determinism contract: every aggregate is a pure function of
 (params, n_draws, master_seed).  Draw ``d`` always consumes the substreams
 keyed by ``(master_seed, d, channel)``.  ``reduced_dft_draws`` alone decides
-how a batch is computed (chunks of at most 4*10^6 samples, a large chunk
-split across two threads); each draw's statistic depends on its own
-substreams alone and lands at its own index, so that is layout only.
-``run_mc`` reduces in chunks of the same size, each on one thread in a fixed
-order, and combines the chunk partials by pairwise summation.
+how a batch is computed (the chunks of ``draw_chunks``, a large chunk split
+across two threads); each draw's statistic depends on its own substreams
+alone and lands at its own index, so that is layout only.  ``run_mc`` walks
+the same ``draw_chunks``, one partial per chunk in a fixed order, and
+combines the chunk partials by pairwise summation.
 Henze-Zirkler's pair sum may run the two top-level nodes of its pairwise
 summation on two threads; each node adds its terms in np.sum's own order
 and the two are added as np.sum adds them, so that split does not change a
@@ -40,7 +40,8 @@ from .errors import (
 from .phase_pdf import wrap_angle
 from .signal_model import SignalParams
 from . import spectral_estimator
-from .spectral_estimator import _chunk_size, on_two_threads, reduced_dft_draws
+from .spectral_estimator import (draw_chunks, on_two_threads,
+                                  principal_phase, reduced_dft_draws)
 
 HIST_BINS = 720
 
@@ -88,19 +89,16 @@ def run_mc(config: McConfig) -> McReport:
     if config.n_draws < 1:
         raise OutOfRange(f"n_draws must be >= 1, got {config.n_draws}")
     params = config.params
-    # reduced_dft_draws chunks alike; here the chunk partials fix the bits
-    chunk = _chunk_size(params.n_samples)
     edges = np.linspace(-math.pi, math.pi, HIST_BINS + 1)
 
     # per chunk: [sum e, sum e^2, sum e^4, Re sum d, Im sum d, sum |d|^2]
     partials: List[np.ndarray] = []
     counts = np.zeros(HIST_BINS, dtype=np.int64)
 
-    for start in range(0, config.n_draws, chunk):
-        stop = min(start + chunk, config.n_draws)
+    # one reduced_dft_draws call per chunk: the chunk partials fix the bits
+    for start, stop in draw_chunks(params.n_samples, config.n_draws):
         d = reduced_dft_draws(params, config.master_seed, start, stop - start)
-        phi_hat = np.arctan2(d.imag, d.real)
-        phi_hat[phi_hat == -math.pi] = math.pi
+        phi_hat = principal_phase(d)
         err = np.asarray(wrap_angle(phi_hat - params.phase))
         e2 = err * err
         chunk_d = complex(np.sum(d))

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import roots_legendre
 
-from .errors import QuadratureNonConvergence
+from .errors import OutOfRange, QuadratureNonConvergence
 
 _X7, _W7 = roots_legendre(7)
 _X15, _W15 = roots_legendre(15)
@@ -30,7 +30,7 @@ def _panel(f, a: float, b: float):
     x = np.concatenate((mid + half * _X15, mid + half * _X7))
     y = np.asarray(f(x), dtype=float)
     if y.shape != x.shape:
-        raise ValueError("integrand must be vectorized (same output shape)")
+        raise OutOfRange("integrand must be vectorized (same output shape)")
     i15 = half * float(y[:15] @ _W15)
     i7 = half * float(y[15:] @ _W7)
     return (a, b, i15, abs(i15 - i7))
@@ -55,7 +55,7 @@ def integrate(
     if not (b > a):
         if a == b:
             return 0.0
-        raise ValueError(f"need b > a, got [{a}, {b}]")
+        raise OutOfRange(f"need b > a, got [{a}, {b}]")
 
     edges = sorted({float(a), float(b), *(float(p) for p in breakpoints if a < p < b)})
     panels = [_panel(f, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]

@@ -61,6 +61,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
+from .errors import OutOfRange
+
 CH_PHASE = 0
 CH_ADDITIVE = 1
 
@@ -191,9 +193,9 @@ def _uniforms_block(
 ) -> np.ndarray:
     """(n_draws, count) uniforms on (0, 1); row j is substream first_draw + j."""
     if n_draws < 0:
-        raise ValueError("n_draws must be non-negative")
+        raise OutOfRange("n_draws must be non-negative")
     if count < 0:
-        raise ValueError("count must be non-negative")
+        raise OutOfRange("count must be non-negative")
     u = np.empty((n_draws, count))
     fill = _philox_fill if count <= _KERNEL_MAX_COUNT else _native_fill
     fill(u, seed & _MASK64, first_draw, channel)

@@ -18,7 +18,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, TextIO, Union
+from typing import TextIO, Union
 
 import numpy as np
 
@@ -260,20 +260,8 @@ def sigma_x_for_snr(amplitude: float, snr: float) -> float:
 
 # --- sample CSV (schema: n,sample) -------------------------------------------
 
-def write_samples_csv(
-    fp: TextIO, samples: np.ndarray, comments: Iterable[str] = ()
-) -> None:
-    """Write `n,sample` rows, preceded by '#' comment lines."""
-    for line in comments:
-        fp.write(f"# {line}\n")
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(["n", "sample"])
-    for i, value in enumerate(np.asarray(samples, dtype=float)):
-        writer.writerow([i, repr(float(value))])
-
-
 def read_samples_csv(fp: Union[TextIO, str]) -> np.ndarray:
-    """Read samples written by :func:`write_samples_csv`.
+    """Read the `n,sample` rows that ``syncphase gen`` writes.
 
     Accepts an open file or a string of CSV text; '#' comment lines and the
     header are skipped.  Raises EmptyInput when no data rows are present and

@@ -18,7 +18,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -106,9 +106,12 @@ class PhaseStatistic:
     phase_estimate: float  # radians in (-pi, pi]
 
 
-def _principal(angle: float) -> float:
-    # atan2 covers [-pi, pi]; fold the single -pi endpoint onto +pi
-    return math.pi if angle == -math.pi else angle
+def principal_phase(d: np.ndarray) -> np.ndarray:
+    """arg() of each statistic in the 1-D array d, in (-pi, pi]: np.arctan2
+    with its -pi endpoint folded onto +pi.  The one arg() of the package."""
+    phase = np.arctan2(d.imag, d.real)
+    phase[phase == -math.pi] = math.pi
+    return phase
 
 
 def estimate_phase(realization: SignalRealization) -> PhaseStatistic:
@@ -136,7 +139,7 @@ def estimate_phase(realization: SignalRealization) -> PhaseStatistic:
         raise ZeroVector("DFT bin statistic is zero: phase is undefined")
     return PhaseStatistic(
         d_reduced=d_reduced,
-        phase_estimate=_principal(math.atan2(d_reduced.imag, d_reduced.real)),
+        phase_estimate=float(principal_phase(np.array([d_reduced]))[0]),
     )
 
 
@@ -194,8 +197,13 @@ _THREADS = min(2, len(os.sched_getaffinity(0))
                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
-def _chunk_size(n_samples: int) -> int:
-    return max(1, _CHUNK_BUDGET // max(1, n_samples))
+def draw_chunks(n_samples: int, n_draws: int) -> Iterator[Tuple[int, int]]:
+    """(start, stop) ranges that cover draws [0, n_draws) in order, each of
+    at most ``_CHUNK_BUDGET`` samples, or one draw when a record of
+    n_samples alone exceeds it.  The one chunk schedule of the package."""
+    chunk = max(1, _CHUNK_BUDGET // max(1, n_samples))
+    for start in range(0, n_draws, chunk):
+        yield start, min(start + chunk, n_draws)
 
 
 def _worker_pool() -> ThreadPoolExecutor:
@@ -253,26 +261,25 @@ def reduced_dft_draws(
     reduction.  Raises OutOfRange before any draw when A*N is too small,
     and after them when the records, their sum or the scale A*N overflowed.
 
-    This is the one place that schedules a batch.  The draws are computed
-    in chunks of at most ``_CHUNK_BUDGET`` samples, so memory beyond the
-    16 bytes per draw of the result does not grow with the batch.  A chunk
-    of at least ``_SPLIT_MIN_SAMPLES`` samples is split in two halves of
-    draws when the process may use two CPUs: this thread computes the first
-    half and a worker thread started for that chunk (see
-    :func:`on_two_threads`) the second, each into its own slice of the
-    result.  Every draw is a pure function of (seed, draw, channel), and
-    its row passes through the same row-wise operations in any chunk or
-    half, so chunks and halves are layout only and the result has the same
-    bits.  The halves overlap where NumPy and SciPy release the GIL, which
-    is everywhere but the native Philox loop (see rng).
+    This is the one place that schedules a batch.  The draws are computed in
+    the chunks of :func:`draw_chunks`, so memory beyond the 16 bytes per
+    draw of the result does not grow with the batch.  A chunk of at least
+    ``_SPLIT_MIN_SAMPLES`` samples is split in two halves of draws when the
+    process may use two CPUs: this thread computes the first half and a
+    worker thread started for that chunk (see :func:`on_two_threads`) the
+    second, each into its own slice of the result.  Every draw is a pure
+    function of (seed, draw, channel), and its row passes through the same
+    row-wise operations in any chunk or half, so chunks and halves are
+    layout only and the result has the same bits.  The halves overlap where
+    NumPy and SciPy release the GIL, which is everywhere but the native
+    Philox loop (see rng).
     """
     if n_draws < 0:
         raise OutOfRange("n_draws must be non-negative")
     scale = _reduction_scale(params)
     reduced = np.empty(n_draws, dtype=complex)
-    chunk = _chunk_size(params.n_samples)
-    for start in range(0, n_draws, chunk):
-        out = reduced[start:start + chunk]
+    for start, stop in draw_chunks(params.n_samples, n_draws):
+        out = reduced[start:stop]
         first = first_draw + start
         if _THREADS > 1 and out.size * params.n_samples >= _SPLIT_MIN_SAMPLES:
             mid = out.size // 2

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from syncphase.errors import QuadratureNonConvergence
+from syncphase.errors import OutOfRange, QuadratureNonConvergence
 from syncphase.quadrature import integrate
 
 
@@ -38,12 +38,12 @@ def test_degenerate_interval_is_zero():
 
 
 def test_reversed_interval_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         integrate(np.sin, 1.0, 0.0)
 
 
 def test_non_vectorized_integrand_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         integrate(lambda x: 1.0, 0.0, 1.0)
 
 

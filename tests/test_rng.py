@@ -6,6 +6,7 @@ import pytest
 from scipy.special import ndtri
 
 from syncphase import rng
+from syncphase.errors import OutOfRange
 
 
 def test_uniforms_are_strictly_inside_unit_interval():
@@ -121,9 +122,9 @@ def test_normal_moments():
 
 
 def test_negative_count_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         rng.uniforms(0, 0, rng.CH_PHASE, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         rng.standard_normals_block(0, 0, -2, rng.CH_PHASE, 4)
 
 

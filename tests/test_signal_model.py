@@ -20,9 +20,9 @@ from syncphase.signal_model import (
     snr_db,
     snr_linear,
     tone_phases,
-    write_samples_csv,
 )
 from syncphase import rng
+from syncphase.cli import main
 
 
 def quarter_period():
@@ -221,14 +221,19 @@ class TestSnrHelpers:
 
 
 class TestSampleCsv:
-    def test_round_trip(self):
-        r = generate(make_params(amplitude=1.0, f0=1.0, fs=10.0,
-                                 sigma_additive=0.3, n_samples=30), seed=11)
-        buf = io.StringIO()
-        write_samples_csv(buf, r.samples)
-        buf.seek(0)
-        back = read_samples_csv(buf)
-        assert np.array_equal(back, r.samples)
+    def test_round_trip(self, tmp_path):
+        # `syncphase gen` is the one writer of the format
+        out = tmp_path / "record.csv"
+        assert main(["gen", "--n", "30", "--snr-db", "0", "--sigma-p-deg", "1",
+                     "--seed", "11", "--out", str(out)]) == 0
+        with open(out) as fp:
+            back = read_samples_csv(fp)
+        r = generate(make_params(amplitude=1.0, f0="1.0", fs="10.0",
+                                 sigma_additive=sigma_x_for_snr(1.0, 1.0),
+                                 sigma_phase=math.radians(1.0), n_samples=30),
+                     seed=11)
+        assert r.params.sigma_additive > 0 and r.params.sigma_phase > 0
+        assert back.tobytes() == r.samples.tobytes()
 
     def test_empty_file_rejected(self):
         with pytest.raises(EmptyInput):

@@ -21,7 +21,9 @@ from syncphase.spectral_estimator import (
     dft_bin,
     dft_bin_batch,
     dft_bin_reference,
+    draw_chunks,
     estimate_phase,
+    principal_phase,
     reduced_dft_draws,
     theoretical_moments,
 )
@@ -142,6 +144,11 @@ class TestEstimatePhase:
             est = estimate_phase(generate(p, seed=17, draw_index=draw))
             assert -math.pi < est.phase_estimate <= math.pi
 
+    def test_minus_pi_folds_onto_plus_pi(self):
+        # arctan2(-0.0, -1.0) is -pi, the one endpoint outside (-pi, pi]
+        assert principal_phase(np.array([complex(-1.0, -0.0)]))[0] == math.pi
+        assert principal_phase(np.array([complex(-1.0, 0.0)]))[0] == math.pi
+
     def test_all_zero_record_rejected(self):
         p = params_for(4)
         r = SignalRealization(samples=np.zeros(4), params=p, seed=0)
@@ -254,19 +261,24 @@ class TestReducedDraws:
     def test_matches_single_draw_pipeline(self):
         p = params_for(30, snr_db=5.0, sigma_p=0.05, phase=0.8)
         d = reduced_dft_draws(p, 21, 4, 6)
+        phase = principal_phase(d)
         for j in range(6):
             est = estimate_phase(generate(p, seed=21, draw_index=4 + j))
             assert d[j] == est.d_reduced
-        # both paths share one reduction, so the bits agree at any scale
+            assert est.phase_estimate == phase[j]
+        # both paths share one reduction and one arg(), so the bits agree at
+        # any scale
         for amplitude in (1.0, 0.37, 3e-5, 2.5e7, 1e-300):
             for n in (7, 20, 128):
                 p = make_params(amplitude, 1.0, n / 2.0, phase=1.0,
                                 sigma_additive=sigma_x_for_snr(amplitude, 1.0),
                                 sigma_phase=0.02, n_samples=n)
                 d = reduced_dft_draws(p, 5, 0, 50)
+                phase = principal_phase(d)
                 for j in range(50):
                     est = estimate_phase(generate(p, seed=5, draw_index=j))
                     assert d[j] == est.d_reduced, (amplitude, n, j)
+                    assert est.phase_estimate == phase[j], (amplitude, n, j)
 
     @pytest.mark.parametrize("amplitude", [1e-310, 5e-324])
     def test_subnormal_scale_rejected_before_any_draw(self, monkeypatch,
@@ -292,6 +304,26 @@ class TestReducedDraws:
     def test_negative_count_rejected(self):
         with pytest.raises(OutOfRange):
             reduced_dft_draws(params_for(8), 0, 0, -1)
+
+    @pytest.mark.parametrize("n_samples, n_draws", [
+        (20, 1), (20, 9), (20, 10), (20, 11), (30, 7), (40, 5), (1, 3)])
+    def test_draw_chunks_cover_the_batch_within_budget(
+            self, monkeypatch, n_samples, n_draws):
+        monkeypatch.setattr(spectral_estimator, "_CHUNK_BUDGET", 100)
+        chunks = list(draw_chunks(n_samples, n_draws))
+        assert chunks[0][0] == 0 and chunks[-1][1] == n_draws
+        for (_, stop), (start, _) in zip(chunks, chunks[1:]):
+            assert start == stop
+        for start, stop in chunks:
+            assert 0 < (stop - start) * n_samples <= 100
+
+    def test_draw_chunks_hold_one_draw_above_the_budget(self, monkeypatch):
+        monkeypatch.setattr(spectral_estimator, "_CHUNK_BUDGET", 100)
+        assert list(draw_chunks(101, 3)) == [(0, 1), (1, 2), (2, 3)]
+        assert list(draw_chunks(10**6, 2)) == [(0, 1), (1, 2)]
+
+    def test_draw_chunks_of_no_draws_is_empty(self):
+        assert list(draw_chunks(20, 0)) == []
 
     @pytest.mark.parametrize("sigma_p_deg", [1.0, 170.0])
     def test_overflowing_statistic_rejected(self, sigma_p_deg):
