@@ -360,8 +360,10 @@ def _cmd_pdf(o) -> int:
     start, stop, points = o.theta_start_deg, o.theta_stop_deg, o.points
     if points < 2:
         raise OutOfRange(f"--points must be >= 2, got {points}")
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise OutOfRange("--theta-start-deg and --theta-stop-deg must be finite")
+    # also rejects nan and infinite bounds; np.linspace needs stop - start
+    if not math.isfinite(stop - start):
+        raise OutOfRange("--theta-stop-deg minus --theta-start-deg must be "
+                         "finite")
     if not stop > start:
         raise OutOfRange("--theta-stop-deg must exceed --theta-start-deg")
     params = _params_from(o, o.snr_db, o.sigma_p_deg, o.n, o.phi_deg)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LengthMismatch, OutOfRange, SupportMismatch
-from .phase_pdf import NARROW_SPREAD, PolarPdf, pdf_value, wrap_angle
+from .phase_pdf import NARROW_SPREAD, U_LIMIT, PolarPdf, pdf_value, wrap_angle
 from .spectral_estimator import TheoreticalMoments
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -73,29 +73,21 @@ class DensityGrid:
         return float(_trapezoid(self.values, self.nodes))
 
 
-def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
-    w = np.zeros_like(nodes)
-    dx = np.diff(nodes)
-    w[:-1] += 0.5 * dx
-    w[1:] += 0.5 * dx
-    return w
-
-
 def phase_nodes(spread: float, center: float = 0.0) -> np.ndarray:
     """Node set on [-pi, pi] resolving a lobe of the given error scale.
 
     Wide lobes (spread >= 0.05) use a uniform grid.  Narrow lobes get a
-    dense window of half-width 40*spread around the (wrapped) center merged
-    into a coarse ambient grid; window nodes falling outside the principal
-    interval are wrapped around, which keeps the dense coverage correct for
-    lobes hugging the boundary.
+    dense window of half-width U_LIMIT*spread around the (wrapped) center
+    merged into a coarse ambient grid; window nodes falling outside the
+    principal interval are wrapped around, which keeps the dense coverage
+    correct for lobes hugging the boundary.
     """
     if not (spread > 0.0) or not math.isfinite(spread):
         raise OutOfRange(f"spread must be positive and finite, got {spread!r}")
     if spread >= NARROW_SPREAD:
         return np.linspace(-math.pi, math.pi, DENSE_NODES)
     c = wrap_angle(center)
-    half_width = 40.0 * spread
+    half_width = U_LIMIT * spread
     window = np.linspace(c - half_width, c + half_width, DENSE_NODES)
     window = np.asarray(wrap_angle(window))
     ambient = np.linspace(-math.pi, math.pi, AMBIENT_NODES)
@@ -167,8 +159,7 @@ def kl_divergence(p: DensityGrid, q: DensityGrid) -> float:
     has_p = pv > 0.0
     bad = has_p & (qv == 0.0)
     if np.any(bad):
-        weights = _trapezoid_weights(p.nodes)
-        mass = float(np.sum(weights[bad] * pv[bad]))
+        mass = float(_trapezoid(np.where(bad, pv, 0.0), p.nodes))
         raise SupportMismatch(
             f"q vanishes on {int(np.count_nonzero(bad))} nodes carrying "
             f"p-mass {mass:.3e}",

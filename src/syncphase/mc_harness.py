@@ -39,7 +39,6 @@ from .errors import (
 )
 from .phase_pdf import wrap_angle
 from .signal_model import SignalParams
-from . import spectral_estimator
 from .spectral_estimator import (draw_chunks, on_two_threads,
                                   principal_phase, reduced_dft_draws)
 
@@ -218,10 +217,10 @@ def _hz_pair_sum(half: np.ndarray, d_diag: np.ndarray, b2: float) -> float:
     loop at 128 terms or fewer); the bit-exactness tests fail loudly if a
     NumPy upgrade changes it.
 
-    From ``_HZ_SPLIT_MIN_PAIRS`` pairs on, when the process may use two CPUs
-    (``spectral_estimator._THREADS``), the two top-level nodes run on this
-    thread and on the worker of :func:`on_two_threads`, and are added as
-    NumPy adds them.
+    From ``_HZ_SPLIT_MIN_PAIRS`` pairs on, the two top-level nodes run
+    through :func:`on_two_threads` (on this thread and a worker, or one
+    after the other on this thread when the process may use one CPU), and
+    are added as NumPy adds them.
 
     ``half`` stays the whole product centered @ inv @ centered.T, built
     once by the caller.  Row blocks of that product, computed apart, need
@@ -233,8 +232,7 @@ def _hz_pair_sum(half: np.ndarray, d_diag: np.ndarray, b2: float) -> float:
     total = n * n
     tile = max(_HZ_TILE, _NUMPY_PAIRWISE_BLOCK)
     scale = -0.5 * b2
-    if not (spectral_estimator._THREADS > 1
-            and total >= _HZ_SPLIT_MIN_PAIRS):
+    if total < _HZ_SPLIT_MIN_PAIRS:
         return _hz_pair_node(half, d_diag, scale, 0, total, tile)
     left = _pairwise_split(total)
     head, tail = on_two_threads(
@@ -383,8 +381,8 @@ def hoeffding_d(x: np.ndarray, y: np.ndarray) -> float:
 
 # --- p-value machinery ---------------------------------------------------------
 
-def benjamini_hochberg(p_values: Sequence[float]) -> np.ndarray:
-    """Step-up adjusted p-values (monotone, capped at 1)."""
+def _p_values(p_values: Sequence[float]) -> np.ndarray:
+    """p_values as a non-empty 1-D float array with every entry in [0, 1]."""
     p = np.asarray(p_values, dtype=float)
     if p.ndim != 1:
         raise OutOfRange("p-values must be 1-D")
@@ -392,6 +390,12 @@ def benjamini_hochberg(p_values: Sequence[float]) -> np.ndarray:
         raise EmptyInput("no p-values")
     if np.any(~np.isfinite(p)) or np.any(p < 0) or np.any(p > 1):
         raise OutOfRange("p-values must lie in [0, 1]")
+    return p
+
+
+def benjamini_hochberg(p_values: Sequence[float]) -> np.ndarray:
+    """Step-up adjusted p-values (monotone, capped at 1)."""
+    p = _p_values(p_values)
     n = p.shape[0]
     order = np.argsort(p, kind="stable")
     scaled = p[order] * n / np.arange(1, n + 1)
@@ -404,13 +408,7 @@ def benjamini_hochberg(p_values: Sequence[float]) -> np.ndarray:
 def fisher_combine(p_values: Sequence[float]) -> Tuple[float, float]:
     """Fisher's combination: statistic -2 sum log p ~ chi^2(2k) under the
     global null.  A zero p-value drives the statistic to +inf (p-value 0)."""
-    p = np.asarray(p_values, dtype=float)
-    if p.ndim != 1:
-        raise OutOfRange("p-values must be 1-D")
-    if p.shape[0] == 0:
-        raise EmptyInput("no p-values")
-    if np.any(~np.isfinite(p)) or np.any(p < 0) or np.any(p > 1):
-        raise OutOfRange("p-values must lie in [0, 1]")
+    p = _p_values(p_values)
     with np.errstate(divide="ignore"):
         statistic = float(-2.0 * np.sum(np.log(p)))
     p_value = float(chi2.sf(statistic, 2 * p.shape[0]))

@@ -72,7 +72,8 @@ class PolarPdf:
         if not (0.0 < self.beta_p <= 1.0):
             raise OutOfRange(f"beta_p must be in (0, 1], got {self.beta_p!r}")
         if self.sigma == 0.0:
-            raise DegenerateSigma("sigma = 0: the estimate is deterministic")
+            raise DegenerateSigma(
+                "noiseless configuration: the estimate is deterministic")
         if not (self.sigma > 0.0) or not math.isfinite(self.sigma):
             raise OutOfRange(f"sigma must be > 0 and finite, got {self.sigma!r}")
         if not math.isfinite(self.phi):
@@ -92,10 +93,7 @@ class PolarPdf:
 
     @classmethod
     def from_moments(cls, moments: TheoreticalMoments) -> "PolarPdf":
-        if moments.sigma2 == 0.0:
-            raise DegenerateSigma(
-                "noiseless configuration: the estimate is deterministic"
-            )
+        """The density of these moments; sigma2 = 0 raises DegenerateSigma."""
         return cls(
             beta_p=moments.beta_p,
             sigma=math.sqrt(moments.sigma2),

@@ -215,7 +215,12 @@ def on_two_threads(head: Callable[[], Any],
                    tail: Callable[[], Any]) -> Tuple[Any, Any]:
     """(head(), tail()), with tail run on a worker thread started for this
     call and head on the calling thread.  The worker is joined before this
-    returns or raises, also when head raises."""
+    returns or raises, also when head raises.  When the process may use
+    only one CPU (``_THREADS < 2``), head and then tail run on the calling
+    thread and no worker is started, so a caller need not ask how many
+    CPUs there are."""
+    if _THREADS < 2:
+        return head(), tail()
     with _worker_pool() as pool:
         worker = pool.submit(tail)
         return head(), worker.result()

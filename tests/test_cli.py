@@ -674,7 +674,11 @@ class TestPdfCommand:
 
     @pytest.mark.parametrize("bound", [["--theta-stop-deg", "inf"],
                                        ["--theta-start-deg=-inf"],
-                                       ["--theta-start-deg", "nan"]])
+                                       ["--theta-start-deg", "nan"],
+                                       # finite bounds whose span overflows
+                                       ["--points", "3",
+                                        "--theta-start-deg=-1e308",
+                                        "--theta-stop-deg", "1e308"]])
     def test_non_finite_window_is_validation_error(self, capsys, bound):
         assert main(["pdf", "--snr-db", "0", "--n", "20"] + bound) == 2
         assert "must be finite" in capsys.readouterr().err

@@ -124,6 +124,15 @@ class TestKlDivergence:
         with pytest.raises(SupportMismatch) as err:
             kl_divergence(g, approx)
         assert 0.0 < err.value.unsupported_mass <= 1.0
+        # sum of w_i p_i over the unsupported nodes, w_i the trapezoid
+        # weight of node i: half of each neighbouring interval
+        bad = (g.values > 0.0) & (approx.values == 0.0)
+        dx = np.diff(g.nodes)
+        weights = np.zeros_like(g.nodes)
+        weights[:-1] += 0.5 * dx
+        weights[1:] += 0.5 * dx
+        want = float(np.sum(weights[bad] * g.values[bad]))
+        assert err.value.unsupported_mass == pytest.approx(want, rel=1e-12)
 
     def test_computable_again_at_minus_10(self):
         mom = moments_for(1000, -10.0)

@@ -466,11 +466,18 @@ class TestPValueMachinery:
         assert np.all(adjusted >= p - 1e-15)
         assert np.all(adjusted <= 1.0)
 
-    def test_bh_validation(self):
-        with pytest.raises(OutOfRange):
-            benjamini_hochberg([0.5, 1.5])
-        with pytest.raises(EmptyInput):
-            benjamini_hochberg([])
+    @pytest.mark.parametrize("combine", [benjamini_hochberg, fisher_combine],
+                             ids=["bh", "fisher"])
+    @pytest.mark.parametrize("p_values, error, message", [
+        ([0.5, 1.5], OutOfRange, "must lie in"),
+        ([0.5, -0.1], OutOfRange, "must lie in"),
+        ([], EmptyInput, "no p-values"),
+        ([math.nan], OutOfRange, "must lie in"),
+        ([[0.1, 0.2], [0.3, 0.4]], OutOfRange, "must be 1-D"),
+    ], ids=["above_one", "below_zero", "empty", "nan", "two_d"])
+    def test_validation(self, combine, p_values, error, message):
+        with pytest.raises(error, match=message):
+            combine(p_values)
 
     def test_fisher_all_ones(self):
         stat, p = fisher_combine([1.0, 1.0, 1.0])
@@ -486,12 +493,6 @@ class TestPValueMachinery:
         stat, p = fisher_combine([0.0, 0.5])
         assert math.isinf(stat) and stat > 0
         assert p == 0.0
-
-    def test_fisher_validation(self):
-        with pytest.raises(OutOfRange):
-            fisher_combine([0.5, -0.1])
-        with pytest.raises(EmptyInput):
-            fisher_combine([])
 
 
 class TestConvergenceBattery:

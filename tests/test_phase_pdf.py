@@ -84,8 +84,13 @@ class TestPolarPdfType:
         assert pdf.phi == mom.phase
 
     def test_from_noiseless_moments_rejected(self):
-        with pytest.raises(DegenerateSigma):
+        # one sigma = 0 check, so one message for both routes
+        with pytest.raises(DegenerateSigma) as noiseless:
             PolarPdf.from_moments(moments_for(100))
+        with pytest.raises(DegenerateSigma) as direct:
+            PolarPdf(beta_p=0.5, sigma=0.0)
+        assert str(direct.value) == str(noiseless.value) == (
+            "noiseless configuration: the estimate is deterministic")
 
     def test_normalization_over_parameter_grid(self):
         # unit mass to 1e-8 across five phase-noise levels and sigma

@@ -410,6 +410,7 @@ class TestTwoThreadSplit:
         assert d[-3:].tobytes() == tail.tobytes()
 
     def test_single_cpu_never_splits(self, monkeypatch, two_threads):
+        # one whole call: on one CPU on_two_threads would run two halves
         monkeypatch.setattr(spectral_estimator, "_THREADS", 1)
         monkeypatch.setattr(spectral_estimator, "_SPLIT_MIN_SAMPLES",
                             self.MIN_SAMPLES)
@@ -543,7 +544,8 @@ class TestTwoThreadSplit:
         assert sorted(main for main, _, _ in two_threads) == [False, True]
         assert syncphase_threads() == []
 
-    def test_worker_is_joined_when_head_raises(self):
+    def test_worker_is_joined_when_head_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral_estimator, "_THREADS", 2)
         started = threading.Event()
         finished = []
 
@@ -562,10 +564,26 @@ class TestTwoThreadSplit:
         assert finished[0].startswith("syncphase-draws")
         assert syncphase_threads() == []
 
-    def test_two_threads_return_head_then_tail(self):
+    def test_two_threads_return_head_then_tail(self, monkeypatch):
+        monkeypatch.setattr(spectral_estimator, "_THREADS", 2)
         main = threading.current_thread()
         head, tail = spectral_estimator.on_two_threads(
             lambda: threading.current_thread(),
             lambda: threading.current_thread())
         assert head is main and tail is not main
         assert not tail.is_alive()
+
+    def test_one_cpu_runs_head_then_tail_on_the_calling_thread(
+            self, monkeypatch):
+        monkeypatch.setattr(spectral_estimator, "_THREADS", 1)
+        monkeypatch.setattr(spectral_estimator, "_worker_pool", no_pool)
+        calls = []
+
+        def call(name):
+            calls.append(name)
+            return threading.current_thread()
+
+        main = threading.current_thread()
+        assert spectral_estimator.on_two_threads(
+            lambda: call("head"), lambda: call("tail")) == (main, main)
+        assert calls == ["head", "tail"]
