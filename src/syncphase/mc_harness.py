@@ -28,7 +28,7 @@ from functools import partial
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import chi2, lognorm, rankdata
+from scipy.special import chdtrc, ndtr
 
 from .errors import (
     EmptyInput,
@@ -297,51 +297,109 @@ def henze_zirkler(samples: np.ndarray) -> HzResult:
     )
     log_sigma2 = math.log((si2 + mu * mu) / (mu * mu))
     log_scale = math.sqrt(mu**4 / (si2 + mu * mu))
-    p_value = float(lognorm.sf(statistic, math.sqrt(log_sigma2), scale=log_scale))
+    p_value = _lognorm_sf(statistic, math.sqrt(log_sigma2), log_scale)
     return HzResult(statistic=statistic, p_value=p_value)
+
+
+def _lognorm_sf(statistic: float, s: float, scale: float) -> float:
+    """The lognormal survival function, bit for bit as
+    ``scipy.stats.lognorm.sf(statistic, s, scale=scale)``: the standard
+    normal tail at log(x)/s with x = statistic/scale, and 1 for x <= 0."""
+    x = statistic / scale
+    if x <= 0.0:
+        return 1.0
+    return float(ndtr(-(np.log(x) / s)))
 
 
 # --- Hoeffding's D ------------------------------------------------------------
 
-def _run_ends(v: np.ndarray, c: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """lo + hi and c[lo] + c[hi] per entry, [lo, hi) its run in sorted v."""
+def _midranks(v: np.ndarray) -> np.ndarray:
+    """Midranks of v, bit for bit as ``scipy.stats.rankdata(v, "average")``:
+    a run of ties over sorted positions [lo, hi) gets (lo + 1 + hi) / 2."""
+    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+    hi = np.cumsum(counts)
+    return 0.5 * ((2 * hi - counts)[inverse] + 1)
+
+
+def _run_sizes(v: np.ndarray) -> np.ndarray:
+    """The length of each entry's run of equal values in sorted v."""
     edge = np.flatnonzero(np.r_[True, v[1:] != v[:-1], True])
     size = np.diff(edge)
-    return (np.repeat(edge[:-1] + edge[1:], size),
-            np.repeat(c[edge[:-1]] + c[edge[1:]], size))
+    return np.repeat(size, size)
 
 
 def _bivariate_ranks(x: np.ndarray, y: np.ndarray, r: np.ndarray,
                      s: np.ndarray) -> np.ndarray:
     """Hoeffding's Q from the midranks r, s and the concordance K (see
-    :func:`hoeffding_d`), counted exactly in O(n log^2 n).
+    :func:`hoeffding_d`), counted exactly in O(n log n).
 
-    With dense integer codes a of x and b of y, a pair with a_i != a_j has
-    one highest differing bit L; there both points lie in the group
-    a >> (L+1), the larger code in its upper half.  Each level sorts the
-    points by (group, b) once; a running count C of upper-half points gives
-    each point the other half's points of its group with a smaller and a
-    larger b.  An upper point adds (smaller - larger) to K, a lower point
-    (larger - smaller).  x ties are never split; y ties share a key.
+    x and y enter through r and s: floor(r) - 1 is an integer code with the
+    order and ties of x (made dense, a), floor(s) - 1 one of y (b).  The
+    points are sorted by (b, a), so y ties are broken by x; each pair tied
+    in y alone then counts +1 in K, which is taken off at the start.  A pair
+    with a_i != a_j has one highest differing bit L; there both points lie
+    in the group a >> (L+1), the larger code in its upper half.  The levels
+    run from the top bit down, each group in (b, a) order: at the top bit
+    all points are one group, and each level's order is the one before with
+    every group stably split, lower half first.  A running count C of
+    upper-half points gives each point the other half's points of its group
+    before and after it, and its place after the split.  An upper point
+    adds (before - after) to K, a lower point (after - before).  Counts stay
+    below 4n, so they are held as int32 below 2^29 points.
     """
-    a, b = (np.unique(v, return_inverse=True)[1] for v in (x, y))
-    width = int(b.max()) + 1
-    k = np.zeros(a.shape[0], dtype=np.int64)
-    upper_before = np.zeros(a.shape[0] + 1, dtype=np.int64)  # C
-    for level in range(int(a.max()).bit_length()):
-        group = (a >> (level + 1)) * width
-        order = np.argsort(group + b)
-        group = group[order]
-        upper = (a[order] >> level) & 1
-        np.cumsum(upper, out=upper_before[1:])
-        # runs [lo, hi) of a key, [g_lo, g_hi) of a group: upper points
-        # above minus below are C[g_hi] - C[hi] - C[lo] + C[g_lo], and all
-        # points below minus above (lo - g_lo) - (g_hi - hi)
-        run_pos, run_upper = _run_ends(group + b[order], upper_before)
-        group_pos, group_upper = _run_ends(group, upper_before)
-        np.add.at(k, order, group_upper - run_upper
-                  + upper * (run_pos - group_pos))
-    return 1.0 + (k + 2.0 * (r + s) - x.shape[0] - 3) / 4.0
+    n = x.shape[0]
+    idx = np.int32 if n < 2**29 else np.int64
+    a = (r - 1.0).astype(idx)
+    seen = np.zeros(n, dtype=bool)
+    seen[a] = True
+    a = np.cumsum(seen, dtype=idx)[a] - 1
+    bits = int(a.max()).bit_length()
+    below = np.zeros((1 << bits) + 1, dtype=idx)  # points with a code < j
+    np.cumsum(np.bincount(a, minlength=1 << bits), out=below[1:])
+
+    key = (s - 1.0).astype(np.int64) * n + a
+    order = np.argsort(key)
+    key = key[order]
+    # K in the current order, less each point's pairs tied in y alone
+    k = _run_sizes(key).astype(idx)
+    key //= n
+    k -= _run_sizes(key)
+    del key
+    code = a[order]
+    order = order.astype(idx)
+    del a
+    at = np.arange(n, dtype=idx)
+    c = np.zeros(n + 1, dtype=idx)
+    before = c[:-1]
+    spare = np.empty(n, dtype=idx)
+    # each level drops its arrays once spent, so at most a handful of
+    # n-sized arrays are alive at a time
+    for level in reversed(range(bits)):
+        span = 2 << level
+        g_lo = below[code & -span]
+        g_hi = below[(code | (span - 1)) + 1]
+        upper = (code >> level) & 1
+        np.cumsum(upper, out=c[1:])
+        c_lo = c[g_lo]
+        c_hi = c[g_hi]
+        k += c_lo + c_hi - 2 * before + upper * (2 * at - g_lo - g_hi)
+        del g_lo
+        # the stable split: a lower point moves down past the upper points
+        # before it, an upper one up past the lower points after it
+        place = at - before + c_lo
+        place += upper * (g_hi - c_hi + before - place)
+        del g_hi, upper, c_lo, c_hi
+        place = place.astype(np.intp)
+        spare[place] = order
+        order, spare = spare, order
+        spare[place] = code
+        code, spare = spare, code
+        spare[place] = k
+        k, spare = spare, k
+        del place
+    q = np.empty(n, dtype=idx)
+    q[order] = k
+    return 1.0 + (q + 2.0 * (r + s) - n - 3) / 4.0
 
 
 def hoeffding_d(x: np.ndarray, y: np.ndarray) -> float:
@@ -367,8 +425,8 @@ def hoeffding_d(x: np.ndarray, y: np.ndarray) -> float:
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise OutOfRange("inputs must be finite")
 
-    r = rankdata(x, method="average")
-    s = rankdata(y, method="average")
+    r = _midranks(x)
+    s = _midranks(y)
     q = _bivariate_ranks(x, y, r, s)
 
     d1 = float(np.sum((q - 1.0) * (q - 2.0)))
@@ -411,7 +469,9 @@ def fisher_combine(p_values: Sequence[float]) -> Tuple[float, float]:
     p = _p_values(p_values)
     with np.errstate(divide="ignore"):
         statistic = float(-2.0 * np.sum(np.log(p)))
-    p_value = float(chi2.sf(statistic, 2 * p.shape[0]))
+    # chi2.sf(statistic, 2k) with the same bits
+    p_value = (float(chdtrc(2 * p.shape[0], statistic)) if statistic > 0.0
+               else 1.0)
     return statistic, p_value
 
 

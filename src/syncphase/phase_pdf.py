@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erfc, erfcx
 
 from .errors import DegenerateSigma, OutOfRange
@@ -184,8 +183,11 @@ def rmse_cartesian_oracle(moments: TheoreticalMoments) -> float:
     Integrates arg(x+jy)^2 against the isotropic Gaussian of the bin
     statistic with nested 1-D adaptive quadrature (QUADPACK), entirely
     bypassing the closed-form angular density.  Intended as a cross-check:
-    Python-loop slow, accurate to ~1e-7 relative.
+    Python-loop slow, accurate to ~1e-7 relative.  ``scipy.integrate`` is
+    imported on the first call, so importing the package does not load it.
     """
+    from scipy.integrate import quad
+
     if moments.sigma2 == 0.0:
         raise DegenerateSigma("noiseless configuration: the estimate is deterministic")
     sigma = math.sqrt(moments.sigma2)

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import rankdata
+from scipy.stats import chi2, lognorm, rankdata
 
 from syncphase import mc_harness, spectral_estimator
 from syncphase.errors import (
@@ -212,6 +212,32 @@ class TestHenzeZirkler:
         s0 = henze_zirkler(x).statistic
         s1 = henze_zirkler(x @ a.T + b).statistic
         assert s1 == pytest.approx(s0, rel=1e-12)
+
+    def test_p_value_is_lognorm_sf_bit_for_bit(self, monkeypatch):
+        # the statistic and null moments henze_zirkler hands its tail
+        calls = []
+        tail = mc_harness._lognorm_sf
+
+        def recording_tail(statistic, s, scale):
+            calls.append((statistic, s, scale))
+            return tail(statistic, s, scale)
+
+        monkeypatch.setattr(mc_harness, "_lognorm_sf", recording_tail)
+        gen = np.random.default_rng(53)
+        for n in (20, 21, 100, 700, 2000):
+            for x in (gen.standard_normal((n, 2)), gen.random((n, 2)),
+                      gen.standard_normal((n, 2)) ** 3):
+                result = henze_zirkler(x)
+                statistic, s, scale = calls[-1]
+                assert result.statistic == statistic
+                assert result.p_value == float(
+                    lognorm.sf(statistic, s, scale=scale))
+
+    @pytest.mark.parametrize("statistic", [0.0, -0.0, 5e-324, math.inf])
+    def test_p_value_edges_match_lognorm_sf(self, statistic):
+        for s, scale in ((0.7, 1.3), (0.1, 1e-3), (2.0, 40.0)):
+            assert mc_harness._lognorm_sf(statistic, s, scale) == float(
+                lognorm.sf(statistic, s, scale=scale))
 
     def test_pair_sum_matches_allocating_expression_bitwise(self):
         # the allocating expression is the reference: the in-place buffer
@@ -439,6 +465,31 @@ class TestHoeffdingD:
             q = mc_harness._bivariate_ranks(x, y, r, s)
             assert np.array_equal(q, definitional_ranks(x, y))
 
+    @pytest.mark.parametrize("n", [5, 6, 37, 600])
+    @pytest.mark.parametrize("case", sorted(RANK_CASES))
+    def test_midranks_equal_rankdata(self, case, n):
+        gen = np.random.default_rng(n)
+        for _ in range(5):
+            for v in RANK_CASES[case](gen, n):
+                want = rankdata(v, method="average")
+                got = mc_harness._midranks(v)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_at_10_to_the_5_points(self):
+        # about 7 MiB: np.unique's buffers for one midrank, then the
+        # sweep's handful of int32 arrays
+        gen = np.random.default_rng(5)
+        x = gen.standard_normal(10**5)
+        y = 0.5 * x + gen.standard_normal(10**5)
+        tracemalloc.start()
+        try:
+            hoeffding_d(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * 2**20
+
     def test_value_is_pinned_at_2000_points(self):
         # the value the Fenwick-tree rank sweep gave, bit for bit
         gen = np.random.default_rng(2000)
@@ -483,6 +534,16 @@ class TestPValueMachinery:
         stat, p = fisher_combine([1.0, 1.0, 1.0])
         assert stat == 0.0
         assert p == 1.0
+        assert math.copysign(1.0, stat) == -1.0  # -0.0, as chi2.sf takes it
+        assert p == float(chi2.sf(stat, 6))
+
+    def test_fisher_p_value_is_chi2_sf_bit_for_bit(self):
+        gen = np.random.default_rng(29)
+        for k in (1, 2, 3, 10, 40):
+            for _ in range(50):
+                p = gen.random(k) ** gen.uniform(0.05, 20.0)
+                statistic, p_value = fisher_combine(p)
+                assert p_value == float(chi2.sf(statistic, 2 * k))
 
     def test_fisher_pair_of_05(self):
         stat, p = fisher_combine([0.05, 0.05])
@@ -493,6 +554,7 @@ class TestPValueMachinery:
         stat, p = fisher_combine([0.0, 0.5])
         assert math.isinf(stat) and stat > 0
         assert p == 0.0
+        assert p == float(chi2.sf(stat, 4))
 
 
 class TestConvergenceBattery:

@@ -1,9 +1,16 @@
 """Each module keeps its private names: no ``from .module import _name``
 and no ``module._name`` read through ``from . import module`` across the
 modules of the package, so every decision stays behind the module that owns
-it."""
+it.  Importing the package loads NumPy and ``scipy.special`` only: SciPy's
+heavier subpackages wait for the call that needs them."""
 import ast
+import math
+import os
 import pathlib
+import subprocess
+import sys
+
+from syncphase import make_params, rmse_cartesian_oracle, theoretical_moments
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "syncphase"
 
@@ -89,3 +96,104 @@ def test_a_private_attribute_read_is_caught(tmp_path):
         (4, "spectral_estimator", "_THREADS"),
         (5, "rng", "_MASK64"),
         (7, "quadrature", "_budget")]
+
+
+# --- what importing the package loads -------------------------------------------
+
+MODULE_LEVEL_THIRD_PARTY = {"numpy", "scipy.special"}
+
+
+def module_level_imports(path):
+    """(line, module) of each third-party module ``path`` imports when it is
+    itself imported; an import inside a function waits for a call."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module]
+            else:
+                names = []
+            found.extend((child.lineno, name) for name in names
+                         if _third_party(name))
+            visit(child)
+
+    visit(ast.parse(path.read_text(), filename=str(path)))
+    return found
+
+
+def _third_party(module):
+    return module.split(".")[0] not in sys.stdlib_module_names | {"syncphase"}
+
+
+def test_module_level_imports_are_numpy_and_scipy_special():
+    offenders = {
+        path.name: [(line, name) for line, name in module_level_imports(path)
+                    if name not in MODULE_LEVEL_THIRD_PARTY]
+        for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_a_module_level_import_is_caught(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("import math, numpy as np\n"
+                    "from scipy.special import ndtr\n"
+                    "from . import rng\n"
+                    "from syncphase.errors import OutOfRange\n"
+                    "import scipy.stats\n"
+                    "try:\n"
+                    "    from scipy.integrate import quad\n"
+                    "except ImportError:\n"
+                    "    pass\n"
+                    "def oracle():\n"
+                    "    from scipy.integrate import quad\n"
+                    "class Table:\n"
+                    "    import pandas\n")
+    assert module_level_imports(path) == [
+        (1, "numpy"), (2, "scipy.special"), (5, "scipy.stats"),
+        (7, "scipy.integrate"), (13, "pandas")]
+
+
+ORACLE_CELL = dict(amplitude=1.0, f0=1.0, fs=20.0, phase=0.3,
+                   sigma_additive=0.5, sigma_phase=0.0, n_samples=20)
+
+_COLD_START = """
+import sys
+from syncphase import make_params, rmse_cartesian_oracle, theoretical_moments
+from syncphase.cli import main
+
+mc_out, battery_out = sys.argv[1:]
+assert main(["mc", "--snr-db", "0", "--n", "20", "--draws", "10",
+             "--out", mc_out]) == 0
+assert main(["normality", "--snr-db", "0", "--n", "20", "--reps", "1",
+             "--hz-draws", "20", "--hoeffding-draws", "10",
+             "--out", battery_out]) == 0
+heavy = ("scipy.stats", "scipy.integrate")
+print(sorted(name for name in sys.modules if name.startswith(heavy)))
+params = make_params(**ORACLE_CELL)
+print(repr(rmse_cartesian_oracle(theoretical_moments(params))))
+print("scipy.integrate" in sys.modules)
+"""
+
+
+def test_cli_runs_without_scipy_stats_or_integrate(tmp_path):
+    # a fresh interpreter: this one has long since loaded both
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-c", f"ORACLE_CELL = {ORACLE_CELL!r}" + _COLD_START,
+         str(tmp_path / "mc.csv"), str(tmp_path / "battery.csv")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded, oracle, integrate_loaded = done.stdout.splitlines()
+    assert loaded == "[]"
+    # the oracle still runs, on QUADPACK loaded by its first call
+    want = rmse_cartesian_oracle(theoretical_moments(make_params(**ORACLE_CELL)))
+    assert math.isfinite(want) and float(oracle) == want
+    assert integrate_loaded == "True"
