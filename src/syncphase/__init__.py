@@ -32,7 +32,6 @@ from .errors import (
 )
 from .signal_model import (
     SignalParams,
-    SignalRealization,
     generate,
     make_params,
     sigma_x_for_snr,

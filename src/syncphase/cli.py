@@ -49,7 +49,6 @@ from .phase_pdf import (
     rmse_linear_approx,
 )
 from .signal_model import (
-    SignalRealization,
     generate,
     make_params,
     read_samples_csv,
@@ -269,7 +268,7 @@ def _params_from(o, snr_db, sigma_p_deg, n, phi_deg=0.0):
           n=_Opt(_cast_int), seed=_Opt(_cast_int, "0"), **_OUTPUT)
 def _cmd_gen(o) -> int:
     params = _params_from(o, o.snr_db, o.sigma_p_deg, o.n, o.phi_deg)
-    samples = generate(params, o.seed).samples
+    samples = generate(params, o.seed)
     # the CSV is the format read_samples_csv reads: n,sample rows
     _write_table(
         o, "gen", ["n", "sample"], [[i, float(v)] for i, v in enumerate(samples)],
@@ -290,8 +289,7 @@ def _cmd_estimate(o) -> int:
     except (EmptyInput, OutOfRange) as exc:
         raise type(exc)(f"{o.in_path}: {exc}") from exc
     params = _params_from(o, math.inf, 0.0, samples.shape[0])
-    realization = SignalRealization(samples=samples, params=params, seed=0)
-    result = estimate_phase(realization)
+    result = estimate_phase(samples, params)
     rows = [[
         math.degrees(result.phase_estimate),
         result.phase_estimate,
@@ -319,12 +317,7 @@ def _cmd_rmse(o) -> int:
         moments = theoretical_moments(params)
         # ahead of the report: the NA row needs them; beta_p = 0 exits here
         linear = rmse_linear_approx(n, moments.snr)
-        floor = rmse_floor_approx(n, moments.beta_p)
-        diagnostics = ""
-        one_minus_b2 = (1 - moments.beta_p) * (1 + moments.beta_p)
-        if params.sigma_phase > 0 and one_minus_b2 < 100.0 / moments.snr:
-            generic = rmse_floor_approx(n, moments.beta_p, moments.snr)
-            diagnostics = f"floor_generic_deg={math.degrees(generic)!r}"
+        floor = rmse_floor_approx(moments)
         try:
             report = error_report(moments)
         except SyncPhaseError as exc:
@@ -334,6 +327,10 @@ def _cmd_rmse(o) -> int:
                 f"{type(exc).__name__}: {exc}",
             ])
             continue
+        # sqrt(CRLB) is the generic floor sqrt((1-b^2+1/SNR)/(b^2 N))
+        generic = math.degrees(math.sqrt(report.crlb))
+        diagnostics = (f"floor_generic_deg={generic!r}" if params.sigma_phase > 0
+                       and moments.one_minus_beta_sq < 100.0 / moments.snr else "")
         rows.append([
             snr_db, sigma_p, n,
             math.degrees(report.rmse_analytic),

@@ -328,8 +328,7 @@ def _run_sizes(v: np.ndarray) -> np.ndarray:
     return np.repeat(size, size)
 
 
-def _bivariate_ranks(x: np.ndarray, y: np.ndarray, r: np.ndarray,
-                     s: np.ndarray) -> np.ndarray:
+def _bivariate_ranks(r: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Hoeffding's Q from the midranks r, s and the concordance K (see
     :func:`hoeffding_d`), counted exactly in O(n log n).
 
@@ -347,7 +346,7 @@ def _bivariate_ranks(x: np.ndarray, y: np.ndarray, r: np.ndarray,
     adds (before - after) to K, a lower point (after - before).  Counts stay
     below 4n, so they are held as int32 below 2^29 points.
     """
-    n = x.shape[0]
+    n = r.shape[0]
     idx = np.int32 if n < 2**29 else np.int64
     a = (r - 1.0).astype(idx)
     seen = np.zeros(n, dtype=bool)
@@ -427,7 +426,7 @@ def hoeffding_d(x: np.ndarray, y: np.ndarray) -> float:
 
     r = _midranks(x)
     s = _midranks(y)
-    q = _bivariate_ranks(x, y, r, s)
+    q = _bivariate_ranks(r, s)
 
     d1 = float(np.sum((q - 1.0) * (q - 2.0)))
     d2 = float(np.sum((r - 1.0) * (r - 2.0) * (s - 1.0) * (s - 2.0)))

@@ -258,27 +258,17 @@ def rmse_linear_approx(n_samples: int, snr: float) -> float:
     return 1.0 / math.sqrt(n_snr)
 
 
-def rmse_floor_approx(
-    n_samples: int, beta_p: float, snr: float = math.inf
-) -> float:
-    """Error floor sqrt((1 - beta_p^2 + 1/snr) / (beta_p^2 * N)).
-
-    At the default snr=inf the additive term 1/snr is 0 and this is
-    sqrt((1/beta_p^2 - 1)/N): the phase-noise saturation value that no
-    amount of additive SNR can beat.  It is inf where beta_p^2 underflows
-    to 0 (sigma_p above about 27.3 rad).
-    """
-    if n_samples < 1:
-        raise OutOfRange(f"n_samples must be >= 1, got {n_samples!r}")
+def rmse_floor_approx(moments: TheoreticalMoments) -> float:
+    """Phase-noise floor sqrt((1 - beta_p^2)/(beta_p^2 N)), which no SNR can
+    beat, from the exact one_minus_beta_sq; inf where beta_p^2 underflows to
+    0 (sigma_p above about 27.3 rad)."""
+    beta_p = moments.beta_p
     if not (0.0 < beta_p <= 1.0):
         raise OutOfRange(f"beta_p must be in (0, 1], got {beta_p!r}")
-    if not (snr > 0.0):
-        raise OutOfRange(f"snr must be > 0, got {snr!r}")
-    one_minus_b2 = (1.0 - beta_p) * (1.0 + beta_p)
-    denominator = beta_p**2 * n_samples
+    denominator = beta_p**2 * moments.n_samples
     if denominator == 0.0:
         return math.inf
-    return math.sqrt((one_minus_b2 + 1.0 / snr) / denominator)
+    return math.sqrt(moments.one_minus_beta_sq / denominator)
 
 
 class Regime(str, enum.Enum):
@@ -303,8 +293,7 @@ def classify_regime(
     limit = rmse_uniform_limit()
     if abs(rmse - limit) <= 0.02 * limit:
         return Regime.UNIFORM_SATURATED
-    one_minus_b2 = (1.0 - moments.beta_p) * (1.0 + moments.beta_p)
-    if one_minus_b2 > 10.0 / moments.snr:
+    if moments.one_minus_beta_sq > 10.0 / moments.snr:
         return Regime.PHASE_NOISE_FLOOR
     if moments.beta_p > 0.9999 and not math.isinf(moments.snr):
         linear = rmse_linear_approx(moments.n_samples, moments.snr)
@@ -339,6 +328,6 @@ def error_report(moments: TheoreticalMoments) -> ErrorReport:
         crlb=crlb(moments),
         efficiency=efficiency(moments, rmse),
         rmse_linear_approx=rmse_linear_approx(moments.n_samples, moments.snr),
-        rmse_floor_approx=rmse_floor_approx(moments.n_samples, moments.beta_p),
+        rmse_floor_approx=rmse_floor_approx(moments),
         regime=classify_regime(moments, rmse=rmse),
     )

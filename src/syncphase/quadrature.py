@@ -16,12 +16,33 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import OutOfRange, QuadratureNonConvergence
 
-_X7, _W7 = roots_legendre(7)
-_X15, _W15 = roots_legendre(15)
+
+def _symmetric_rule(nodes: Sequence[str], weights: Sequence[str]):
+    """(x, w) of a symmetric rule from exact hex literals of its
+    non-negative nodes and their weights, centre first."""
+    x = np.array([float.fromhex(v) for v in nodes])
+    w = np.array([float.fromhex(v) for v in weights])
+    return np.concatenate((-x[:0:-1], x)), np.concatenate((w[:0:-1], w))
+
+
+# Gauss-Legendre rules, bit for bit scipy.special.roots_legendre(7) and (15),
+# whose outputs are exactly symmetric.  Literals spare every start-up the
+# eigenvalue solve and the scipy.linalg import behind it.
+_X7, _W7 = _symmetric_rule(
+    ("0x0.0p+0", "0x1.9f95df119fd62p-2", "0x1.7ba9f9be3a1d6p-1",
+     "0x1.e5f178e7c6228p-1"),
+    ("0x1.abfd7e03c2fa1p-2", "0x1.86fe74ee32b3ap-2", "0x1.1e6b1713d8643p-2",
+     "0x1.092f69f826d5fp-3"))
+_X15, _W15 = _symmetric_rule(
+    ("0x0.0p+0", "0x1.9c0ba62ef04b6p-3", "0x1.939c69257d6b6p-2",
+     "0x1.245676f08f3a4p-1", "0x1.72e6e181ab3c4p-1", "0x1.b248221fffd63p-1",
+     "0x1.dfe24c4f8b448p-1", "0x1.f9da27c32e6d0p-1"),
+    ("0x1.9ee1575f9c983p-3", "0x1.96633f1fd02d0p-3", "0x1.7d41fa76dc268p-3",
+     "0x1.5484f30a86ed8p-3", "0x1.1dd73b4963161p-3", "0x1.b6ec9635f1139p-4",
+     "0x1.2038260b5cfe0p-4", "0x1.f7dc7227a2a1ap-6"))
 
 
 def _panel(f, a: float, b: float):

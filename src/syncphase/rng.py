@@ -6,10 +6,11 @@ dependence on batching, chunking or thread.  Each (draw, channel) pair
 owns a private Philox-4x64 counter block: the key is ``[seed mod 2^64,
 _KEY_SALT]`` and the stream starts at counter ``[0, draw mod 2^64, channel,
 0]``.  Standard normals are produced by applying the inverse normal CDF to
-the counter-based uniform stream.  ``spectral_estimator.reduced_dft_draws``
-fills the two halves of a large batch on two threads at once; each call
-builds its own generator or kernel buffers and a row's words depend only on
-its substream, so the split is layout only and gives the same bits.
+the counter-based uniform stream in :func:`standard_normals_block`, the one
+normal-stream function.  ``spectral_estimator.reduced_dft_draws`` fills the
+two halves of a large batch on two threads at once; each call builds its
+own generator or kernel buffers and a row's words depend only on its
+substream, so the split is layout only and gives the same bits.
 
 Two paths fill a block, chosen by ``count`` (samples per substream); both
 give the words of a Philox freshly built for each substream:
@@ -203,23 +204,11 @@ def _uniforms_block(
     return u
 
 
-def uniforms(seed: int, draw_index: int, channel: int, count: int) -> np.ndarray:
-    """Counter-based uniforms on (0, 1) for one (draw, channel) substream."""
-    return _uniforms_block(seed, draw_index, 1, channel, count)[0]
-
-
-def standard_normals(seed: int, draw_index: int, channel: int, count: int) -> np.ndarray:
-    """Standard normal samples for one (draw, channel) substream."""
-    return standard_normals_block(seed, draw_index, 1, channel, count)[0]
-
-
 def standard_normals_block(
     seed: int, first_draw: int, n_draws: int, channel: int, count: int
 ) -> np.ndarray:
-    """Stack per-draw substreams into an (n_draws, count) matrix.
-
-    Row ``j`` is bit-identical to ``standard_normals(seed, first_draw + j,
-    channel, count)`` — batching is layout only, never a different stream.
-    """
+    """(n_draws, count) standard normals; row j is substream first_draw + j,
+    bit for bit its one-row block — batching is layout only, never a
+    different stream.  The package's one normal-stream function."""
     u = _uniforms_block(seed, first_draw, n_draws, channel, count)
     return ndtri(u, out=u)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TextIO, Union
 
@@ -73,19 +73,6 @@ class SignalParams:
     def omega(self) -> float:
         """Normalized angular frequency 2*pi*k/N of the tone."""
         return math.tau * self.bin_index / self.n_samples
-
-
-@dataclass(frozen=True)
-class SignalRealization:
-    """One generated record plus everything needed to regenerate it."""
-
-    samples: np.ndarray = field(repr=False)
-    params: SignalParams
-    seed: int
-    draw_index: int = 0
-
-    def __post_init__(self):
-        self.samples.setflags(write=False)
 
 
 def make_params(
@@ -203,9 +190,10 @@ def noisy_records(
     return records
 
 
-def generate(params: SignalParams, seed: int, draw_index: int = 0) -> SignalRealization:
-    """Draw one record. Pure function of (params, seed, draw_index): the
-    one-row batch of :func:`noisy_records` starting at ``draw_index``.
+def generate(params: SignalParams, seed: int, draw_index: int = 0) -> np.ndarray:
+    """One record as a read-only 1-D array: the one-row batch of
+    :func:`noisy_records` at ``draw_index``, so a pure function of (params,
+    seed, draw_index).
 
     Raises OutOfRange when a sample overflows (amplitude or noise near the
     largest float).
@@ -214,7 +202,8 @@ def generate(params: SignalParams, seed: int, draw_index: int = 0) -> SignalReal
         samples = noisy_records(params, seed, draw_index, 1)[0]
     if not np.all(np.isfinite(samples)):
         raise OutOfRange("a sample overflowed: amplitude or noise too large")
-    return SignalRealization(samples=samples, params=params, seed=seed, draw_index=draw_index)
+    samples.setflags(write=False)
+    return samples
 
 
 def snr_linear(params: SignalParams) -> float:

@@ -23,12 +23,7 @@ from typing import Any, Callable, Iterator, Optional, Tuple
 import numpy as np
 
 from .errors import EmptyInput, OutOfRange, ZeroVector
-from .signal_model import (
-    SignalParams,
-    SignalRealization,
-    noisy_records,
-    snr_linear,
-)
+from .signal_model import SignalParams, noisy_records, snr_linear
 
 
 def _check_bin(n_samples: int, k: int) -> None:
@@ -114,18 +109,16 @@ def principal_phase(d: np.ndarray) -> np.ndarray:
     return phase
 
 
-def estimate_phase(realization: SignalRealization) -> PhaseStatistic:
-    """Extract the phase estimate from one record.
+def estimate_phase(samples: np.ndarray, params: SignalParams) -> PhaseStatistic:
+    """Phase estimate of one record drawn with the configuration params.
 
     Raises OutOfRange when a sample is nan or infinite, A*N is too small
     (see _reduction_scale), or the statistic or A*N overflowed, and
     ZeroVector when the record (or the bin statistic itself) is identically
     zero, in which case arg() is undefined.
     """
-    samples = realization.samples
-    params = realization.params
-    if samples.shape[0] == 0:
-        raise EmptyInput("realization carries no samples")
+    if len(samples) == 0:
+        raise EmptyInput("record holds no samples")
     if not np.all(np.isfinite(samples)):
         raise OutOfRange("record holds a non-finite sample: phase is undefined")
     if not np.any(samples):
@@ -151,6 +144,7 @@ class TheoreticalMoments:
     mean: complex          # beta_p * e^{j*phase}
     variance: float        # total complex variance E|D - E D|^2
     beta_p: float          # phase-noise attenuation e^{-sigma_phase^2/2}
+    one_minus_beta_sq: float  # 1 - beta_p^2 = -expm1(-sigma_phase^2), exact
     sigma2: float          # per-axis variance = variance / 2
     n_samples: int
     snr: float             # linear SNR, may be +inf
@@ -166,7 +160,7 @@ def theoretical_moments(params: SignalParams) -> TheoreticalMoments:
     variance (1 - beta_p^2 + 1/SNR)/N split equally between the two axes."""
     sp2 = params.sigma_phase**2
     beta_p = math.exp(-0.5 * sp2)
-    one_minus_beta_sq = -math.expm1(-sp2)  # 1 - beta_p^2, accurate for tiny sigma
+    one_minus_beta_sq = -math.expm1(-sp2)  # not (1-b)(1+b): b is rounded
     snr = snr_linear(params)
     variance = (2.0 / params.n_samples) * (one_minus_beta_sq + 1.0 / snr)
     mean = beta_p * cmath.exp(1j * params.phase)
@@ -174,6 +168,7 @@ def theoretical_moments(params: SignalParams) -> TheoreticalMoments:
         mean=mean,
         variance=variance,
         beta_p=beta_p,
+        one_minus_beta_sq=one_minus_beta_sq,
         sigma2=variance / 2.0,
         n_samples=params.n_samples,
         snr=snr,
@@ -261,7 +256,7 @@ def reduced_dft_draws(
     """Reduced bin statistics for draws [first_draw, first_draw + n_draws).
 
     Entry j reproduces estimate_phase(generate(params, master_seed,
-    first_draw + j)).d_reduced: the records come from the same batched
+    first_draw + j), params).d_reduced: the records come from the same batched
     synthesis, the bin statistic from the same Goertzel recurrence and
     reduction.  Raises OutOfRange before any draw when A*N is too small,
     and after them when the records, their sum or the scale A*N overflowed.

@@ -624,6 +624,19 @@ def test_rmse_row_is_the_error_report(capsys, snr_db, sigma_p_deg, n):
 
 
 @pytest.mark.parametrize("snr_db, sigma_p_deg, n", REPORT_CELLS)
+def test_rmse_generic_floor_is_root_crlb(capsys, snr_db, sigma_p_deg, n):
+    # sqrt((1 - beta_p^2 + 1/SNR)/(beta_p^2 N)), shown where phase noise is
+    # present but does not dominate; the first cell has none
+    [row] = _json_rows(capsys, ["rmse", "--snr-db", repr(snr_db),
+                                "--sigma-p-deg", repr(sigma_p_deg),
+                                "--n", str(n)])
+    report = _report_for(snr_db, sigma_p_deg, n)
+    generic = math.degrees(math.sqrt(report.crlb))
+    assert row["diagnostics"] == \
+        (f"floor_generic_deg={generic!r}" if sigma_p_deg > 0 else "")
+
+
+@pytest.mark.parametrize("snr_db, sigma_p_deg, n", REPORT_CELLS)
 def test_efficiency_row_is_the_error_report(capsys, snr_db, sigma_p_deg, n):
     [row] = _json_rows(capsys, ["efficiency", "--snr-db", repr(snr_db),
                                 "--sigma-p-deg", repr(sigma_p_deg),

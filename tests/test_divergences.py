@@ -204,11 +204,11 @@ class TestGaussianApproximation:
 
     def test_beta_half_doubles_the_width(self):
         narrow = TheoreticalMoments(mean=1 + 0j, variance=0.02, beta_p=1.0,
-                                    sigma2=0.01, n_samples=100, snr=1.0,
-                                    phase=0.0)
+                                    one_minus_beta_sq=0.0, sigma2=0.01,
+                                    n_samples=100, snr=1.0, phase=0.0)
         wide = TheoreticalMoments(mean=0.5 + 0j, variance=0.02, beta_p=0.5,
-                                  sigma2=0.01, n_samples=100, snr=1.0,
-                                  phase=0.0)
+                                  one_minus_beta_sq=0.75, sigma2=0.01,
+                                  n_samples=100, snr=1.0, phase=0.0)
         peak_narrow = gaussian_approximation(narrow).values.max()
         peak_wide = gaussian_approximation(wide).values.max()
         assert peak_wide == pytest.approx(peak_narrow / 2.0, rel=1e-9)

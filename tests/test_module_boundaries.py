@@ -167,13 +167,14 @@ import sys
 from syncphase import make_params, rmse_cartesian_oracle, theoretical_moments
 from syncphase.cli import main
 
-mc_out, battery_out = sys.argv[1:]
+mc_out, battery_out, rmse_out = sys.argv[1:]
 assert main(["mc", "--snr-db", "0", "--n", "20", "--draws", "10",
              "--out", mc_out]) == 0
 assert main(["normality", "--snr-db", "0", "--n", "20", "--reps", "1",
              "--hz-draws", "20", "--hoeffding-draws", "10",
              "--out", battery_out]) == 0
-heavy = ("scipy.stats", "scipy.integrate")
+assert main(["rmse", "--snr-db", "0", "--n", "20", "--out", rmse_out]) == 0
+heavy = ("scipy.stats", "scipy.integrate", "scipy.linalg")
 print(sorted(name for name in sys.modules if name.startswith(heavy)))
 params = make_params(**ORACLE_CELL)
 print(repr(rmse_cartesian_oracle(theoretical_moments(params))))
@@ -188,7 +189,8 @@ def test_cli_runs_without_scipy_stats_or_integrate(tmp_path):
         [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
     done = subprocess.run(
         [sys.executable, "-c", f"ORACLE_CELL = {ORACLE_CELL!r}" + _COLD_START,
-         str(tmp_path / "mc.csv"), str(tmp_path / "battery.csv")],
+         str(tmp_path / "mc.csv"), str(tmp_path / "battery.csv"),
+         str(tmp_path / "rmse.csv")],
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     loaded, oracle, integrate_loaded = done.stdout.splitlines()

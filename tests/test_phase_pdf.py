@@ -297,18 +297,19 @@ class TestApproximations:
         assert math.degrees(val) == pytest.approx(0.1812, abs=1e-4)
 
     def test_floor_approx_value(self):
-        beta = math.exp(-0.5 * math.radians(1.0) ** 2)
-        val = rmse_floor_approx(1000, beta)
+        val = rmse_floor_approx(moments_for(1000, sigma_p=math.radians(1.0)))
         assert val == pytest.approx(5.520e-4, rel=1e-3)
         assert math.degrees(val) == pytest.approx(0.03163, abs=1e-5)
 
-    def test_floor_with_finite_snr_keeps_additive_term(self):
-        beta = 0.9
-        got = rmse_floor_approx(50, beta, snr=4.0)
-        want = math.sqrt((1.0 - beta**2 + 0.25) / (beta**2 * 50))
-        assert got == pytest.approx(want, rel=1e-12)
-        assert rmse_floor_approx(50, beta, snr=math.inf) == \
-            rmse_floor_approx(50, beta)
+    @pytest.mark.parametrize("sp_deg", [1e-4, 1e-3, 0.01, 0.5, 5.0])
+    def test_floor_keeps_its_precision_as_sigma_p_vanishes(self, sp_deg):
+        # 1 - beta_p^2 as (1 - beta_p)(1 + beta_p) of a rounded beta_p was
+        # 9.1e-6 off at 1e-4 degrees
+        sp = math.radians(sp_deg)
+        mom = moments_for(1000, snr_db=60.0, sigma_p=sp)
+        want = math.sqrt(-math.expm1(-sp**2) / (math.exp(-sp**2) * 1000))
+        assert rmse_floor_approx(mom) == pytest.approx(want, rel=1e-15,
+                                                       abs=0.0)
 
     def test_linear_approx_survives_an_overflowing_product(self):
         # N*SNR overflows to inf here, which would give 0
@@ -322,8 +323,7 @@ class TestApproximations:
         # sigma_p = 1600 deg: beta_p ~ 1e-169 is positive, beta_p^2 is 0
         mom = moments_for(20, snr_db=0.0, sigma_p=math.radians(1600.0))
         assert mom.beta_p > 0.0 and mom.beta_p**2 == 0.0
-        assert rmse_floor_approx(20, mom.beta_p) == math.inf
-        assert rmse_floor_approx(20, mom.beta_p, mom.snr) == math.inf
+        assert rmse_floor_approx(mom) == math.inf
         assert crlb(mom) == math.inf
 
     def test_linear_approx_limits_and_validation(self):
@@ -332,12 +332,6 @@ class TestApproximations:
             rmse_linear_approx(0, 1.0)
         with pytest.raises(OutOfRange):
             rmse_linear_approx(10, -1.0)
-        with pytest.raises(OutOfRange):
-            rmse_floor_approx(10, 0.0)
-        with pytest.raises(OutOfRange):
-            rmse_floor_approx(10, 1.1)
-        with pytest.raises(OutOfRange):
-            rmse_floor_approx(0, 0.5)
 
     def test_gaussian_limit_tracks_linear_approx(self):
         # additive-only rmse within 0.1% of 1/sqrt(N*SNR) from 0 dB up
@@ -352,7 +346,7 @@ class TestApproximations:
         for sp_deg in (0.5, 1.0, 2.0, 5.0):
             mom = moments_for(1000, snr_db=60.0, sigma_p=math.radians(sp_deg))
             rmse = rmse_polar(PolarPdf.from_moments(mom))
-            floor = rmse_floor_approx(1000, mom.beta_p)
+            floor = rmse_floor_approx(mom)
             assert abs(rmse - floor) / floor < 0.01, sp_deg
 
 
@@ -414,8 +408,7 @@ class TestErrorReport:
         assert report.efficiency <= 1.0 + 1e-3
         assert report.rmse_linear_approx == \
             rmse_linear_approx(mom.n_samples, mom.snr)
-        assert report.rmse_floor_approx == \
-            rmse_floor_approx(mom.n_samples, mom.beta_p)
+        assert report.rmse_floor_approx == rmse_floor_approx(mom)
         assert report.regime == classify_regime(mom)
 
     @pytest.mark.parametrize("n, snr_db, wide", [(20, 0.0, True),

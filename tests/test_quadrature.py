@@ -3,9 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
+from syncphase import quadrature
 from syncphase.errors import OutOfRange, QuadratureNonConvergence
 from syncphase.quadrature import integrate
+
+
+@pytest.mark.parametrize("n", [7, 15])
+def test_rules_are_roots_legendre_bit_for_bit(n):
+    nodes, weights = roots_legendre(n)
+    x, w = getattr(quadrature, f"_X{n}"), getattr(quadrature, f"_W{n}")
+    assert x.dtype == w.dtype == np.float64 and x.shape == w.shape == (n,)
+    assert x.tobytes() == nodes.tobytes()
+    assert w.tobytes() == weights.tobytes()
 
 
 def test_polynomial_is_exact():

@@ -10,40 +10,43 @@ from syncphase.errors import OutOfRange
 
 
 def test_uniforms_are_strictly_inside_unit_interval():
-    u = rng.uniforms(0, 0, rng.CH_PHASE, 10**6)
+    u = rng._uniforms_block(0, 0, 1, rng.CH_PHASE, 10**6)[0]
     assert u.min() > 0.0
     assert u.max() < 1.0
 
 
 def test_streams_are_deterministic():
-    a = rng.uniforms(42, 3, rng.CH_ADDITIVE, 100)
-    b = rng.uniforms(42, 3, rng.CH_ADDITIVE, 100)
+    a = rng._uniforms_block(42, 3, 1, rng.CH_ADDITIVE, 100)[0]
+    b = rng._uniforms_block(42, 3, 1, rng.CH_ADDITIVE, 100)[0]
     assert np.array_equal(a, b)
 
 
 def test_distinct_coordinates_give_distinct_streams():
-    base = rng.uniforms(42, 3, rng.CH_PHASE, 64)
-    assert not np.array_equal(base, rng.uniforms(43, 3, rng.CH_PHASE, 64))
-    assert not np.array_equal(base, rng.uniforms(42, 4, rng.CH_PHASE, 64))
-    assert not np.array_equal(base, rng.uniforms(42, 3, rng.CH_ADDITIVE, 64))
+    def row(seed, draw, channel):
+        return rng._uniforms_block(seed, draw, 1, channel, 64)[0]
+
+    base = row(42, 3, rng.CH_PHASE)
+    assert not np.array_equal(base, row(43, 3, rng.CH_PHASE))
+    assert not np.array_equal(base, row(42, 4, rng.CH_PHASE))
+    assert not np.array_equal(base, row(42, 3, rng.CH_ADDITIVE))
 
 
 def test_seed_is_taken_modulo_2_to_64():
-    a = rng.uniforms(5, 0, rng.CH_PHASE, 16)
-    b = rng.uniforms(5 + 2**64, 0, rng.CH_PHASE, 16)
+    a = rng._uniforms_block(5, 0, 1, rng.CH_PHASE, 16)[0]
+    b = rng._uniforms_block(5 + 2**64, 0, 1, rng.CH_PHASE, 16)[0]
     assert np.array_equal(a, b)
 
 
 def test_prefix_property():
     # a shorter request is a prefix of a longer one from the same substream
-    long = rng.uniforms(7, 1, rng.CH_PHASE, 256)
-    short = rng.uniforms(7, 1, rng.CH_PHASE, 100)
+    long = rng._uniforms_block(7, 1, 1, rng.CH_PHASE, 256)[0]
+    short = rng._uniforms_block(7, 1, 1, rng.CH_PHASE, 100)[0]
     assert np.array_equal(long[:100], short)
 
 
 def test_normals_are_inverse_cdf_of_uniforms():
-    u = rng.uniforms(11, 2, rng.CH_ADDITIVE, 1000)
-    z = rng.standard_normals(11, 2, rng.CH_ADDITIVE, 1000)
+    u = rng._uniforms_block(11, 2, 1, rng.CH_ADDITIVE, 1000)[0]
+    z = rng.standard_normals_block(11, 2, 1, rng.CH_ADDITIVE, 1000)[0]
     assert np.array_equal(z, ndtri(u))
 
 
@@ -51,7 +54,7 @@ def test_block_rows_match_per_draw_streams_bitwise():
     block = rng.standard_normals_block(9, 5, 8, rng.CH_PHASE, 33)
     assert block.shape == (8, 33)
     for j in range(8):
-        row = rng.standard_normals(9, 5 + j, rng.CH_PHASE, 33)
+        row = rng.standard_normals_block(9, 5 + j, 1, rng.CH_PHASE, 33)[0]
         assert np.array_equal(block[j], row)
 
 
@@ -115,7 +118,7 @@ def test_back_to_back_blocks_share_no_state():
 
 
 def test_normal_moments():
-    z = rng.standard_normals(2, 0, rng.CH_ADDITIVE, 10**6)
+    z = rng.standard_normals_block(2, 0, 1, rng.CH_ADDITIVE, 10**6)[0]
     n = z.size
     assert abs(z.mean()) < 4.0 / np.sqrt(n)
     assert np.var(z) == pytest.approx(1.0, rel=0.005)
@@ -123,11 +126,11 @@ def test_normal_moments():
 
 def test_negative_count_rejected():
     with pytest.raises(OutOfRange):
-        rng.uniforms(0, 0, rng.CH_PHASE, -1)
+        rng._uniforms_block(0, 0, 1, rng.CH_PHASE, -1)
     with pytest.raises(OutOfRange):
         rng.standard_normals_block(0, 0, -2, rng.CH_PHASE, 4)
 
 
 def test_zero_count_gives_empty():
-    assert rng.uniforms(0, 0, rng.CH_PHASE, 0).size == 0
+    assert rng._uniforms_block(0, 0, 1, rng.CH_PHASE, 0)[0].size == 0
     assert rng.standard_normals_block(0, 0, 0, rng.CH_PHASE, 4).shape == (0, 4)

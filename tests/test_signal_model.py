@@ -92,7 +92,7 @@ class TestToneAndGenerate:
     def test_noiseless_quarter_period_samples(self):
         p = quarter_period()
         r = generate(p, seed=0)
-        assert np.allclose(r.samples, [1.0, 0.0, -1.0, 0.0], atol=1e-15)
+        assert np.allclose(r, [1.0, 0.0, -1.0, 0.0], atol=1e-15)
 
     def test_tone_phase_reduction_matches_direct_formula(self):
         # the stored phases are reduced mod 2*pi, so compare on the circle
@@ -107,21 +107,20 @@ class TestToneAndGenerate:
                         sigma_additive=0.5, sigma_phase=0.02, n_samples=50)
         a = generate(p, seed=123, draw_index=7)
         b = generate(p, seed=123, draw_index=7)
-        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a, b)
         c = generate(p, seed=123, draw_index=8)
-        assert not np.array_equal(a.samples, c.samples)
+        assert not np.array_equal(a, c)
 
     def test_noise_channels_are_independent_streams(self):
         # silencing one channel must not change what the other one draws
         base = dict(amplitude=1.0, f0=1.0, fs=10.0, n_samples=40)
-        both = generate(make_params(sigma_additive=1.0, sigma_phase=0.1,
-                                    **base), seed=5)
+        p = make_params(sigma_additive=1.0, sigma_phase=0.1, **base)
+        both = generate(p, seed=5)
         phase_only = generate(make_params(sigma_phase=0.1, **base), seed=5)
-        additive = both.samples - np.cos(
-            tone_phases(both.params)
-            + 0.1 * rng.standard_normals(5, 0, rng.CH_PHASE, 40))
-        assert np.allclose(
-            phase_only.samples + additive, both.samples, atol=1e-12)
+        additive = both - np.cos(
+            tone_phases(p)
+            + 0.1 * rng.standard_normals_block(5, 0, 1, rng.CH_PHASE, 40)[0])
+        assert np.allclose(phase_only + additive, both, atol=1e-12)
 
     def test_overflowing_record_rejected(self):
         # A = 1e308 at 0 dB: the noise pushes 2 of 20 samples past the
@@ -135,13 +134,13 @@ class TestToneAndGenerate:
     def test_samples_are_read_only(self):
         r = generate(quarter_period(), seed=1)
         with pytest.raises((ValueError, RuntimeError)):
-            r.samples[0] = 5.0
+            r[0] = 5.0
 
     def test_additive_noise_variance(self):
         p = make_params(amplitude=1.0, f0=1.0, fs=10.0, sigma_additive=1.0,
                         n_samples=10**6)
         r = generate(p, seed=3)
-        noise = r.samples - np.cos(tone_phases(p))
+        noise = r - np.cos(tone_phases(p))
         assert 0.997 <= float(np.var(noise)) <= 1.003
 
     def test_phase_noise_sample_variance_matches_closed_form(self):
@@ -151,7 +150,7 @@ class TestToneAndGenerate:
         p = make_params(amplitude=1.0, f0=1.0, fs=10.0, sigma_phase=sp,
                         n_samples=20)
         t = float(tone_phases(p)[3])
-        z = rng.standard_normals(99, 0, rng.CH_PHASE, 10**6)
+        z = rng.standard_normals_block(99, 0, 1, rng.CH_PHASE, 10**6)[0]
         sample = np.cos(t + sp * z)
         expected = (1.0 + math.exp(-2 * sp**2) * math.cos(2 * t)) / 2.0 \
             - math.exp(-sp**2) * math.cos(t) ** 2
@@ -228,12 +227,11 @@ class TestSampleCsv:
                      "--seed", "11", "--out", str(out)]) == 0
         with open(out) as fp:
             back = read_samples_csv(fp)
-        r = generate(make_params(amplitude=1.0, f0="1.0", fs="10.0",
-                                 sigma_additive=sigma_x_for_snr(1.0, 1.0),
-                                 sigma_phase=math.radians(1.0), n_samples=30),
-                     seed=11)
-        assert r.params.sigma_additive > 0 and r.params.sigma_phase > 0
-        assert back.tobytes() == r.samples.tobytes()
+        p = make_params(amplitude=1.0, f0="1.0", fs="10.0",
+                        sigma_additive=sigma_x_for_snr(1.0, 1.0),
+                        sigma_phase=math.radians(1.0), n_samples=30)
+        assert p.sigma_additive > 0 and p.sigma_phase > 0
+        assert back.tobytes() == generate(p, seed=11).tobytes()
 
     def test_empty_file_rejected(self):
         with pytest.raises(EmptyInput):
