@@ -315,7 +315,7 @@ def _cmd_rmse(o) -> int:
     for snr_db, sigma_p, n in sorted(product(o.snr_db, o.sigma_p_deg, o.n)):
         params = _params_from(o, snr_db, sigma_p, n)
         moments = theoretical_moments(params)
-        # ahead of the report: the NA row needs them; beta_p = 0 exits here
+        # ahead of the report: the NA row needs them
         linear = rmse_linear_approx(n, moments.snr)
         floor = rmse_floor_approx(moments)
         try:
@@ -423,8 +423,13 @@ def _cmd_divergence(o) -> int:
     for snr_db in sorted(o.snr_db):
         params = _params_from(o, snr_db, o.sigma_p_deg, o.n)
         moments = theoretical_moments(params)
+        if moments.beta_p == 0.0:
+            raise OutOfRange(
+                f"--sigma-p-deg {o.sigma_p_deg!r} leaves no lobe: "
+                "exp(-sigma_p^2/2) underflows to 0, so the density is "
+                "uniform and its Gaussian approximation does not exist")
         p = density_from_pdf(PolarPdf.from_moments(moments))
-        q_gauss = gaussian_approximation(moments)
+        q_gauss = gaussian_approximation(moments, p.nodes)
         kl_uniform = kl_divergence(p, uniform_density_on(p.nodes))
         bhat = bhattacharyya_distance(p, q_gauss)
         try:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -124,9 +125,11 @@ def gaussian_density(nodes: np.ndarray, mean: float, std: float,
     return DensityGrid(nodes=nodes, values=values)
 
 
-def gaussian_approximation(moments: TheoreticalMoments) -> DensityGrid:
+def gaussian_approximation(moments: TheoreticalMoments,
+                           nodes: Optional[np.ndarray] = None) -> DensityGrid:
     """Small-error Gaussian approximation N(phi, (sigma/beta)^2) of the phase
-    density, on the same node set density_from_pdf would use.
+    density, on `nodes`: by default the node set density_from_pdf uses, which
+    a caller that already holds that density passes to skip rebuilding it.
 
     Distances to the center are wrapped to the principal interval and the
     samples are renormalized by their grid mass: for narrow lobes the factor
@@ -135,7 +138,8 @@ def gaussian_approximation(moments: TheoreticalMoments) -> DensityGrid:
     """
     pdf = PolarPdf.from_moments(moments)
     spread = pdf.spread
-    nodes = phase_nodes(spread, pdf.phi)
+    if nodes is None:
+        nodes = phase_nodes(spread, pdf.phi)
     z = np.asarray(wrap_angle(nodes - pdf.phi)) / spread
     values = np.exp(-0.5 * z * z) / (math.sqrt(math.tau) * spread)
     values = values / float(_trapezoid(values, nodes))

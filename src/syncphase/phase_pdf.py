@@ -61,15 +61,20 @@ def circular_error(theta, phase):
 @dataclass(frozen=True)
 class PolarPdf:
     """Parameters of the phase-estimate density: lobe location phi,
-    concentration beta_p, per-axis spread sigma."""
+    concentration beta_p, per-axis spread sigma.
+
+    beta_p = 0, where exp(-sigma_p^2/2) underflows (sigma_p above about
+    38.6 rad), is the uniform limit: no lobe is left, the spread is
+    infinite and the density is 1/(2 pi) everywhere.
+    """
 
     beta_p: float
     sigma: float
     phi: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 < self.beta_p <= 1.0):
-            raise OutOfRange(f"beta_p must be in (0, 1], got {self.beta_p!r}")
+        if not (0.0 <= self.beta_p <= 1.0):
+            raise OutOfRange(f"beta_p must be in [0, 1], got {self.beta_p!r}")
         if self.sigma == 0.0:
             raise DegenerateSigma(
                 "noiseless configuration: the estimate is deterministic")
@@ -87,8 +92,9 @@ class PolarPdf:
 
     @property
     def spread(self) -> float:
-        """Error scale sigma/beta_p (std of the small-error linearization)."""
-        return self.sigma / self.beta_p
+        """Error scale sigma/beta_p (std of the small-error linearization);
+        inf at beta_p = 0."""
+        return self.sigma / self.beta_p if self.beta_p > 0.0 else math.inf
 
     @classmethod
     def from_moments(cls, moments: TheoreticalMoments) -> "PolarPdf":
@@ -263,8 +269,8 @@ def rmse_floor_approx(moments: TheoreticalMoments) -> float:
     beat, from the exact one_minus_beta_sq; inf where beta_p^2 underflows to
     0 (sigma_p above about 27.3 rad)."""
     beta_p = moments.beta_p
-    if not (0.0 < beta_p <= 1.0):
-        raise OutOfRange(f"beta_p must be in (0, 1], got {beta_p!r}")
+    if not (0.0 <= beta_p <= 1.0):
+        raise OutOfRange(f"beta_p must be in [0, 1], got {beta_p!r}")
     denominator = beta_p**2 * moments.n_samples
     if denominator == 0.0:
         return math.inf

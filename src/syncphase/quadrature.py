@@ -7,11 +7,15 @@ errors meet tolerance or the panel budget runs out
 (:class:`QuadratureNonConvergence`).
 
 Integrands must accept a 1-D numpy array of abscissae and return values of
-the same shape.
+the same shape, element-wise and without side effects: panels are evaluated
+in batches, one integrand call for all the seed panels and one for the
+halves of the worst panel together with those of the next few worst, so
+some evaluations are speculative and never enter the sum.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Callable, Sequence
 
@@ -45,16 +49,33 @@ _X15, _W15 = _symmetric_rule(
      "0x1.2038260b5cfe0p-4", "0x1.f7dc7227a2a1ap-6"))
 
 
-def _panel(f, a: float, b: float):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = np.concatenate((mid + half * _X15, mid + half * _X7))
+# Panels whose children one refinement call evaluates: the worst panel's
+# and, speculatively, those of the next worst that have none yet.  Measured
+# on 2 cores (NumPy 2.4) over the 60-op analytic_sweep pass at seed 12,
+# medians of 15 interleaved passes, time relative to a look-ahead of 1:
+# 2 0.894, 4 0.879, 8 0.876, 16 0.891.  Integrand calls per integral:
+# 8.8 at 1, 5.3 at 2, 3.8 at 4, 3.7 at 8 and 16 (19.7 at one panel a call).
+_LOOKAHEAD = 8
+_X = np.concatenate((_X15, _X7))
+
+
+def _panels(f, bounds):
+    """Gauss 7/15 panels (a, b, integral, error) on every (a, b) of
+    `bounds`, from one call of f on all their abscissae."""
+    ends = np.array(bounds, dtype=float)
+    half = 0.5 * (ends[:, 1] - ends[:, 0])
+    mid = 0.5 * (ends[:, 0] + ends[:, 1])
+    x = (mid[:, None] + half[:, None] * _X).ravel()
     y = np.asarray(f(x), dtype=float)
     if y.shape != x.shape:
         raise OutOfRange("integrand must be vectorized (same output shape)")
-    i15 = half * float(y[:15] @ _W15)
-    i7 = half * float(y[15:] @ _W7)
-    return (a, b, i15, abs(i15 - i7))
+    y = y.reshape(len(bounds), _X.size)
+    panels = []
+    for (a, b), h, row in zip(bounds, half.tolist(), y):
+        i15 = h * float(row[:15] @ _W15)
+        i7 = h * float(row[15:] @ _W7)
+        panels.append((a, b, i15, abs(i15 - i7)))
+    return panels
 
 
 def integrate(
@@ -72,6 +93,12 @@ def integrate(
     `breakpoints` seeds the initial panel boundaries (useful to bracket a
     narrow feature so the first error estimates already see it).  The
     tolerance test is  sum(panel errors) <= max(abs_tol, rel_tol*|integral|).
+
+    f must be element-wise and pure: each call gets the abscissae of several
+    panels at once, some of which the refinement may never use, and the
+    value at a point must not depend on the other points or on earlier
+    calls.  The result is then the same, bit for bit, as evaluating one
+    panel per call.
     """
     if not (b > a):
         if a == b:
@@ -79,7 +106,8 @@ def integrate(
         raise OutOfRange(f"need b > a, got [{a}, {b}]")
 
     edges = sorted({float(a), float(b), *(float(p) for p in breakpoints if a < p < b)})
-    panels = [_panel(f, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    panels = _panels(f, list(zip(edges[:-1], edges[1:])))
+    children = {}  # (lo, hi) of a panel -> its two halves, once evaluated
 
     while True:
         total = math.fsum(p[2] for p in panels)
@@ -95,6 +123,16 @@ def integrate(
             )
         worst = max(range(len(panels)), key=lambda i: panels[i][3])
         lo, hi, _, _ = panels.pop(worst)
-        mid = 0.5 * (lo + hi)
-        panels.append(_panel(f, lo, mid))
-        panels.append(_panel(f, mid, hi))
+        if (lo, hi) not in children:
+            ahead = heapq.nlargest(
+                _LOOKAHEAD - 1, (p for p in panels if p[:2] not in children),
+                key=lambda p: p[3])
+            split = [(lo, hi)] + [p[:2] for p in ahead]
+            bounds = []
+            for p_lo, p_hi in split:
+                mid = 0.5 * (p_lo + p_hi)
+                bounds += [(p_lo, mid), (mid, p_hi)]
+            halves = _panels(f, bounds)
+            for k, key in enumerate(split):
+                children[key] = halves[2 * k:2 * k + 2]
+        panels.extend(children.pop((lo, hi)))

@@ -276,17 +276,45 @@ class TestExitCodes:
         ("rmse", ("rmse_floor_deg", "crlb_deg2", "efficiency")),
         ("efficiency", ("crlb_deg2", "efficiency")),
     ])
-    @pytest.mark.parametrize("sigma_p_deg", ["1560", "1600"])
+    @pytest.mark.parametrize("sigma_p_deg", ["1560", "1600", "1e5"])
     def test_underflowing_beta_p_squared_gives_infinite_bounds(
             self, capsys, command, columns, sigma_p_deg):
         # beta_p^2 is subnormal at 1560 deg and 0 at 1600 deg, which ended
-        # in a ZeroDivisionError traceback
+        # in a ZeroDivisionError traceback; beta_p itself is 0 at 1e5 deg
         [row] = _json_rows(capsys, [command, "--snr-db", "0", "--sigma-p-deg",
                                     sigma_p_deg, "--n", "20"])
         for name in columns:
             assert row[name] == math.inf
         assert row["rmse_analytic_deg"] == pytest.approx(
             math.degrees(math.pi / math.sqrt(3.0)), rel=1e-12)
+
+    @pytest.mark.parametrize("command", ["rmse", "efficiency"])
+    def test_underflowing_beta_p_prints_the_uniform_row(self, capsys,
+                                                        command):
+        # beta_p itself is 0 at 1e5 deg; the table used to abort with
+        # "OutOfRange: beta_p must be in (0, 1], got 0.0".  Its rows are
+        # those of 1600 deg, where only beta_p^2 is 0
+        def rows(sigma_p_deg):
+            return _json_rows(capsys, [command, "--snr-db", "0",
+                                       "--sigma-p-deg", sigma_p_deg,
+                                       "--n", "20,100"])
+        uniform, at_1600 = rows("1e5"), rows("1600")
+        for row in uniform + at_1600:
+            row.pop("sigma_p_deg")
+        assert uniform == at_1600
+        if command == "rmse":
+            assert [row["regime"] for row in uniform] == \
+                ["UniformSaturated"] * 2
+            # the other cells of a grid keep their rows
+            assert rows("1,1e5")[:2] == rows("1")
+
+    def test_underflowing_beta_p_divergence_names_the_flag(self, capsys):
+        assert main(["divergence", "--snr-db", "0,20", "--sigma-p-deg", "1e5",
+                     "--n", "20"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--sigma-p-deg 100000.0" in captured.err
+        assert "beta_p" not in captured.err
 
     def test_tiny_amplitude_is_a_pure_scale(self, tmp_path):
         # A^2 and sigma^2 both underflow at A = 1e-200; their ratio does not

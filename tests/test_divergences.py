@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import syncphase.divergences as divergences
+from syncphase.cli import main
 from syncphase.divergences import (
     AMBIENT_NODES,
     DENSE_NODES,
@@ -224,6 +226,30 @@ class TestGaussianApproximation:
     def test_std_validation(self):
         with pytest.raises(OutOfRange):
             gaussian_density(WIDE, 0.0, 0.0)
+
+    @pytest.mark.parametrize("n, snr_db", [(100, 0.0), (1000, 40.0)])
+    def test_given_nodes_give_the_same_grid(self, n, snr_db):
+        # wide and narrow lobes: the density's own nodes, passed in, give
+        # the bits of the grid that builds them itself
+        mom = moments_for(n, snr_db)
+        p = density_from_pdf(PolarPdf.from_moments(mom))
+        shared = gaussian_approximation(mom, p.nodes)
+        own = gaussian_approximation(mom)
+        assert shared.nodes is p.nodes
+        assert shared.nodes.tobytes() == own.nodes.tobytes()
+        assert shared.values.tobytes() == own.values.tobytes()
+
+    def test_divergence_builds_one_node_set_per_cell(self, monkeypatch,
+                                                      tmp_path):
+        built = []
+
+        def counting(spread, center=0.0):
+            built.append(spread)
+            return phase_nodes(spread, center)
+        monkeypatch.setattr(divergences, "phase_nodes", counting)
+        assert main(["divergence", "--snr-db", "-10,20,50", "--n", "1000",
+                     "--out", str(tmp_path / "t.csv")]) == 0
+        assert len(built) == 3
 
 
 class TestUniformDensity:

@@ -70,7 +70,7 @@ class TestPolarPdfType:
         with pytest.raises(OutOfRange):
             PolarPdf(beta_p=1.0, sigma=math.inf)
         with pytest.raises(OutOfRange):
-            PolarPdf(beta_p=0.0, sigma=0.1)
+            PolarPdf(beta_p=-0.1, sigma=0.1)
         with pytest.raises(OutOfRange):
             PolarPdf(beta_p=1.2, sigma=0.1)
         with pytest.raises(OutOfRange):
@@ -325,6 +325,26 @@ class TestApproximations:
         assert mom.beta_p > 0.0 and mom.beta_p**2 == 0.0
         assert rmse_floor_approx(mom) == math.inf
         assert crlb(mom) == math.inf
+
+    def test_underflowed_beta_p_is_the_uniform_limit(self):
+        # sigma_p = 1e5 deg: beta_p itself is 0, which used to raise
+        # OutOfRange from rmse_floor_approx and PolarPdf
+        mom = moments_for(20, snr_db=0.0, sigma_p=math.radians(1e5))
+        assert mom.beta_p == 0.0
+        pdf = PolarPdf.from_moments(mom)
+        assert pdf.spread == math.inf
+        theta = np.linspace(-math.pi, math.pi, 101)
+        assert np.all(pdf_value(pdf, theta) == UNIFORM)
+        assert rmse_floor_approx(mom) == math.inf
+        assert crlb(mom) == math.inf
+        # the same report as at 1600 deg, where beta_p^2 is already 0
+        near = error_report(moments_for(20, snr_db=0.0,
+                                        sigma_p=math.radians(1600.0)))
+        report = error_report(mom)
+        assert report == near
+        assert report.regime is Regime.UNIFORM_SATURATED
+        assert report.rmse_analytic == pytest.approx(rmse_uniform_limit(),
+                                                     rel=1e-15)
 
     def test_linear_approx_limits_and_validation(self):
         assert rmse_linear_approx(10, math.inf) == 0.0
