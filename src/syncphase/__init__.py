@@ -3,8 +3,8 @@
 Library layout:
 
 - ``signal_model``       parameter validation, record generation, SNR helpers
-- ``spectral_estimator`` single-bin DFT (Goertzel + compensated reference),
-                         phase estimate, theoretical moments
+- ``spectral_estimator`` single-bin DFT (Goertzel), phase estimate,
+                         theoretical moments
 - ``phase_pdf``          closed-form estimate density, RMSE/bias/CRLB,
                          asymptotic approximations and regime classification
 - ``divergences``        KL / Bhattacharyya between sampled densities
@@ -14,6 +14,8 @@ Library layout:
 """
 
 __version__ = "0.1.0"
+
+from types import ModuleType as _ModuleType
 
 from .errors import (
     DegenerateSigma,
@@ -35,14 +37,12 @@ from .signal_model import (
     generate,
     make_params,
     sigma_x_for_snr,
-    snr_db,
     snr_linear,
 )
 from .spectral_estimator import (
     PhaseStatistic,
     TheoreticalMoments,
     dft_bin,
-    dft_bin_reference,
     estimate_phase,
     theoretical_moments,
 )
@@ -51,7 +51,6 @@ from .phase_pdf import (
     PolarPdf,
     Regime,
     bias_polar,
-    circular_error,
     classify_regime,
     crlb,
     efficiency,
@@ -69,15 +68,14 @@ from .divergences import (
     bhattacharyya_distance,
     density_from_pdf,
     gaussian_approximation,
-    gaussian_density,
     kl_divergence,
     uniform_density_on,
 )
 from .mc_harness import (
+    BatteryReport,
     HzResult,
     McConfig,
     McReport,
-    TestBatteryReport,
     benjamini_hochberg,
     fisher_combine,
     henze_zirkler,
@@ -86,4 +84,8 @@ from .mc_harness import (
     run_mc,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the functions, types and errors imported above; the submodules those
+# imports bind are attributes of the package, not part of its API
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _ModuleType))

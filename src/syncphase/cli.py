@@ -249,12 +249,17 @@ def _write_table(
 
 
 def _params_from(o, snr_db, sigma_p_deg, n, phi_deg=0.0):
+    try:
+        snr = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        raise OutOfRange(f"--snr-db {snr_db!r} is too large: its linear SNR "
+                         f"overflows a float; use 'inf' for noiseless") from None
     return make_params(
         o.amplitude,
         o.f0,
         o.fs,
         phase=math.radians(phi_deg),
-        sigma_additive=sigma_x_for_snr(o.amplitude, 10.0 ** (snr_db / 10.0)),
+        sigma_additive=sigma_x_for_snr(o.amplitude, snr),
         sigma_phase=math.radians(sigma_p_deg),
         n_samples=n,
     )

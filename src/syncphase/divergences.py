@@ -108,23 +108,6 @@ def uniform_density_on(nodes: np.ndarray) -> DensityGrid:
                        values=np.full(nodes.shape, 1.0 / math.tau))
 
 
-def gaussian_density(nodes: np.ndarray, mean: float, std: float,
-                     renormalize: bool = False) -> DensityGrid:
-    """A normal density sampled on the given nodes.
-
-    With renormalize=True the samples are divided by their trapezoid mass so
-    the grid invariant holds even when the nodes truncate real tail mass.
-    """
-    if not (std > 0.0):
-        raise OutOfRange(f"std must be > 0, got {std!r}")
-    nodes = np.asarray(nodes, dtype=float)
-    z = (nodes - mean) / std
-    values = np.exp(-0.5 * z * z) / (math.sqrt(math.tau) * std)
-    if renormalize:
-        values = values / float(_trapezoid(values, nodes))
-    return DensityGrid(nodes=nodes, values=values)
-
-
 def gaussian_approximation(moments: TheoreticalMoments,
                            nodes: Optional[np.ndarray] = None) -> DensityGrid:
     """Small-error Gaussian approximation N(phi, (sigma/beta)^2) of the phase

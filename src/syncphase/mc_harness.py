@@ -12,7 +12,10 @@ Henze-Zirkler's pair sum may run the two top-level nodes of its pairwise
 summation on two threads; each node adds its terms in np.sum's own order
 and the two are added as np.sum adds them, so that split does not change a
 bit either.  Results are therefore bit-identical however the work is
-scheduled.
+scheduled, on one NumPy build and CPU feature set: the errors pass through
+``np.arctan2`` and Henze-Zirkler through ``np.exp``, whose last bits NumPy
+takes from an AVX-512 kernel where the CPU has one.  The draws themselves
+are the same bits with or without those kernels (see ``rng``).
 
 The battery couples a multivariate-normality test (Henze-Zirkler) applied to
 repeated batches of the bin statistic, Benjamini-Hochberg adjustment across
@@ -477,8 +480,7 @@ def fisher_combine(p_values: Sequence[float]) -> Tuple[float, float]:
 # --- the battery -----------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TestBatteryReport:
-    params: SignalParams
+class BatteryReport:
     hz_statistic: float                  # mean statistic across repetitions
     hz_p_values: Tuple[float, ...]       # raw, one per repetition
     hz_p_adjusted: Tuple[float, ...]     # Benjamini-Hochberg adjusted
@@ -497,7 +499,7 @@ def run_convergence_battery(
     hz_draws: int = 2000,
     hoeffding_draws: int = 100_000,
     alpha: float = 0.05,
-) -> List[TestBatteryReport]:
+) -> List[BatteryReport]:
     """Run the normality/independence battery on each grid point.
 
     Per point: `repetitions` disjoint batches of `hz_draws` bin statistics
@@ -517,7 +519,7 @@ def run_convergence_battery(
             f"hoeffding_draws must be >= 5, got {hoeffding_draws}")
     if not (0.0 < alpha < 1.0):
         raise OutOfRange(f"alpha must be in (0, 1), got {alpha!r}")
-    reports: List[TestBatteryReport] = []
+    reports: List[BatteryReport] = []
     nan = float("nan")
     for params in grid:
         try:
@@ -536,8 +538,7 @@ def run_convergence_battery(
                                       repetitions * hz_draws, hoeffding_draws)
             hd = hoeffding_d(d_ind.real, d_ind.imag)
             reports.append(
-                TestBatteryReport(
-                    params=params,
+                BatteryReport(
                     hz_statistic=float(np.mean(stats)),
                     hz_p_values=tuple(p_raw),
                     hz_p_adjusted=tuple(adjusted),
@@ -549,8 +550,7 @@ def run_convergence_battery(
             )
         except SingularCovariance as exc:
             reports.append(
-                TestBatteryReport(
-                    params=params,
+                BatteryReport(
                     hz_statistic=nan,
                     hz_p_values=(),
                     hz_p_adjusted=(),

@@ -50,14 +50,6 @@ def wrap_angle(angle):
     return wrapped
 
 
-def circular_error(theta, phase):
-    """Shortest angular distance |wrap(theta - phase)| in [0, pi]."""
-    err = np.abs(wrap_angle(np.asarray(theta, dtype=float) - phase))
-    if np.ndim(theta) == 0 and np.ndim(phase) == 0:
-        return float(err)
-    return err
-
-
 @dataclass(frozen=True)
 class PolarPdf:
     """Parameters of the phase-estimate density: lobe location phi,

@@ -10,7 +10,10 @@ the counter-based uniform stream in :func:`standard_normals_block`, the one
 normal-stream function.  ``spectral_estimator.reduced_dft_draws`` fills the
 two halves of a large batch on two threads at once; each call builds its
 own generator or kernel buffers and a row's words depend only on its
-substream, so the split is layout only and gives the same bits.
+substream, so the split is layout only and gives the same bits.  The
+normals are also the same bits with or without NumPy's AVX-512 kernels
+(tests/test_portability.py): the Philox words are integer arithmetic and
+``ndtri`` is SciPy's own scalar code.
 
 Two paths fill a block, chosen by ``count`` (samples per substream); both
 give the words of a Philox freshly built for each substream:

@@ -69,11 +69,6 @@ class SignalParams:
     n_samples: int
     bin_index: int          # k = n_samples * f0 / fs, exact integer
 
-    @property
-    def omega(self) -> float:
-        """Normalized angular frequency 2*pi*k/N of the tone."""
-        return math.tau * self.bin_index / self.n_samples
-
 
 def make_params(
     amplitude: Real,
@@ -208,18 +203,18 @@ def generate(params: SignalParams, seed: int, draw_index: int = 0) -> np.ndarray
 
 def snr_linear(params: SignalParams) -> float:
     """A^2 / (2*sigma_additive^2); +inf for a noiseless record (not an error).
-    Where a square is subnormal or 0, it is (A/sigma_additive)^2 / 2."""
+    Where a square is subnormal or 0, or A^2 or 2*sigma_additive^2 passes
+    the float range, it is (A/sigma_additive)^2 / 2."""
     if params.sigma_additive == 0.0:
         return math.inf
-    a2, s2 = params.amplitude**2, params.sigma_additive**2
-    if min(a2, s2) < np.finfo(float).tiny:
+    try:
+        a2, s2 = params.amplitude**2, params.sigma_additive**2
+    except OverflowError:  # ** raises where * would give inf
+        a2 = s2 = math.inf
+    if min(a2, s2) < np.finfo(float).tiny or 2.0 * s2 == math.inf:
         ratio = params.amplitude / params.sigma_additive
         return 0.5 * ratio * ratio  # halved first: no spurious overflow
     return a2 / (2.0 * s2)
-
-
-def snr_db(params: SignalParams) -> float:
-    return 10.0 * math.log10(snr_linear(params))
 
 
 def sigma_x_for_snr(amplitude: float, snr: float) -> float:

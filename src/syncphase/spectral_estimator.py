@@ -5,9 +5,15 @@ The estimator is the complex DFT coefficient at the (synchronous) tone bin,
     D = sum_n s[n] * exp(-2j*pi*k*n/N),
 
 reduced by its noise-free magnitude A*N/2 and passed through arg().  The
-production evaluation uses the Goertzel recurrence (one real multiply per
-sample); a compensated-summation reference evaluation of the same coefficient
-is kept alongside as an independent numerical route.
+coefficient comes from the Goertzel recurrence (one real multiply per
+sample); the tests check it against a compensated-summation direct sum.
+
+Portability: the draws (Philox words, ``ndtri``, cosine synthesis and the
+Goertzel recurrence) give the same bits with or without NumPy's AVX-512
+kernels.  arg() goes through ``np.arctan2``, whose bits NumPy takes from an
+AVX-512 kernel where the CPU has one, so a phase is bit-identical for one
+NumPy build on one CPU feature set, whatever the chunking or thread
+count.
 """
 
 from __future__ import annotations
@@ -71,28 +77,6 @@ def dft_bin_batch(matrix: np.ndarray, k: int) -> np.ndarray:
     return v1 * cmath.exp(1j * w) - v2
 
 
-def dft_bin_reference(samples: np.ndarray, k: int) -> complex:
-    """Direct-sum DFT coefficient with exact (compensated) accumulation.
-
-    Twiddles are taken from a length-N root table indexed by (k*n) mod N, and
-    the real/imaginary parts are accumulated with math.fsum, so the only
-    rounding left is one product per sample.  This is the cross-check route
-    for :func:`dft_bin`; it costs Python-loop time and is not meant for bulk
-    work.
-    """
-    s = np.asarray(samples, dtype=float)
-    if s.ndim != 1:
-        raise OutOfRange("samples must be a 1-D array")
-    n_samples = s.shape[0]
-    _check_bin(n_samples, k)
-
-    idx = (k * np.arange(n_samples, dtype=np.int64)) % n_samples
-    angles = idx * (math.tau / n_samples)
-    re = math.fsum((s * np.cos(angles)).tolist())
-    im = math.fsum((s * (-np.sin(angles))).tolist())
-    return complex(re, im)
-
-
 @dataclass(frozen=True)
 class PhaseStatistic:
     """Reduced DFT statistic and the phase estimate derived from it."""
@@ -150,15 +134,14 @@ class TheoreticalMoments:
     snr: float             # linear SNR, may be +inf
     phase: float
 
-    @property
-    def sigma(self) -> float:
-        return math.sqrt(self.sigma2)
-
 
 def theoretical_moments(params: SignalParams) -> TheoreticalMoments:
     """Moments of the reduced statistic: mean beta_p e^{j phi}, per-axis
     variance (1 - beta_p^2 + 1/SNR)/N split equally between the two axes."""
-    sp2 = params.sigma_phase**2
+    try:
+        sp2 = params.sigma_phase**2
+    except OverflowError:  # ** raises where * would give inf: beta_p = 0
+        sp2 = math.inf
     beta_p = math.exp(-0.5 * sp2)
     one_minus_beta_sq = -math.expm1(-sp2)  # not (1-b)(1+b): b is rounded
     snr = snr_linear(params)

@@ -233,8 +233,9 @@ class TestExitCodes:
         assert "snr must be > 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["rmse", "--snr-db", "4000", "--n", "20"],        # 10**400
-        ["rmse", "--amplitude", "1e200", "--snr-db", "0", "--n", "20"],
+        ["rmse", "--f0", "1e400", "--fs", "1e401", "--snr-db", "0",
+         "--n", "20"],                                    # f0 past the floats
+        ["gen", "--f0", "1e400", "--fs", "1e401", "--n", "20"],
     ])
     def test_overflow_is_validation_error(self, capsys, argv):
         assert main(argv) == 2
@@ -327,6 +328,48 @@ class TestExitCodes:
         for name in ("rmse_analytic_deg", "crlb_deg2", "efficiency"):
             assert fcell(columns, rows[0], name) == pytest.approx(
                 fcell(columns, unit_rows[0], name), rel=1e-12)
+
+    @pytest.mark.parametrize("argv", [["gen"], ["rmse"], ["pdf"],
+                                      ["mc", "--draws", "10"]])
+    def test_snr_db_past_the_float_range_names_the_flag(self, capsys, argv):
+        # 10**(snr_db/10) overflows above 3082.5 dB; the message was
+        # "overflow: (34, 'Numerical result out of range')"
+        assert main(argv + ["--snr-db", "4000", "--n", "20"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("syncphase: OutOfRange: --snr-db 4000.0 ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["rmse", "--sigma-p-deg", "0"],   # at 1 deg a diagnostic is text
+        ["efficiency", "--sigma-p-deg", "1"],
+        ["divergence", "--sigma-p-deg", "1"],
+        ["pdf", "--sigma-p-deg", "1", "--points", "7"],
+    ])
+    def test_huge_amplitude_is_a_pure_scale(self, capsys, argv):
+        # A^2 and sigma^2 overflow at A = 1e155, which ended in "overflow:
+        # (34, 'Numerical result out of range')" with exit 2
+        argv = argv + ["--snr-db", "0", "--n", "20"]
+        unit = _json_rows(capsys, argv)
+        for amplitude in ("1e155", "1e300"):
+            huge = _json_rows(capsys, argv + ["--amplitude", amplitude])
+            assert len(huge) == len(unit)
+            for row, want in zip(huge, unit):
+                assert row == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("command", ["rmse", "efficiency"])
+    def test_overflowing_sigma_p_square_prints_the_uniform_row(self, capsys,
+                                                               command):
+        # sigma_p**2 overflows past 1.34e154 rad, which ended in "overflow:
+        # (34, 'Numerical result out of range')"; beta_p is 0 there, as at
+        # 1e5 deg
+        def rows(sigma_p_deg):
+            found = _json_rows(capsys, [command, "--snr-db", "0",
+                                        "--sigma-p-deg", sigma_p_deg,
+                                        "--n", "20,100"])
+            for row in found:
+                row.pop("sigma_p_deg")
+            return found
+        assert rows("1e160") == rows("1e5")
 
     @pytest.mark.parametrize("name, argv", [
         ("pdf_value", ["pdf", "--snr-db", "0", "--n", "20"]),

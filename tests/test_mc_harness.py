@@ -18,11 +18,11 @@ from syncphase.errors import (
     TooFewPoints,
 )
 from syncphase.mc_harness import (
+    BatteryReport,
     HIST_BINS,
     _hz_pair_sum,
     McConfig,
     McReport,
-    TestBatteryReport as BatteryReport,
     benjamini_hochberg,
     fisher_combine,
     henze_zirkler,
@@ -168,9 +168,11 @@ class TestRunMc:
         assert np.all(rel <= band)
 
     @pytest.mark.slow
-    def test_moments_track_theory_on_grid(self):
+    def test_moments_track_theory_on_grid(self, monkeypatch, shared_draws):
         # N=100, 1e6 draws: mean_d within 4 per-axis MC sigma, var_d
-        # within 2% of the model variance
+        # within 2% of the model variance; the 0 dB cells come from the
+        # session's shared draws
+        monkeypatch.setattr(mc_harness, "reduced_dft_draws", shared_draws)
         for snr_db in (0.0, 20.0):
             for sp_deg in (0.0, 2.0):
                 p = params_for(100, snr_db=snr_db,

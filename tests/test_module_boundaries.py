@@ -1,7 +1,8 @@
 """Each module keeps its private names: no ``from .module import _name``
 and no ``module._name`` read through ``from . import module`` across the
 modules of the package, so every decision stays behind the module that owns
-it.  Importing the package loads NumPy and ``scipy.special`` only: SciPy's
+it.  The package exports a pinned list of functions, types and errors.
+Importing the package loads NumPy and ``scipy.special`` only: SciPy's
 heavier subpackages wait for the call that needs them."""
 import ast
 import math
@@ -9,7 +10,9 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
+import syncphase
 from syncphase import make_params, rmse_cartesian_oracle, theoretical_moments
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "syncphase"
@@ -96,6 +99,39 @@ def test_a_private_attribute_read_is_caught(tmp_path):
         (4, "spectral_estimator", "_THREADS"),
         (5, "rng", "_MASK64"),
         (7, "quadrature", "_budget")]
+
+
+# --- the public API --------------------------------------------------------------
+
+PUBLIC_API = [
+    "BatteryReport", "DegenerateSigma", "DensityGrid", "EmptyInput",
+    "ErrorReport", "HzResult", "LengthMismatch", "McConfig", "McReport",
+    "NonPositiveAmplitude", "NonSynchronous", "NyquistViolation", "OutOfRange",
+    "PhaseStatistic", "PolarPdf", "QuadratureNonConvergence", "Regime",
+    "SignalParams", "SingularCovariance", "SupportMismatch", "SyncPhaseError",
+    "TheoreticalMoments", "TooFewPoints", "ZeroVector", "benjamini_hochberg",
+    "bhattacharyya_distance", "bias_polar", "classify_regime", "crlb",
+    "density_from_pdf", "dft_bin", "efficiency", "error_report",
+    "estimate_phase", "fisher_combine", "gaussian_approximation", "generate",
+    "henze_zirkler", "hoeffding_d", "kl_divergence", "make_params",
+    "pdf_value", "rmse_cartesian_oracle", "rmse_floor_approx",
+    "rmse_linear_approx", "rmse_polar", "rmse_uniform_limit",
+    "run_convergence_battery", "run_mc", "sigma_x_for_snr", "snr_linear",
+    "theoretical_moments", "uniform_density_on", "wrap_angle",
+]
+
+
+def test_the_public_api_is_pinned():
+    # functions, types and errors only: a name leaves or joins on purpose
+    assert syncphase.__all__ == PUBLIC_API
+
+
+def test_submodules_are_attributes_not_exports():
+    import syncphase.rng
+
+    assert isinstance(syncphase.rng, types.ModuleType)
+    assert not [name for name in syncphase.__all__
+                if isinstance(getattr(syncphase, name), types.ModuleType)]
 
 
 # --- what importing the package loads -------------------------------------------

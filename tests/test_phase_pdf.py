@@ -12,7 +12,6 @@ from syncphase.phase_pdf import (
     PolarPdf,
     Regime,
     bias_polar,
-    circular_error,
     classify_regime,
     crlb,
     efficiency,
@@ -159,27 +158,31 @@ class TestPdfValue:
 
 
 class TestCircularError:
+    """The circular error |wrap_angle(theta - phase)|, the shortest angular
+    distance, in [0, pi]."""
+
     def test_quarter_turn(self):
-        assert circular_error(math.pi / 2.0, 0.0) == pytest.approx(math.pi / 2)
+        assert abs(wrap_angle(math.pi / 2.0 - 0.0)) == \
+            pytest.approx(math.pi / 2)
 
     def test_three_quarter_turn_wraps(self):
-        assert circular_error(3.0 * math.pi / 2.0, 0.0) == \
+        assert abs(wrap_angle(3.0 * math.pi / 2.0 - 0.0)) == \
             pytest.approx(math.pi / 2.0)
 
     def test_shift_invariance(self):
         for phi in (-9.0, 0.0, 1.3, 4.0, 100.0):
-            assert circular_error(phi + 0.3, phi) == pytest.approx(0.3)
+            assert abs(wrap_angle(phi + 0.3 - phi)) == pytest.approx(0.3)
 
     def test_closed_form_for_zero_reference(self):
         for theta in np.linspace(0.0, 2.0 * math.pi, 97, endpoint=False):
             want = math.pi - abs(math.pi - theta)
-            assert circular_error(float(theta), 0.0) == \
+            assert abs(wrap_angle(float(theta) - 0.0)) == \
                 pytest.approx(want, abs=1e-12)
 
     def test_range_is_zero_to_pi(self):
         gen = np.random.default_rng(1)
         for theta, phi in gen.uniform(-20, 20, size=(200, 2)):
-            err = circular_error(float(theta), float(phi))
+            err = abs(wrap_angle(float(theta) - float(phi)))
             assert 0.0 <= err <= math.pi
 
 

@@ -15,7 +15,6 @@ from syncphase.signal_model import generate, make_params, sigma_x_for_snr
 from syncphase.spectral_estimator import (
     dft_bin,
     dft_bin_batch,
-    dft_bin_reference,
     draw_chunks,
     estimate_phase,
     principal_phase,
@@ -37,14 +36,37 @@ def params_for(n, snr_db=None, sigma_p=0.0, phase=0.0):
         n_samples=n)
 
 
-def empirical_moments(params, seed, n_draws, chunk=40_000):
+def dft_bin_reference(samples: np.ndarray, k: int) -> complex:
+    """Direct-sum DFT coefficient with exact (compensated) accumulation.
+
+    Twiddles are taken from a length-N root table indexed by (k*n) mod N, and
+    the real/imaginary parts are accumulated with math.fsum, so the only
+    rounding left is one product per sample.  This is the cross-check route
+    for :func:`dft_bin`; it costs Python-loop time and is not meant for bulk
+    work.
+    """
+    s = np.asarray(samples, dtype=float)
+    if s.ndim != 1:
+        raise OutOfRange("samples must be a 1-D array")
+    n_samples = s.shape[0]
+    spectral_estimator._check_bin(n_samples, k)
+
+    idx = (k * np.arange(n_samples, dtype=np.int64)) % n_samples
+    angles = idx * (math.tau / n_samples)
+    re = math.fsum((s * np.cos(angles)).tolist())
+    im = math.fsum((s * (-np.sin(angles))).tolist())
+    return complex(re, im)
+
+
+def empirical_moments(params, seed, n_draws, chunk=40_000,
+                      draws=reduced_dft_draws):
     """Mean and total variance of the reduced statistic, chunked."""
     s = 0.0 + 0.0j
     s2 = 0.0
     done = 0
     while done < n_draws:
         m = min(chunk, n_draws - done)
-        d = reduced_dft_draws(params, seed, done, m)
+        d = draws(params, seed, done, m)
         s += complex(d.sum())
         s2 += float(np.sum(d.real**2 + d.imag**2))
         done += m
@@ -194,6 +216,12 @@ class TestTheoreticalMoments:
         assert mom.variance == pytest.approx(0.2, rel=1e-12)
         assert mom.sigma2 == pytest.approx(0.1, rel=1e-12)
 
+    def test_overflowing_phase_noise_square_is_the_uniform_limit(self):
+        # sigma_p**2 raises OverflowError past about 1.34e154 rad
+        mom = theoretical_moments(params_for(10, snr_db=0.0, sigma_p=1e160))
+        assert (mom.beta_p, mom.one_minus_beta_sq) == (0.0, 1.0)
+        assert mom.variance == pytest.approx(0.4, rel=1e-12)
+
     def test_unit_snr_variance_against_simulation(self):
         p = params_for(10, snr_db=0.0)
         _, var = empirical_moments(p, SEED, 10**6)
@@ -221,15 +249,17 @@ class TestTheoreticalMoments:
         assert theoretical_moments(params_for(8, sigma_p=1e-6)).variance > 0.0
 
     @pytest.mark.slow
-    def test_variance_matches_model_over_grid(self):
+    def test_variance_matches_model_over_grid(self, shared_draws):
         # empirical total variance of the bin statistic within 1% of the
-        # model value for N=100, SNR in {0, 10} dB, sigma_p in {0, 2 deg}
+        # model value for N=100, SNR in {0, 10} dB, sigma_p in {0, 2 deg};
+        # the 0 dB cells come from the session's shared draws
         for snr_db in (0.0, 10.0):
             for sp_deg in (0.0, 2.0):
                 p = params_for(100, snr_db=snr_db,
                                sigma_p=math.radians(sp_deg))
                 mom = theoretical_moments(p)
-                _, var = empirical_moments(p, SEED, 10**6)
+                _, var = empirical_moments(p, SEED, 10**6,
+                                           draws=shared_draws)
                 assert var == pytest.approx(mom.variance, rel=0.01), \
                     (snr_db, sp_deg)
 
