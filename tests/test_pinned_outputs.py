@@ -4,14 +4,27 @@ Each invocation below writes a table whose SHA-256 was recorded from the
 quadrature that evaluated one Gauss 7/15 panel per integrand call.  Any
 speed work on the analytic path (batched panel evaluation, shared node
 sets) must leave every byte of these tables as it was.
+
+The CLI puts every `divergence` lobe at phi = 0, so the density grids of a
+lobe away from 0, and the bits of `pdf_value` itself, are pinned at the
+library level further down, recorded from the code before the one-pass
+divergence cells.
 """
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from syncphase.cli import main
-from syncphase.phase_pdf import NARROW_SPREAD, PolarPdf
+from syncphase.divergences import (
+    bhattacharyya_distance,
+    density_from_pdf,
+    gaussian_approximation,
+    kl_divergence,
+    uniform_density_on,
+)
+from syncphase.phase_pdf import NARROW_SPREAD, PolarPdf, pdf_value
 from syncphase.signal_model import make_params, sigma_x_for_snr
 from syncphase.spectral_estimator import theoretical_moments
 
@@ -89,3 +102,80 @@ def test_pinned_tables_cover_the_analytic_grid():
     # both branches of the moment integrals and of the density node sets
     spreads = [_spread(*c) for c in cells]
     assert min(spreads) < NARROW_SPREAD <= max(spreads)
+
+
+# (snr_db, sigma_p_deg, n, phi) -> sha256 of the grid's nodes, of its
+# values, of the Gaussian approximation's values on those nodes, and of
+# pdf_value on an array that spans both signs of cos(theta - phi); the hex
+# of KL to the Gaussian, KL to uniform and the Bhattacharyya distance; and
+# pdf_value at the scalars phi + spread/2 (cos > 0) and phi + 2 (cos < 0).
+LIBRARY_PINS = {
+    # narrow lobe hugging +pi: its dense window crosses the seam
+    "seam": ((40.0, 0.0, 1000, math.pi - 3e-4), {
+        "nodes": "b16a3607631499de533d8c2476cf338d609200278c440ae9aecc99cc47bee5aa",
+        "p": "2411fb97bdcd7fdac9ce1b97924b8a299c793d4b7f4b15afa3c7f07d0234a01e",
+        "q": "3c14896e02b41d67758591181078b1f65fc91bf94522dd00966e7b4bc6e6eafd",
+        "pdf": "0b3b0136189c6855fec971cf8d48f3e2c2af15e365887124f1119ef5d3393334",
+        "kl_gauss": "0x1.8a15c954c2880p-36",
+        "kl_uniform": "0x1.0f4ba9f178ef7p+3",
+        "bhat": "-0x1.89ebfffff6876p-37",
+        "at_lobe": "0x1.165502f2eeda5p+10",
+        "opposite": "0x0.0p+0",
+    }),
+    # wide lobe at phi = -2 rad (stored as 2 pi - 2)
+    "wide": ((0.0, 5.0, 20, -2.0), {
+        "nodes": "fa36789d8cb925e1053c6a2b39886124fc2dc560eef6167c9fefb0f051c46f29",
+        "p": "66e6d6bf63c4c990f14fceb4ebb2e2b5f10f49bbbb6f7a3e009b8f176cb5a25e",
+        "q": "355b4748a227dcec99d0ecd502134e43b765ffde8506f7d08ac6267643d0233a",
+        "pdf": "d1d49d919664a4e1acd80f0adaf2df921c757e5f836458a7f54c83fad011cc66",
+        "kl_gauss": "0x1.35674c7806f46p-9",
+        "kl_uniform": "0x1.e1a5896d24a38p+0",
+        "bhat": "0x1.d58152e5e04d2p-12",
+        "at_lobe": "0x1.8db2231c556fap+0",
+        "opposite": "0x1.8a4a2e50cd3a0p-20",
+    }),
+}
+
+
+def _sha(array):
+    return hashlib.sha256(np.ascontiguousarray(array, dtype=float).tobytes()
+                          ).hexdigest()
+
+
+def _library_outputs(snr_db, sigma_p_deg, n, phi):
+    moments = theoretical_moments(make_params(
+        1.0, "1.0", "10.0", phase=phi,
+        sigma_additive=sigma_x_for_snr(1.0, 10.0 ** (snr_db / 10.0)),
+        sigma_phase=math.radians(sigma_p_deg), n_samples=n))
+    pdf = PolarPdf.from_moments(moments)
+    p = density_from_pdf(pdf)
+    q = gaussian_approximation(moments, p.nodes)
+    theta = np.concatenate((np.linspace(-4.0, 4.0, 2001),
+                            pdf.phi + pdf.spread * np.linspace(-50.0, 50.0, 1001)))
+    return pdf, p, {
+        "nodes": _sha(p.nodes),
+        "p": _sha(p.values),
+        "q": _sha(q.values),
+        "pdf": _sha(pdf_value(pdf, theta)),
+        "kl_gauss": kl_divergence(p, q).hex(),
+        "kl_uniform": kl_divergence(p, uniform_density_on(p.nodes)).hex(),
+        "bhat": bhattacharyya_distance(p, q).hex(),
+        "at_lobe": pdf_value(pdf, pdf.phi + 0.5 * pdf.spread).hex(),
+        "opposite": pdf_value(pdf, pdf.phi + 2.0).hex(),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_PINS))
+def test_library_bits_are_pinned(name):
+    cell, pinned = LIBRARY_PINS[name]
+    pdf, p, outputs = _library_outputs(*cell)
+    assert outputs == pinned
+    # the cells are what their names say
+    if name == "seam":
+        assert pdf.spread < NARROW_SPREAD and p.nodes.size > 2**15 + 2**10
+        # dense on both sides of the seam, not just the ambient grid
+        edge = 10.0 * pdf.spread
+        assert np.count_nonzero(p.nodes > math.pi - edge) > 1000
+        assert np.count_nonzero(p.nodes < -math.pi + edge) > 1000
+    else:
+        assert pdf.spread >= NARROW_SPREAD and pdf.phi != 0.0
