@@ -434,8 +434,9 @@ def _cmd_divergence(o) -> int:
                 "exp(-sigma_p^2/2) underflows to 0, so the density is "
                 "uniform and its Gaussian approximation does not exist")
         p = density_from_pdf(PolarPdf.from_moments(moments))
-        q_gauss = gaussian_approximation(moments, p.nodes)
-        kl_uniform = kl_divergence(p, uniform_density_on(p.nodes))
+        # the other two grids share p's node set, checked once
+        q_gauss = gaussian_approximation(moments, p)
+        kl_uniform = kl_divergence(p, uniform_density_on(p))
         bhat = bhattacharyya_distance(p, q_gauss)
         try:
             kl_gauss = kl_divergence(p, q_gauss)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -20,11 +20,34 @@ from .errors import LengthMismatch, OutOfRange, SupportMismatch
 from .phase_pdf import NARROW_SPREAD, U_LIMIT, PolarPdf, pdf_value, wrap_angle
 from .spectral_estimator import TheoreticalMoments
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
 DENSE_NODES = 2**15 + 1   # lobe / uniform-grid resolution
 AMBIENT_NODES = 2**10 + 1 # coarse carrier for the constant ambient region
 NORMALIZATION_TOL = 1e-6
+
+
+def _trapezoid(y: np.ndarray, spacing: np.ndarray) -> float:
+    """np.trapezoid(y, x) from spacing = np.diff(x), in its own expression
+    and so with its bits; the node set's one np.diff serves every integral
+    on it."""
+    return float((spacing * (y[1:] + y[:-1]) / 2.0).sum())
+
+
+def _node_spacing(nodes: np.ndarray) -> np.ndarray:
+    """np.diff of a node set, checked: at least two finite, strictly
+    increasing nodes."""
+    if nodes.ndim != 1:
+        raise OutOfRange("nodes must be 1-D")
+    if nodes.shape[0] < 2:
+        raise OutOfRange("need at least two nodes")
+    spacing = np.diff(nodes)
+    # all steps positive and both ends finite: then every node is finite
+    if not (np.all(spacing > 0) and math.isfinite(nodes[0])
+            and math.isfinite(nodes[-1])):
+        if not np.all(np.isfinite(nodes)):
+            raise OutOfRange("nodes must be finite")
+        raise OutOfRange("nodes must be strictly increasing")
+    spacing.setflags(write=False)
+    return spacing
 
 
 @dataclass(frozen=True)
@@ -36,10 +59,16 @@ class DensityGrid:
     range is the support; phase densities live on [-pi, pi], but nothing
     restricts a grid to that interval (wide grids are legitimate for
     densities on the line).
+
+    Grids built on another grid's node set (see :func:`uniform_density_on`)
+    share its nodes and their spacing, checked once.
     """
 
     nodes: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
+    # np.diff(nodes), already checked; None has __post_init__ check the nodes
+    _spacing: Optional[np.ndarray] = field(default=None, repr=False,
+                                           compare=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -52,15 +81,11 @@ class DensityGrid:
             raise LengthMismatch(
                 f"nodes ({nodes.shape[0]}) and values ({values.shape[0]}) differ"
             )
-        if nodes.shape[0] < 2:
-            raise OutOfRange("need at least two nodes")
-        if not np.all(np.isfinite(nodes)):
-            raise OutOfRange("nodes must be finite")
-        if not np.all(np.diff(nodes) > 0):
-            raise OutOfRange("nodes must be strictly increasing")
+        if self._spacing is None:
+            object.__setattr__(self, "_spacing", _node_spacing(nodes))
         if not np.all(np.isfinite(values)) or np.any(values < 0):
             raise OutOfRange("density values must be finite and non-negative")
-        mass = float(_trapezoid(values, nodes))
+        mass = _trapezoid(values, self._spacing)
         if abs(mass - 1.0) > NORMALIZATION_TOL:
             raise OutOfRange(
                 f"density mass {mass!r} deviates from 1 by more than "
@@ -71,7 +96,29 @@ class DensityGrid:
 
     @property
     def mass(self) -> float:
-        return float(_trapezoid(self.values, self.nodes))
+        return _trapezoid(self.values, self._spacing)
+
+
+def _node_set(nodes: Union[np.ndarray, DensityGrid]
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """(nodes, spacing) of a node array, checked here, or of a grid, which
+    checked them when it was built."""
+    if isinstance(nodes, DensityGrid):
+        return nodes.nodes, nodes._spacing
+    nodes = np.asarray(nodes, dtype=float)
+    return nodes, _node_spacing(nodes)
+
+
+def _sorted_distinct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.unique(np.concatenate((a, b))) for two arrays made of a few sorted
+    runs, which NumPy's stable sort (timsort, for floats) merges in linear
+    time where np.unique's quicksort sorts from scratch."""
+    both = np.concatenate((a, b))
+    both.sort(kind="stable")
+    keep = np.empty(both.shape, dtype=bool)
+    keep[0] = True
+    np.not_equal(both[1:], both[:-1], out=keep[1:])
+    return both[keep]
 
 
 def phase_nodes(spread: float, center: float = 0.0) -> np.ndarray:
@@ -90,9 +137,10 @@ def phase_nodes(spread: float, center: float = 0.0) -> np.ndarray:
     c = wrap_angle(center)
     half_width = U_LIMIT * spread
     window = np.linspace(c - half_width, c + half_width, DENSE_NODES)
+    # one sorted run, or two where the wrap moves the part past the seam
     window = np.asarray(wrap_angle(window))
     ambient = np.linspace(-math.pi, math.pi, AMBIENT_NODES)
-    return np.unique(np.concatenate((ambient, window)))
+    return _sorted_distinct(ambient, window)
 
 
 def density_from_pdf(pdf: PolarPdf) -> DensityGrid:
@@ -101,18 +149,22 @@ def density_from_pdf(pdf: PolarPdf) -> DensityGrid:
     return DensityGrid(nodes=nodes, values=pdf_value(pdf, nodes))
 
 
-def uniform_density_on(nodes: np.ndarray) -> DensityGrid:
-    """The uniform phase density sampled on a caller-supplied node set."""
-    nodes = np.asarray(nodes, dtype=float)
+def uniform_density_on(nodes: Union[np.ndarray, DensityGrid]) -> DensityGrid:
+    """The uniform phase density sampled on a caller-supplied node set: a
+    node array, or a grid whose node set the new grid shares."""
+    nodes, spacing = _node_set(nodes)
     return DensityGrid(nodes=nodes,
-                       values=np.full(nodes.shape, 1.0 / math.tau))
+                       values=np.full(nodes.shape, 1.0 / math.tau),
+                       _spacing=spacing)
 
 
 def gaussian_approximation(moments: TheoreticalMoments,
-                           nodes: Optional[np.ndarray] = None) -> DensityGrid:
+                           nodes: Union[np.ndarray, DensityGrid, None] = None
+                           ) -> DensityGrid:
     """Small-error Gaussian approximation N(phi, (sigma/beta)^2) of the phase
-    density, on `nodes`: by default the node set density_from_pdf uses, which
-    a caller that already holds that density passes to skip rebuilding it.
+    density, on `nodes` (a node array or a grid whose node set to share): by
+    default the node set density_from_pdf uses, which a caller that already
+    holds that density passes to skip rebuilding it.
 
     Distances to the center are wrapped to the principal interval and the
     samples are renormalized by their grid mass: for narrow lobes the factor
@@ -123,13 +175,16 @@ def gaussian_approximation(moments: TheoreticalMoments,
     spread = pdf.spread
     if nodes is None:
         nodes = phase_nodes(spread, pdf.phi)
+    nodes, spacing = _node_set(nodes)
     z = np.asarray(wrap_angle(nodes - pdf.phi)) / spread
     values = np.exp(-0.5 * z * z) / (math.sqrt(math.tau) * spread)
-    values = values / float(_trapezoid(values, nodes))
-    return DensityGrid(nodes=nodes, values=values)
+    values = values / _trapezoid(values, spacing)
+    return DensityGrid(nodes=nodes, values=values, _spacing=spacing)
 
 
 def _require_shared_nodes(p: DensityGrid, q: DensityGrid) -> None:
+    if p.nodes is q.nodes:
+        return
     if p.nodes.shape != q.nodes.shape or not np.array_equal(p.nodes, q.nodes):
         raise LengthMismatch("divergence inputs must share an identical node set")
 
@@ -146,21 +201,24 @@ def kl_divergence(p: DensityGrid, q: DensityGrid) -> float:
     has_p = pv > 0.0
     bad = has_p & (qv == 0.0)
     if np.any(bad):
-        mass = float(_trapezoid(np.where(bad, pv, 0.0), p.nodes))
+        mass = _trapezoid(np.where(bad, pv, 0.0), p._spacing)
         raise SupportMismatch(
             f"q vanishes on {int(np.count_nonzero(bad))} nodes carrying "
             f"p-mass {mass:.3e}",
             unsupported_mass=min(mass, 1.0),
         )
-    integrand = np.zeros_like(pv)
-    integrand[has_p] = pv[has_p] * np.log(pv[has_p] / qv[has_p])
-    return float(_trapezoid(integrand, p.nodes))
+    if np.all(has_p):
+        integrand = pv * np.log(pv / qv)
+    else:
+        integrand = np.zeros_like(pv)
+        integrand[has_p] = pv[has_p] * np.log(pv[has_p] / qv[has_p])
+    return _trapezoid(integrand, p._spacing)
 
 
 def bhattacharyya_distance(p: DensityGrid, q: DensityGrid) -> float:
     """Bhattacharyya distance -log integral sqrt(p q) on the shared grid."""
     _require_shared_nodes(p, q)
-    coefficient = float(_trapezoid(np.sqrt(p.values * q.values), p.nodes))
+    coefficient = _trapezoid(np.sqrt(p.values * q.values), p._spacing)
     if coefficient <= 0.0:
         return math.inf
     return -math.log(coefficient)

@@ -43,7 +43,14 @@ U_LIMIT = 40.0
 def wrap_angle(angle):
     """Wrap to the principal interval (-pi, pi] (vectorized)."""
     a = np.asarray(angle, dtype=float)
-    wrapped = np.mod(a + math.pi, math.tau) - math.pi
+    shifted = a + math.pi
+    # np.mod(x, tau) is x itself on [0, tau), and both send tau (and -0.0)
+    # to an end that the np.where below maps to +pi: skip its cost where
+    # every angle is already in range
+    if shifted.size and shifted.min() >= 0.0 and shifted.max() <= math.tau:
+        wrapped = shifted - math.pi
+    else:
+        wrapped = np.mod(shifted, math.tau) - math.pi
     wrapped = np.where(wrapped == -math.pi, math.pi, wrapped)
     if np.ndim(angle) == 0:
         return float(wrapped)
@@ -104,23 +111,25 @@ def pdf_value(pdf: PolarPdf, theta) -> Union[float, np.ndarray]:
     beta = pdf.beta_p
     sigma = pdf.sigma
 
+    pref_scale = 2.0 * math.sqrt(math.tau) * sigma
+    root2_sigma = sigma * _SQRT2
+
     c = np.cos(t)
-    s = np.sin(t)
-    ambient = pdf.ambient / math.tau
-
-    pref = beta * c / (2.0 * math.sqrt(math.tau) * sigma)
-    z = -beta * c / (sigma * _SQRT2)
-
-    out = np.full(t.shape, ambient, dtype=float)
+    out = np.full(t.shape, pdf.ambient / math.tau, dtype=float)
+    # each branch evaluates its factors on its own nodes only
     pos = c >= 0.0
     if np.any(pos):
-        lobe = np.exp(-0.5 * (beta * s[pos] / sigma) ** 2) * erfc(z[pos])
-        out[pos] += pref[pos] * lobe
+        cp = c[pos]
+        lobe = (np.exp(-0.5 * (beta * np.sin(t[pos]) / sigma) ** 2)
+                * erfc(-beta * cp / root2_sigma))
+        out[pos] += beta * cp / pref_scale * lobe
     neg = ~pos
     if np.any(neg):
         # erfc(z)*e^{-b^2 s^2/2sig^2} == erfcx(z)*e^{-b^2/2sig^2}: combining
         # the exponents analytically avoids underflow-times-overflow
-        out[neg] += pref[neg] * erfcx(z[neg]) * pdf.ambient
+        cn = c[neg]
+        out[neg] += (beta * cn / pref_scale * erfcx(-beta * cn / root2_sigma)
+                     * pdf.ambient)
     if np.ndim(theta) == 0:
         return float(out)
     return out

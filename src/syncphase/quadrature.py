@@ -11,6 +11,15 @@ the same shape, element-wise and without side effects: panels are evaluated
 in batches, one integrand call for all the seed panels and one for the
 halves of the worst panel together with those of the next few worst, so
 some evaluations are speculative and never enter the sum.
+
+The Gauss sums of all the panels of one call are one stacked product,
+``np.matmul(y[:, None, :15], w[:, None])``: a stack of 1x15 by 15x1
+products, which NumPy evaluates with the dtype's 1-D dot on each row, so
+each sum has the bits of ``row @ w`` for that row alone.  The plain
+matrix-vector product ``y[:, :15] @ w`` (and ``einsum``) goes through
+gemv, which sums in another order and differs in the last bits on about
+two rows in three.  ``np.vecdot`` does the same as the stacked product but
+needs NumPy 2.
 """
 
 from __future__ import annotations
@@ -70,12 +79,10 @@ def _panels(f, bounds):
     if y.shape != x.shape:
         raise OutOfRange("integrand must be vectorized (same output shape)")
     y = y.reshape(len(bounds), _X.size)
-    panels = []
-    for (a, b), h, row in zip(bounds, half.tolist(), y):
-        i15 = h * float(row[:15] @ _W15)
-        i7 = h * float(row[15:] @ _W7)
-        panels.append((a, b, i15, abs(i15 - i7)))
-    return panels
+    i15 = half * np.matmul(y[:, None, :15], _W15[:, None]).ravel()
+    i7 = half * np.matmul(y[:, None, 15:], _W7[:, None]).ravel()
+    return [(a, b, i, e) for (a, b), i, e in
+            zip(bounds, i15.tolist(), np.abs(i15 - i7).tolist())]
 
 
 def integrate(

@@ -70,6 +70,16 @@ class SignalParams:
     bin_index: int          # k = n_samples * f0 / fs, exact integer
 
 
+def _as_float(frac: Fraction, name: str, value) -> float:
+    """float(frac), whose OverflowError past the float range names the
+    parameter."""
+    try:
+        return float(frac)
+    except OverflowError:
+        raise OverflowError(
+            f"{name} {value!r} is too large for a float") from None
+
+
 def make_params(
     amplitude: Real,
     f0: Real,
@@ -129,8 +139,8 @@ def make_params(
 
     return SignalParams(
         amplitude=amp,
-        f0=float(f0_frac),
-        fs=float(fs_frac),
+        f0=_as_float(f0_frac, "f0", f0),
+        fs=_as_float(fs_frac, "fs", fs),
         phase=ph,
         sigma_additive=sx,
         sigma_phase=sp,

@@ -243,6 +243,17 @@ class TestExitCodes:
         assert err.startswith("syncphase: overflow:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, name", [
+        (["rmse", "--f0", "1e400", "--fs", "1e401", "--snr-db", "0",
+          "--n", "20"], "f0"),
+        (["gen", "--f0", "1e306", "--fs", "1e309", "--n", "1000"], "fs"),
+    ])
+    def test_overflow_names_the_frequency(self, capsys, argv, name):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"syncphase: overflow: {name} '")
+        assert "too large for a float" in err
+
     @pytest.mark.parametrize("argv", [
         ["rmse", "--amplitude", "1e-200", "--snr-db", "3000", "--n", "20"],
         ["mc", "--amplitude", "1e-200", "--snr-db", "3000", "--n", "20",

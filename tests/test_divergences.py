@@ -1,5 +1,6 @@
 """Tests for density grids and the KL / Bhattacharyya distances."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,11 +19,12 @@ from syncphase.divergences import (
     uniform_density_on,
 )
 from syncphase.errors import LengthMismatch, OutOfRange, SupportMismatch
-from syncphase.phase_pdf import PolarPdf
+from syncphase.phase_pdf import PolarPdf, wrap_angle
 from syncphase.signal_model import make_params, sigma_x_for_snr
 from syncphase.spectral_estimator import TheoreticalMoments, theoretical_moments
 
 WIDE = np.linspace(-13.0, 13.5, 2**15 + 1)
+trapezoid = getattr(np, "trapezoid", None) or np.trapz  # NumPy 1.x: trapz
 
 
 def moments_for(n, snr_db, sigma_p=0.0):
@@ -44,7 +46,7 @@ def normal_on_wide(mean, std, renormalize=False):
     z = (WIDE - mean) / std
     values = np.exp(-0.5 * z * z) / (math.sqrt(math.tau) * std)
     if renormalize:
-        values = values / float(divergences._trapezoid(values, WIDE))
+        values = values / float(trapezoid(values, WIDE))
     return DensityGrid(nodes=WIDE, values=values)
 
 
@@ -268,3 +270,79 @@ class TestUniformDensity:
         nodes = phase_nodes(1e-3, center=-1.0)
         grid = uniform_density_on(nodes)
         assert grid.mass == pytest.approx(1.0, abs=1e-9)
+
+
+class TestOnePassPrimitives:
+    """Each primitive that replaced a NumPy call has that call's bits."""
+
+    @pytest.mark.parametrize("nodes", [
+        WIDE, np.linspace(-math.pi, math.pi, 129), phase_nodes(1e-4, 3.1),
+        np.array([0.0, 1e-300, 1.0, 1e100])])
+    def test_stored_spacing_trapezoid_is_np_trapezoid(self, nodes):
+        gen = np.random.default_rng(nodes.size)
+        for y in (gen.random(nodes.size),
+                  np.exp(-0.5 * (nodes / 0.3) ** 2),
+                  gen.random(nodes.size) * 10.0 ** gen.uniform(
+                      -100, 100, nodes.size)):
+            want = float(trapezoid(y, nodes))
+            got = divergences._trapezoid(y, np.diff(nodes))
+            assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize("spread, center", [
+        (1e-4, 0.0),                # window and ambient grid share 0.0
+        (1e-3, 1.0),
+        (3e-4, math.pi - 3e-4),     # window crosses the seam at +pi
+        (3e-4, -math.pi + 1e-3),    # ... and at -pi
+        (1e-2, math.pi),
+        (1e-14, 0.5),               # window steps below one ulp: repeats
+    ])
+    def test_merged_node_set_is_np_unique(self, spread, center):
+        ambient = np.linspace(-math.pi, math.pi, AMBIENT_NODES)
+        half_width = 40.0 * spread
+        c = wrap_angle(center)
+        window = np.asarray(wrap_angle(
+            np.linspace(c - half_width, c + half_width, DENSE_NODES)))
+        want = np.unique(np.concatenate((ambient, window)))
+        assert divergences._sorted_distinct(ambient, window).tobytes() == \
+            want.tobytes()
+        assert phase_nodes(spread, center).tobytes() == want.tobytes()
+
+    def test_merge_keeps_one_shared_zero(self):
+        merged = divergences._sorted_distinct(
+            np.array([-1.0, 0.0, 1.0]), np.array([-0.5, 0.0, 0.5, 2.0]))
+        assert merged.tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
+
+    def test_grids_on_a_grid_share_its_checked_node_set(self):
+        mom = moments_for(1000, 40.0)
+        p = density_from_pdf(PolarPdf.from_moments(mom))
+        for on_grid, on_array in (
+                (gaussian_approximation(mom, p),
+                 gaussian_approximation(mom, p.nodes)),
+                (uniform_density_on(p), uniform_density_on(p.nodes))):
+            assert on_grid.nodes is p.nodes
+            assert on_grid._spacing is p._spacing
+            assert on_grid.values.tobytes() == on_array.values.tobytes()
+        assert not p._spacing.flags.writeable
+
+    def test_divergence_cells_keep_no_node_set(self, tmp_path):
+        # the peak traced memory after 200 mixed-spread cells is that after
+        # 10: nothing a cell builds (node sets, spacings) outlives it
+        out = str(tmp_path / "t.csv")
+        runs = [["--snr-db", ",".join(str(v) for v in snrs),
+                 "--sigma-p-deg", sigma, "--n", n]
+                for snrs, sigma, n in (
+                    ((-50, -20, 0, 10, 30), "0", "20"),
+                    ((-10, 20, 40, 50, 60), "1", "1000"),
+                    ((-30, 0, 15, 45, 60), "5", "100"),
+                    ((-40, 5, 25, 35, 55), "0.5", "10000"))]
+        tracemalloc.start()
+        try:
+            for argv in runs[:2]:
+                assert main(["divergence", *argv, "--out", out]) == 0
+            after_10 = tracemalloc.get_traced_memory()[1]
+            for k in range(38):
+                assert main(["divergence", *runs[k % 4], "--out", out]) == 0
+            after_200 = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert after_200 - after_10 < 2 * 2**20

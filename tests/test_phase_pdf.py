@@ -186,6 +186,49 @@ class TestCircularError:
             assert 0.0 <= err <= math.pi
 
 
+# np.mod warns on +-inf, in wrap_angle and in the formula alike
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestWrapAngle:
+    """wrap_angle skips np.mod where every angle is already in range; its
+    bits must be those of the np.mod formula everywhere."""
+
+    @staticmethod
+    def mod_formula(angle):
+        a = np.asarray(angle, dtype=float)
+        wrapped = np.mod(a + math.pi, math.tau) - math.pi
+        return np.where(wrapped == -math.pi, math.pi, wrapped)
+
+    EDGES = [math.tau, -math.tau, math.pi, -math.pi, 0.0, -0.0,
+             np.nextafter(-math.pi, -4.0), np.nextafter(math.pi, 4.0),
+             np.nextafter(-math.pi, 0.0), np.nextafter(math.pi, 0.0),
+             math.pi - math.tau, 3.0 * math.pi, 1e300, -1e300,
+             5e-324, -5e-324]
+
+    def test_edges_one_at_a_time(self):
+        for a in self.EDGES + [math.nan, math.inf, -math.inf]:
+            got = wrap_angle(a)
+            assert isinstance(got, float)
+            assert np.float64(got).tobytes() == \
+                self.mod_formula(a).tobytes(), a
+
+    @pytest.mark.parametrize("extra", [[], [math.nan], [math.inf],
+                                       [-math.inf], [4.0], [-4.0]])
+    def test_arrays_in_and_out_of_range(self, extra):
+        # in range except for `extra`, which sends the array down np.mod
+        inside = np.concatenate((np.linspace(-math.pi, math.pi, 1001),
+                                 [x for x in self.EDGES
+                                  if -math.pi <= x <= math.pi]))
+        angles = np.concatenate((inside, extra))
+        assert wrap_angle(angles).tobytes() == \
+            self.mod_formula(angles).tobytes()
+
+    def test_empty_and_shapes(self):
+        assert wrap_angle(np.array([])).shape == (0,)
+        grid = np.linspace(-7.0, 7.0, 12).reshape(3, 4)
+        assert wrap_angle(grid).tobytes() == self.mod_formula(grid).tobytes()
+        assert wrap_angle(grid).shape == (3, 4)
+
+
 class TestRmsePolar:
     def test_deep_noise_approaches_uniform_rmse(self):
         # at -50 dB the rmse is ~100 deg, still 3.8% shy of pi/sqrt(3);
