@@ -26,6 +26,7 @@ import json
 import math
 import re
 import sys
+from fractions import Fraction
 from itertools import product
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
@@ -210,8 +211,16 @@ def _fmt(value) -> str:
 
 
 def _grid_hash(o: argparse.Namespace, *keys: str, **extra) -> str:
-    """Digest of the options ``keys`` of ``o`` plus ``extra``."""
+    """Digest of the options ``keys`` of ``o`` plus ``extra``, and of each
+    signal option (amplitude, f0, fs) whose value differs from its default.
+    Those are compared and hashed as exact numbers, so ``--fs 10`` and
+    ``--fs 10.0`` are the default, and a table at the default signal keeps
+    the digest of its grid alone."""
     grid = {key: getattr(o, key) for key in keys}
+    for key, opt in _SIGNAL.items():
+        value = Fraction(str(getattr(o, key)))
+        if value != Fraction(opt.default):
+            grid[key] = str(value)
     grid.update(extra)
     canon = json.dumps(grid, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]

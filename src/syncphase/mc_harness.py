@@ -3,8 +3,8 @@
 Determinism contract: every aggregate is a pure function of
 (params, n_draws, master_seed).  Draw ``d`` always consumes the substreams
 keyed by ``(master_seed, d, channel)``.  ``reduced_dft_draws`` alone decides
-how a batch is computed (the chunks of ``draw_chunks``, a large chunk split
-across two threads); each draw's statistic depends on its own substreams
+how a batch is computed (the chunks of ``draw_chunks``, a large chunk
+pipelined across two threads); each draw's statistic depends on its own substreams
 alone and lands at its own index, so that is layout only.  ``run_mc`` walks
 the same ``draw_chunks``, one partial per chunk in a fixed order, and
 combines the chunk partials by pairwise summation.

@@ -7,11 +7,15 @@ owns a private Philox-4x64 counter block: the key is ``[seed mod 2^64,
 _KEY_SALT]`` and the stream starts at counter ``[0, draw mod 2^64, channel,
 0]``.  Standard normals are produced by applying the inverse normal CDF to
 the counter-based uniform stream in :func:`standard_normals_block`, the one
-normal-stream function.  ``spectral_estimator.reduced_dft_draws`` fills the
-two halves of a large batch on two threads at once; each call builds its
-own generator or kernel buffers and a row's words depend only on its
-substream, so the split is layout only and gives the same bits.  The
-normals are also the same bits with or without NumPy's AVX-512 kernels
+normal-stream function.  It is two stages in one call, which the package
+also runs apart: :func:`uniform_filler` makes the uniforms (the fill
+stage) and :func:`to_normals` turns them into normals (``ndtri``).  The
+fill stage holds the GIL for many small calls and ``ndtri`` runs without
+it, so ``spectral_estimator.reduced_dft_draws`` pipelines large batches:
+the calling thread makes every fill and a worker thread the transforms.
+A row's words depend only on its substream, so which call or thread
+fills it is layout only and gives the same bits.  The normals are also
+the same bits with or without NumPy's AVX-512 kernels
 (tests/test_portability.py): the Philox words are integer arithmetic and
 ``ndtri`` is SciPy's own scalar code.
 
@@ -33,21 +37,24 @@ native loop's cost is the per-draw state setter and ``random`` call (about
 3 us per substream), not the Philox arithmetic, and the kernel avoids both;
 its own cost grows with ``count``.  Filling 2000 draws on 2 cores
 (NumPy 2.4), the kernel took 0.3x the native time at count 20, 0.6x at 48
-and 0.87x at 96.  The native loop holds the GIL, so under
-``reduced_dft_draws``' two-thread split it does not scale, while the kernel
-does.  Kernel time over native time for ``reduced_dft_draws`` at 0 dB and
-1 degree, medians of interleaved runs (31 at 2*10^5 samples for counts 96
-to 112, 21 above; 9 at 4*10^6):
+and 0.87x at 96.  Kernel time over native time for ``reduced_dft_draws``
+at 0 dB and 1 degree, medians of interleaved runs (31 at 2*10^5 samples for
+counts 96 to 112, 21 above; 9 at 4*10^6); the two-thread row was taken
+under the split into two halves of draws that the pipeline replaced:
 
     count            96    100   104   108   112   120   128   200   256
     one thread, 2e5  0.91  0.96  1.13  1.08  1.02  1.09  1.11  1.24  1.32
     one thread, 4e6  1.00  0.99  0.95  1.00  0.91  0.82  0.97  1.22  1.25
     two threads, 4e6 0.65  0.72   -     -    0.74  0.72  0.71  0.95  1.09
 
-Split, the kernel wins up to 200.  On one thread it stops winning after
+Split, the kernel won up to 200.  On one thread it stops winning after
 100: at 100 it won 26 of 31 small batches, from 104 to 112 at most 14 of
 31, at 120 and above none of 21.  So the kernel fills counts up to 100
-and the native loop longer records.
+and the native loop longer records.  Under the pipeline every fill runs
+on the calling thread, and the kernel's ratio (21 runs at 2*10^5, 5 at
+4*10^6) is 0.37 and 0.33 at 20, 0.73 and 0.78 at 64, 0.94 and 0.86 at
+80, but 1.07 and 1.05 at 96 and 1.17 and 1.06 at 100: pipelined, the
+crossover lies between 80 and 96.
 
 The kernel works in sub-blocks of ``_SUB_BLOCK`` Philox blocks (3276 draws
 at count 20) over one set of work buffers (about 1.8 MB), updated in
@@ -61,6 +68,8 @@ Channels:
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtri
@@ -117,15 +126,21 @@ def _mulhi(x, m: int, out, s0, s1, s2) -> None:
     out += s0
 
 
-def _philox_fill(u: np.ndarray, key0: int, first_draw: int, channel: int) -> None:
-    """Fill u (n_draws, count) with ``random()`` values, (w >> 11) * 2^-53, of
-    substreams first_draw + j: row j holds the first ``count`` words of the
-    Philox blocks [b, first_draw + j, channel, 0], b = 1, 2, ..."""
-    n_draws, count = u.shape
+def unit_rows(count: int) -> int:
+    """Draws per unit of work at ``count`` samples per substream: the draws
+    whose Philox blocks make one kernel sub-block, at least one."""
+    return max(1, _SUB_BLOCK // max(1, -(-count // 4)))
+
+
+def _philox_filler(key0: int, channel: int, count: int,
+                   max_rows: int) -> Callable[[np.ndarray, int], None]:
+    """fill(u, first_draw) for the NumPy kernel: row j of u (n_draws,
+    count) gets the ``random()`` values, (w >> 11) * 2^-53, of the first
+    ``count`` words of the Philox blocks [b, first_draw + j, channel, 0],
+    b = 1, 2, ...  The work buffers hold one sub-block of at most
+    ``max_rows`` draws and are reused by every call."""
     n_blocks = -(-count // 4)
-    if n_draws == 0 or n_blocks == 0:
-        return
-    rows = min(n_draws, max(1, _SUB_BLOCK // n_blocks))
+    rows = min(max(1, max_rows), unit_rows(count))
     # counter words x0..x3, high products h0, h1, work s0..s2
     bufs = np.empty((9, rows, n_blocks), dtype=np.uint64)
     words = np.empty((rows, n_blocks, 4), dtype=np.uint64)
@@ -137,43 +152,51 @@ def _philox_fill(u: np.ndarray, key0: int, first_draw: int, channel: int) -> Non
     p_b = [b * _PHILOX_M[0] for b in range(1, n_blocks + 1)]
     x2_first = np.array([(p >> 64) ^ _KEY_SALT for p in p_b], dtype=np.uint64)
     x3_first = np.array([p & _MASK64 for p in p_b], dtype=np.uint64)
-    for start in range(0, n_draws, rows):
-        m = min(rows, n_draws - start)
-        x0, x1, x2, x3, h0, h1, s0, s1, s2 = bufs[:, :m]
-        # uint64 arithmetic wraps, so the draw word is taken mod 2^64
-        np.add(offsets[:m], np.uint64((first_draw + start) & _MASK64), out=x0)
-        x0 ^= np.uint64((p_ch >> 64) ^ key0)
-        x1.fill(p_ch & _MASK64)
-        x2[...] = x2_first
-        x3[...] = x3_first
-        k0 = (key0 + _PHILOX_W[0]) & _MASK64
-        k1 = (_KEY_SALT + _PHILOX_W[1]) & _MASK64
-        for _ in range(_PHILOX_ROUNDS - 1):
-            # (x0, x1, x2, x3) <- (hi(x2 M1) ^ x1 ^ k0, lo(x2 M1),
-            #                      hi(x0 M0) ^ x3 ^ k1, lo(x0 M0))
-            _mulhi(x2, _PHILOX_M[1], h1, s0, s1, s2)
-            h1 ^= x1
-            h1 ^= np.uint64(k0)
-            np.multiply(x2, m1, out=x1)
-            _mulhi(x0, _PHILOX_M[0], h0, s0, s1, s2)
-            h0 ^= x3
-            h0 ^= np.uint64(k1)
-            np.multiply(x0, m0, out=x3)
-            x0, x2, h0, h1 = h1, h0, x2, x0  # old x0, x2 are free for reuse
-            k0 = (k0 + _PHILOX_W[0]) & _MASK64
-            k1 = (k1 + _PHILOX_W[1]) & _MASK64
-        w = words[:m]
-        for i, x in enumerate((x0, x1, x2, x3)):
-            np.right_shift(x, _SHIFT11, out=w[:, :, i])
-        np.multiply(
-            w.reshape(m, 4 * n_blocks)[:, :count], 2.0 ** -53,
-            out=u[start:start + m],
-        )
+
+    def fill(u: np.ndarray, first_draw: int) -> None:
+        n_draws = u.shape[0]
+        if n_blocks == 0:
+            return
+        for start in range(0, n_draws, rows):
+            m = min(rows, n_draws - start)
+            x0, x1, x2, x3, h0, h1, s0, s1, s2 = bufs[:, :m]
+            # uint64 arithmetic wraps, so the draw word is taken mod 2^64
+            np.add(offsets[:m], np.uint64((first_draw + start) & _MASK64),
+                   out=x0)
+            x0 ^= np.uint64((p_ch >> 64) ^ key0)
+            x1.fill(p_ch & _MASK64)
+            x2[...] = x2_first
+            x3[...] = x3_first
+            k0 = (key0 + _PHILOX_W[0]) & _MASK64
+            k1 = (_KEY_SALT + _PHILOX_W[1]) & _MASK64
+            for _ in range(_PHILOX_ROUNDS - 1):
+                # (x0, x1, x2, x3) <- (hi(x2 M1) ^ x1 ^ k0, lo(x2 M1),
+                #                      hi(x0 M0) ^ x3 ^ k1, lo(x0 M0))
+                _mulhi(x2, _PHILOX_M[1], h1, s0, s1, s2)
+                h1 ^= x1
+                h1 ^= np.uint64(k0)
+                np.multiply(x2, m1, out=x1)
+                _mulhi(x0, _PHILOX_M[0], h0, s0, s1, s2)
+                h0 ^= x3
+                h0 ^= np.uint64(k1)
+                np.multiply(x0, m0, out=x3)
+                x0, x2, h0, h1 = h1, h0, x2, x0  # old x0, x2 are free again
+                k0 = (k0 + _PHILOX_W[0]) & _MASK64
+                k1 = (k1 + _PHILOX_W[1]) & _MASK64
+            w = words[:m]
+            for i, x in enumerate((x0, x1, x2, x3)):
+                np.right_shift(x, _SHIFT11, out=w[:, :, i])
+            np.multiply(
+                w.reshape(m, 4 * n_blocks)[:, :count], 2.0 ** -53,
+                out=u[start:start + m],
+            )
+    return fill
 
 
-def _native_fill(u: np.ndarray, key0: int, first_draw: int, channel: int) -> None:
-    """Fill u (n_draws, count) with ``random()`` values of substreams
-    first_draw + j from one native Philox whose counter is reset per draw."""
+def _native_filler(key0: int, channel: int) -> Callable[[np.ndarray, int], None]:
+    """fill(u, first_draw): row j of u gets the ``random()`` values of
+    substream first_draw + j, from one native Philox whose counter is reset
+    per draw."""
     # The key must be a uint64 array: Philox converts a plain list through
     # float64, which rounds the salt to a different key.
     bit_gen = np.random.Philox(key=np.array([key0, _KEY_SALT], dtype=np.uint64))
@@ -186,10 +209,32 @@ def _native_fill(u: np.ndarray, key0: int, first_draw: int, channel: int) -> Non
     state = bit_gen.state
     counter = [0, 0, channel, 0]
     state["state"]["counter"] = counter
-    for j, row in enumerate(u):
-        counter[1] = (first_draw + j) & _MASK64
-        bit_gen.state = state
-        gen.random(out=row)
+
+    def fill(u: np.ndarray, first_draw: int) -> None:
+        for j, row in enumerate(u):
+            counter[1] = (first_draw + j) & _MASK64
+            bit_gen.state = state
+            gen.random(out=row)
+    return fill
+
+
+def uniform_filler(seed: int, channel: int, count: int,
+                   max_rows: int) -> Callable[[np.ndarray, int], None]:
+    """fill(u, first_draw): the uniforms on (0, 1) of substreams
+    first_draw + j of ``channel``, written into the rows of u, an
+    (n_draws, count) float array.  The fill stage: the filler keeps its
+    generator or kernel buffers (sized for ``max_rows`` draws) from call to
+    call, so one thread makes every call of one filler."""
+    key0 = seed & _MASK64
+    if count <= _KERNEL_MAX_COUNT:
+        fill_words = _philox_filler(key0, channel, count, max_rows)
+    else:
+        fill_words = _native_filler(key0, channel)
+
+    def fill(u: np.ndarray, first_draw: int) -> None:
+        fill_words(u, first_draw)
+        u += _HALF_STEP
+    return fill
 
 
 def _uniforms_block(
@@ -201,10 +246,14 @@ def _uniforms_block(
     if count < 0:
         raise OutOfRange("count must be non-negative")
     u = np.empty((n_draws, count))
-    fill = _philox_fill if count <= _KERNEL_MAX_COUNT else _native_fill
-    fill(u, seed & _MASK64, first_draw, channel)
-    u += _HALF_STEP
+    uniform_filler(seed, channel, count, n_draws)(u, first_draw)
     return u
+
+
+def to_normals(u: np.ndarray) -> np.ndarray:
+    """Uniforms on (0, 1) into standard normals, in place: ``ndtri``.  The
+    transform stage's first step."""
+    return ndtri(u, out=u)
 
 
 def standard_normals_block(
@@ -213,5 +262,5 @@ def standard_normals_block(
     """(n_draws, count) standard normals; row j is substream first_draw + j,
     bit for bit its one-row block — batching is layout only, never a
     different stream.  The package's one normal-stream function."""
-    u = _uniforms_block(seed, first_draw, n_draws, channel, count)
-    return ndtri(u, out=u)
+    return to_normals(_uniforms_block(seed, first_draw, n_draws, channel,
+                                      count))

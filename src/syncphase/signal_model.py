@@ -160,39 +160,128 @@ def tone_phases(params: SignalParams) -> np.ndarray:
     return reduced * (math.tau / params.n_samples) + params.phase
 
 
+def _shape(params: SignalParams, channel: int, normals: np.ndarray,
+           out: np.ndarray, base: np.ndarray) -> None:
+    """One channel's share of the synthesis, from standard normals into out
+    (which may be normals itself): A*cos(sigma_p*z + tone phase) for the
+    phase channel, sigma_x*z for the additive one."""
+    if channel == rng.CH_PHASE:
+        np.multiply(normals, params.sigma_phase, out=out)
+        out += base
+        np.cos(out, out=out)
+        out *= params.amplitude
+    else:
+        np.multiply(normals, params.sigma_additive, out=out)
+
+
+class RecordUnits:
+    """The records of draws [first_draw, first_draw + n_draws), built in
+    units of work.
+
+    A unit ``(channel, start, stop)`` is one noise channel over batch rows
+    start..stop, a block of at most ``rng.unit_rows(N)`` rows.  ``units``
+    lists each row block's phase unit, then its additive one, block by
+    block; a zero sigma has none.  A unit is drawn in one call on one
+    thread (:meth:`draw`), or in two stages:
+
+    * :meth:`fill` writes the unit's uniforms into its rows.  The fillers
+      keep generator state, so one thread makes every fill of a batch.
+    * :meth:`transform` turns a filled unit's uniforms into normals and
+      them into its share of the synthesis, on any thread.
+
+    Both ways a row passes through the same operations in the same order,
+    and units share no rows, so neither the order nor the thread of the
+    units changes a bit.  :meth:`records` then adds the noise into the
+    records and returns them.
+    """
+
+    def __init__(self, params: SignalParams, seed: int, first_draw: int,
+                 n_draws: int):
+        if n_draws < 0:
+            raise OutOfRange("n_draws must be non-negative")
+        n = params.n_samples
+        self.params, self.seed, self.first_draw = params, seed, first_draw
+        self.n_draws = n_draws
+        self.base = tone_phases(params)
+        self._rows = {}
+        if params.sigma_phase > 0.0:
+            self._rows[rng.CH_PHASE] = np.empty((n_draws, n))
+        if params.sigma_additive > 0.0:
+            self._rows[rng.CH_ADDITIVE] = np.empty((n_draws, n))
+        step = rng.unit_rows(n)
+        self.units = [(channel, start, min(start + step, n_draws))
+                      for start in range(0, n_draws, step)
+                      for channel in self._rows]
+        self._fills = {}
+        self._max_rows = min(step, n_draws)
+
+    def draw(self, unit) -> None:
+        """Fill and transform a unit through ``rng.standard_normals_block``."""
+        channel, start, stop = unit
+        normals = rng.standard_normals_block(
+            self.seed, self.first_draw + start, stop - start, channel,
+            self.params.n_samples)
+        _shape(self.params, channel, normals,
+               self._rows[channel][start:stop], self.base)
+
+    def fill(self, unit) -> None:
+        channel, start, stop = unit
+        fill = self._fills.get(channel)
+        if fill is None:
+            fill = self._fills[channel] = rng.uniform_filler(
+                self.seed, channel, self.params.n_samples, self._max_rows)
+        fill(self._rows[channel][start:stop], self.first_draw + start)
+
+    def transform(self, unit) -> None:
+        channel, start, stop = unit
+        block = self._rows[channel][start:stop]
+        _shape(self.params, channel, rng.to_normals(block), block, self.base)
+
+    def in_order(self) -> np.ndarray:
+        """Every unit drawn in order on this thread, then :meth:`records`.
+        Each unit but the last is filled and transformed; the last is
+        drawn in one call, as on the calling thread of
+        ``spectral_estimator``'s pipeline, so both keep
+        ``rng.standard_normals_block`` on their path (perfbench's tracer
+        times the RNG layer there)."""
+        for unit in self.units[:-1]:
+            self.fill(unit)
+            self.transform(unit)
+        if self.units:
+            self.draw(self.units[-1])
+        return self.records()
+
+    def records(self) -> np.ndarray:
+        """The (n_draws, N) records, once every unit is drawn."""
+        records = self._rows.get(rng.CH_PHASE)
+        noise = self._rows.get(rng.CH_ADDITIVE)
+        if records is None:
+            # the tone plus the noise: IEEE addition commutes, so adding
+            # the tone into the noise gives the bits of tone + noise
+            tone = self.params.amplitude * np.cos(self.base)
+            if noise is None:
+                return np.broadcast_to(
+                    tone, (self.n_draws, self.params.n_samples)).copy()
+            noise += tone
+            return noise
+        if noise is not None:
+            records += noise
+        return records
+
+
 def noisy_records(
     params: SignalParams, seed: int, first_draw: int, n_draws: int
 ) -> np.ndarray:
     """Records of draws [first_draw, first_draw + n_draws) as an (n_draws, N)
-    matrix.  Row j is a pure function of (params, seed, first_draw + j).
+    matrix: the units of :class:`RecordUnits` drawn in order on this thread.
+    Row j is a pure function of (params, seed, first_draw + j).
 
     Phase noise and additive noise come from independent counter-based
     substreams; a zero sigma consumes nothing from its channel.  Every
     operation is elementwise, so a row does not depend on the batch it was
     drawn in.
     """
-    if n_draws < 0:
-        raise OutOfRange("n_draws must be non-negative")
-    n = params.n_samples
-    base = tone_phases(params)
-    if params.sigma_phase > 0.0:
-        records = rng.standard_normals_block(
-            seed, first_draw, n_draws, rng.CH_PHASE, n
-        )
-        records *= params.sigma_phase
-        records += base
-        np.cos(records, out=records)
-        records *= params.amplitude
-    else:
-        tone = params.amplitude * np.cos(base)
-        records = np.broadcast_to(tone, (n_draws, n)).copy()
-    if params.sigma_additive > 0.0:
-        noise = rng.standard_normals_block(
-            seed, first_draw, n_draws, rng.CH_ADDITIVE, n
-        )
-        noise *= params.sigma_additive
-        records += noise
-    return records
+    return RecordUnits(params, seed, first_draw, n_draws).in_order()
 
 
 def generate(params: SignalParams, seed: int, draw_index: int = 0) -> np.ndarray:

@@ -21,15 +21,15 @@ from __future__ import annotations
 import cmath
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
 from .errors import EmptyInput, OutOfRange, ZeroVector
-from .signal_model import SignalParams, noisy_records, snr_linear
+from .signal_model import RecordUnits, SignalParams, snr_linear
 
 
 def _check_bin(n_samples: int, k: int) -> None:
@@ -161,16 +161,27 @@ def theoretical_moments(params: SignalParams) -> TheoreticalMoments:
 
 # target samples per chunk; keeps peak memory flat across record lengths
 _CHUNK_BUDGET = 4_000_000
-# Smallest batch, in samples (n_draws * N), that reduced_dft_draws splits
-# across two threads.  Measured on 2 cores (NumPy 2.4), the split's speed
-# against one thread, medians of 11 interleaved runs at N = 20, 100, 128
-# and 1000: 0.99x, 1.18x, 0.81x and 0.95x at 10^5 samples; 1.02x, 1.13x,
-# 0.81x and 1.24x at 2.5*10^5; 1.00x, 1.39x, 1.12x and 1.49x at 5*10^5;
-# 1.19x, 1.20x, 1.12x and 1.66x at 10^6.  5*10^5 is the smallest measured
-# size at which no record length loses.  N = 128 gains least: the native
-# Philox loop that fills it holds the GIL (see rng).
-_SPLIT_MIN_SAMPLES = 500_000
-# Threads a batch is split across: both cores when the process may use two.
+# Smallest chunk, in samples (n_draws * N), that reduced_dft_draws
+# pipelines across two threads.  Measured on 2 cores (NumPy 2.4), the
+# pipeline's speed against one thread at 0 dB and 1 degree, medians of 61
+# interleaved runs:
+#
+#     samples     N = 20   100    128    1000
+#     10^4            0.89  0.91   0.93   0.92
+#     2*10^4          0.94  0.97   1.07   1.01
+#     2.5*10^4        1.07  1.08   1.10   1.05
+#     3*10^4          1.08  1.08   1.15   1.06
+#     4*10^4          1.13  1.15   1.17   1.09
+#     8*10^4          1.33  1.40   1.19   1.07
+#     10^6            1.66  1.59   1.63   1.70
+#
+# A second run put 2*10^4 at 0.92 and 0.94 for N = 20 and 100 and 3*10^4
+# at 1.03 to 1.15.  3*10^4 is the smallest size at which no record length
+# lost in either run; mc_short's 80k-sample ops and the battery's
+# 40k-sample batches are pipelined.
+_PIPELINE_MIN_SAMPLES = 30_000
+# Threads a chunk is pipelined across: both cores when the process may use
+# two.
 _THREADS = min(2, len(os.sched_getaffinity(0))
                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
@@ -218,12 +229,84 @@ def _reduce(d, scale: float, out: Optional[np.ndarray] = None):
     return np.divide(2.0 * d, scale, out=out)
 
 
-def _reduce_into(out: np.ndarray, params: SignalParams, master_seed: int,
-                 first_draw: int, scale: float) -> None:
-    # NumPy's error state is per thread: each half sets its own
-    with np.errstate(over="ignore", invalid="ignore"):  # checked by the caller
-        signal = noisy_records(params, master_seed, first_draw, out.shape[0])
-        _reduce(dft_bin_batch(signal, params.bin_index), scale, out=out)
+class _Handoff:
+    """Units filled on one thread and taken for their transform by two."""
+
+    def __init__(self) -> None:
+        self._ready = threading.Condition()
+        self._filled = 0
+        self._taken = 0
+        self._closed = False
+
+    def publish(self) -> None:
+        """One more unit, the next in order, is filled."""
+        with self._ready:
+            self._filled += 1
+            self._ready.notify()
+
+    def close(self) -> None:
+        """No unit will be published after this."""
+        with self._ready:
+            self._closed = True
+            self._ready.notify()
+
+    def take(self) -> Optional[int]:
+        """The index of the next filled unit nobody has taken, waiting for
+        one while the fill is open; None once every filled unit is taken
+        and the fill is closed."""
+        with self._ready:
+            while self._taken == self._filled and not self._closed:
+                self._ready.wait()
+            if self._taken == self._filled:
+                return None
+            self._taken += 1
+            return self._taken - 1
+
+
+def _pipelined(batch: RecordUnits) -> None:
+    """Draw every unit of batch in two stages on two threads.  This thread
+    fills the units in order; a worker transforms each unit once it is
+    filled, and this thread, after the last fill, transforms those the
+    worker has not taken.  The fill is closed also when it raises, so the
+    worker never waits for a unit that will not come, and a failure on
+    either thread leaves :func:`on_two_threads` once both have stopped."""
+    units = batch.units
+    handoff = _Handoff()
+
+    def transform_taken() -> None:
+        # NumPy's error state is per thread: each thread sets its own
+        with np.errstate(over="ignore", invalid="ignore"):  # checked later
+            index = handoff.take()
+            while index is not None:
+                batch.transform(units[index])
+                index = handoff.take()
+
+    def fill_all() -> None:
+        try:
+            for unit in units[:-1]:
+                batch.fill(unit)
+                handoff.publish()
+        finally:
+            handoff.close()
+        # Nothing is left to fill after the last unit, so handing it off
+        # would only make this thread wait: it draws the last unit itself.
+        batch.draw(units[-1])
+        transform_taken()
+
+    on_two_threads(fill_all, transform_taken)
+
+
+def _chunk_records(params: SignalParams, master_seed: int, first_draw: int,
+                   n_draws: int) -> np.ndarray:
+    """The records of one chunk: pipelined when the process may use two
+    CPUs and the chunk has at least ``_PIPELINE_MIN_SAMPLES`` samples in
+    two units or more, else drawn in order on this thread."""
+    batch = RecordUnits(params, master_seed, first_draw, n_draws)
+    if (_THREADS > 1 and len(batch.units) > 1
+            and n_draws * params.n_samples >= _PIPELINE_MIN_SAMPLES):
+        _pipelined(batch)
+        return batch.records()
+    return batch.in_order()
 
 
 def _check_finite(scale: float, reduced) -> None:
@@ -246,32 +329,32 @@ def reduced_dft_draws(
 
     This is the one place that schedules a batch.  The draws are computed in
     the chunks of :func:`draw_chunks`, so memory beyond the 16 bytes per
-    draw of the result does not grow with the batch.  A chunk of at least
-    ``_SPLIT_MIN_SAMPLES`` samples is split in two halves of draws when the
-    process may use two CPUs: this thread computes the first half and a
-    worker thread started for that chunk (see :func:`on_two_threads`) the
-    second, each into its own slice of the result.  Every draw is a pure
-    function of (seed, draw, channel), and its row passes through the same
-    row-wise operations in any chunk or half, so chunks and halves are
-    layout only and the result has the same bits.  The halves overlap where
-    NumPy and SciPy release the GIL, which is everywhere but the native
-    Philox loop (see rng).
+    draw of the result does not grow with the batch.  A chunk's records are
+    built in the units of :class:`RecordUnits`.  When the process may use
+    two CPUs, a chunk of at least ``_PIPELINE_MIN_SAMPLES`` samples in two
+    units or more runs as a two-stage pipeline (:func:`_pipelined`): this
+    thread fills the units' Philox uniforms, the part that holds the GIL
+    for many small calls, and a worker thread started for that chunk (see
+    :func:`on_two_threads`) turns them into normals and records, which
+    NumPy and SciPy compute without the GIL.  Other chunks are drawn unit
+    by unit on this thread.  This thread then adds the noise into the
+    records, runs one Goertzel recurrence over the chunk and reduces it.
+    Every draw is a pure function of (seed, draw, channel), and its row
+    passes through the same row-wise operations in any chunk, unit or
+    thread, so all of this is layout only and the result has the same
+    bits.
     """
     if n_draws < 0:
         raise OutOfRange("n_draws must be non-negative")
     scale = _reduction_scale(params)
     reduced = np.empty(n_draws, dtype=complex)
     for start, stop in draw_chunks(params.n_samples, n_draws):
-        out = reduced[start:stop]
-        first = first_draw + start
-        if _THREADS > 1 and out.size * params.n_samples >= _SPLIT_MIN_SAMPLES:
-            mid = out.size // 2
-            on_two_threads(
-                partial(_reduce_into, out[:mid], params, master_seed, first,
-                        scale),
-                partial(_reduce_into, out[mid:], params, master_seed,
-                        first + mid, scale))
-        else:
-            _reduce_into(out, params, master_seed, first, scale)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            # one expression, so a chunk's records are freed before the next
+            _reduce(dft_bin_batch(_chunk_records(params, master_seed,
+                                                 first_draw + start,
+                                                 stop - start),
+                                  params.bin_index),
+                    scale, out=reduced[start:stop])
     _check_finite(scale, reduced)
     return reduced

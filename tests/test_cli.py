@@ -924,3 +924,50 @@ class TestNormalityCommand:
         err = capsys.readouterr().err
         assert err == f"syncphase: OutOfRange: {message}\n"
         assert not out.exists()
+
+
+class TestGridDigest:
+    # Each command that prints a grid digest, at its smallest table.
+    ARGV = {
+        "rmse": ["rmse", "--snr-db", "0", "--n", "20"],
+        "pdf": ["pdf", "--snr-db", "0", "--n", "20", "--points", "3"],
+        "mc": ["mc", "--snr-db", "0", "--n", "20", "--draws", "10"],
+        "divergence": ["divergence", "--snr-db", "0", "--n", "20"],
+        "efficiency": ["efficiency", "--snr-db", "0", "--n", "20"],
+        "normality": ["normality", "--snr-db", "0", "--n", "20", "--reps",
+                      "1", "--hz-draws", "20", "--hoeffding-draws", "5"],
+    }
+
+    @staticmethod
+    def digest(tmp_path, argv):
+        table = tmp_path / "t.csv"
+        assert main(argv + ["--out", str(table)]) == 0
+        return read_table(table)[0]["grid-sha256"]
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_signal_options_off_their_defaults_are_hashed(self, tmp_path,
+                                                          command):
+        argv = self.ARGV[command]
+        default = self.digest(tmp_path, argv)
+        # the default, however it is written, leaves the digest alone
+        for same in (["--fs", "10"], ["--fs", "1e1"], ["--f0", "1"],
+                     ["--amplitude", "1"], ["--f0", "1.0", "--fs", "10.0"]):
+            assert self.digest(tmp_path, argv + same) == default, same
+        moved = [self.digest(tmp_path, argv + other)
+                 for other in (["--fs", "20"], ["--f0", "2"],
+                               ["--amplitude", "2"])]
+        assert default not in moved and len(set(moved)) == 3
+        # compared as numbers: 20 and 20.0 are one sampling rate
+        assert self.digest(tmp_path, argv + ["--fs", "20.0"]) == moved[0]
+
+    def test_different_mc_rows_no_longer_share_a_digest(self, tmp_path):
+        # --fs 10 and --fs 20 print different rows; they shared 90d6886780cb3c5d
+        argv = self.ARGV["mc"]
+        tables = {}
+        for fs in ("10", "20"):
+            table = tmp_path / f"fs{fs}.csv"
+            assert main(argv + ["--fs", fs, "--out", str(table)]) == 0
+            tables[fs] = read_table(table)
+        assert tables["10"][0]["grid-sha256"] == "90d6886780cb3c5d"
+        assert tables["10"][2] != tables["20"][2]
+        assert tables["20"][0]["grid-sha256"] != "90d6886780cb3c5d"

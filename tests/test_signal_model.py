@@ -13,8 +13,10 @@ from syncphase.errors import (
     OutOfRange,
 )
 from syncphase.signal_model import (
+    RecordUnits,
     generate,
     make_params,
+    noisy_records,
     read_samples_csv,
     sigma_x_for_snr,
     snr_linear,
@@ -153,6 +155,50 @@ class TestToneAndGenerate:
         expected = (1.0 + math.exp(-2 * sp**2) * math.cos(2 * t)) / 2.0 \
             - math.exp(-sp**2) * math.cos(t) ** 2
         assert float(np.var(sample)) == pytest.approx(expected, rel=0.01)
+
+
+class TestRecordUnits:
+    @staticmethod
+    def params(sigma_x, sigma_p, n=20):
+        return make_params(amplitude=1.5, f0=3, fs=n, phase=0.4,
+                           sigma_additive=sigma_x, sigma_phase=sigma_p,
+                           n_samples=n)
+
+    def test_units_are_row_blocks_of_each_noisy_channel(self, monkeypatch):
+        monkeypatch.setattr(rng, "_SUB_BLOCK", 64)  # 12 draws at N = 20
+        assert rng.unit_rows(20) == 12
+        ph, add = rng.CH_PHASE, rng.CH_ADDITIVE
+        assert RecordUnits(self.params(0.3, 0.1), 1, 0, 30).units == [
+            (ph, 0, 12), (add, 0, 12), (ph, 12, 24), (add, 12, 24),
+            (ph, 24, 30), (add, 24, 30)]
+        assert RecordUnits(self.params(0.0, 0.1), 1, 0, 13).units == [
+            (ph, 0, 12), (ph, 12, 13)]
+        assert RecordUnits(self.params(0.3, 0.0), 1, 0, 12).units == [
+            (add, 0, 12)]
+        assert RecordUnits(self.params(0.0, 0.0), 1, 0, 12).units == []
+
+    def test_unit_rows_hold_one_kernel_sub_block(self):
+        assert rng.unit_rows(20) == rng._SUB_BLOCK // 5
+        assert rng.unit_rows(1000) == rng._SUB_BLOCK // 250
+        assert rng.unit_rows(10**6) == 1
+
+    @pytest.mark.parametrize("sigma_x, sigma_p", [
+        (0.3, 0.1), (0.0, 0.1), (0.3, 0.0), (0.0, 0.0)])
+    @pytest.mark.parametrize("n", [20, 101])
+    def test_two_stages_in_any_order_give_the_one_call_bits(
+            self, monkeypatch, sigma_x, sigma_p, n):
+        monkeypatch.setattr(rng, "_SUB_BLOCK", 64)
+        p = self.params(sigma_x, sigma_p, n)
+        first = 2**64 - 7  # the draw word wraps inside the batch
+        want = noisy_records(p, 9, first, 30)
+        staged = RecordUnits(p, 9, first, 30)
+        for unit in staged.units:  # every fill in order, on one thread
+            staged.fill(unit)
+        for unit in reversed(staged.units):
+            staged.transform(unit)
+        assert staged.records().tobytes() == want.tobytes()
+        for j in (0, 7, 29):
+            assert want[j].tobytes() == generate(p, 9, first + j).tobytes()
 
 
 class TestSnrHelpers:

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from syncphase.errors import EmptyInput, OutOfRange, ZeroVector
-from syncphase.signal_model import generate, make_params, sigma_x_for_snr
+from syncphase.signal_model import (RecordUnits, generate, make_params,
+                                    sigma_x_for_snr)
 from syncphase.spectral_estimator import (
     dft_bin,
     dft_bin_batch,
@@ -312,7 +313,7 @@ class TestReducedDraws:
         def no_draws(*args):
             raise AssertionError("no record may be drawn")
 
-        monkeypatch.setattr(spectral_estimator, "noisy_records", no_draws)
+        monkeypatch.setattr(spectral_estimator, "RecordUnits", no_draws)
         with pytest.raises(OutOfRange, match=r"A\*N = .* is too small"):
             reduced_dft_draws(p, 0, 0, 10)
         with pytest.raises(OutOfRange, match=r"A\*N = .* is too small"):
@@ -372,26 +373,122 @@ def syncphase_threads():
             if t.name.startswith("syncphase")]
 
 
+def on_worker():
+    return threading.current_thread().name.startswith("syncphase-draws")
+
+
 @pytest.fixture
 def two_threads(monkeypatch):
-    """Force the two-thread split, whatever this host's CPU count, and
-    record the (thread, first draw, draws) of every half."""
+    """Force the two-thread pipeline, whatever this host's CPU count, and
+    record (stage, on the worker, first draw, draws, channel) for every
+    fill, transform and one-call draw of a unit, and ("pool", ...) for
+    every worker started."""
     monkeypatch.setattr(spectral_estimator, "_THREADS", 2)
-    halves = []
-    reduce_into = spectral_estimator._reduce_into
+    calls = []
+    worker_pool = spectral_estimator._worker_pool
 
-    def recording(out, params, master_seed, first_draw, scale):
-        halves.append((threading.current_thread() is threading.main_thread(),
-                       first_draw, out.shape[0]))
-        reduce_into(out, params, master_seed, first_draw, scale)
+    def recording_pool():
+        calls.append(("pool", False, None, None, None))
+        return worker_pool()
 
-    monkeypatch.setattr(spectral_estimator, "_reduce_into", recording)
-    return halves
+    monkeypatch.setattr(spectral_estimator, "_worker_pool", recording_pool)
+
+    def recording(stage):
+        method = getattr(RecordUnits, stage)
+
+        def record(self, unit):
+            channel, start, stop = unit
+            calls.append((stage, on_worker(), self.first_draw + start,
+                          stop - start, channel))
+            method(self, unit)
+        monkeypatch.setattr(RecordUnits, stage, record)
+
+    for stage in ("fill", "transform", "draw"):
+        recording(stage)
+    return calls
+
+
+def stages(calls, stage):
+    return sorted((first, size, channel)
+                  for name, _, first, size, channel in calls if name == stage)
+
+
+def pools(calls):
+    return sum(name == "pool" for name, *_ in calls)
+
+
+def on_the_worker(calls):
+    return [call for call in calls if call[1]]
+
+
+def assert_drawn_once(calls):
+    """Every unit but the last was filled and transformed, the last drawn
+    in one call, each exactly once; fills and one-call draws ran on the
+    calling thread."""
+    assert calls
+    assert not any(worker for name, worker, *_ in calls
+                   if name in ("fill", "draw"))
+    assert stages(calls, "fill") == stages(calls, "transform")
+    drawn = stages(calls, "fill") + stages(calls, "draw")
+    assert len(set(drawn)) == len(drawn)
+
+
+def assert_pipelined(calls):
+    """assert_drawn_once, with a worker started for the units."""
+    assert_drawn_once(calls)
+    assert stages(calls, "fill") and pools(calls) >= 1
+
+
+def worker_goes_first(monkeypatch):
+    """Hold the fill of each chunk's second unit until the worker has
+    transformed a unit, or failed to (10 s at most), so the worker surely
+    takes one."""
+    fill = RecordUnits.fill
+    transform = RecordUnits.transform
+    worked = threading.Event()
+
+    def held_fill(self, unit):
+        if unit == self.units[1]:
+            worked.wait(timeout=10)
+        fill(self, unit)
+
+    def noting_transform(self, unit):
+        try:
+            transform(self, unit)
+        finally:
+            if on_worker():
+                worked.set()
+
+    monkeypatch.setattr(RecordUnits, "fill", held_fill)
+    monkeypatch.setattr(RecordUnits, "transform", noting_transform)
+    return worked
+
+
+def finishes(call, timeout=60):
+    """call() on a thread of its own, which must end within timeout
+    seconds; its result, or its exception re-raised."""
+    done = {}
+
+    def run():
+        try:
+            done["value"] = call()
+        except BaseException as exc:  # re-raised below, on this thread
+            done["error"] = exc
+
+    runner = threading.Thread(target=run, name="caller", daemon=True)
+    runner.start()
+    runner.join(timeout=timeout)
+    assert not runner.is_alive(), "the pipeline deadlocked"
+    if "error" in done:
+        raise done["error"]
+    return done["value"]
 
 
 class TestTwoThreadSplit:
-    # A small threshold keeps the one-draw-at-a-time references cheap; the
-    # split code is the same at any threshold.
+    # The two-stage pipeline that splits a chunk's work across two threads:
+    # the calling thread fills every unit, a worker transforms them.  A
+    # small threshold keeps the one-draw-at-a-time references cheap; the
+    # pipeline code is the same at any threshold.
     MIN_SAMPLES = 2000
 
     @pytest.mark.parametrize("n, extra", [
@@ -402,29 +499,67 @@ class TestTwoThreadSplit:
     def test_split_equals_one_draw_at_a_time(self, monkeypatch, two_threads,
                                              n, extra, first_draw):
         assert (n <= rng._KERNEL_MAX_COUNT) == (n == 20)
-        monkeypatch.setattr(spectral_estimator, "_SPLIT_MIN_SAMPLES",
+        monkeypatch.setattr(spectral_estimator, "_PIPELINE_MIN_SAMPLES",
                             self.MIN_SAMPLES)
         n_draws = -(-self.MIN_SAMPLES // n) + extra  # odd and even counts
         p = params_for(n, snr_db=3.0, sigma_p=0.2, phase=0.7)
         d = reduced_dft_draws(p, SEED, first_draw, n_draws)
-        mid = n_draws // 2
-        assert sorted(two_threads) == [(False, first_draw + mid, n_draws - mid),
-                                       (True, first_draw, mid)]
+        assert_pipelined(two_threads)
+        drawn = stages(two_threads, "fill") + stages(two_threads, "draw")
+        assert sum(size for _, size, _ in drawn) == 2 * n_draws
         two_threads.clear()
+        want = one_draw_at_a_time(p, SEED, first_draw, n_draws)
+        assert d.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("noise", ["both", "phase only", "additive only"])
+    @pytest.mark.parametrize("n", [20, 100, 101, 1000])
+    @pytest.mark.parametrize("first_draw", [0, 2**64 - 7])
+    def test_pipeline_equals_one_thread_and_one_draw_at_a_time(
+            self, monkeypatch, two_threads, n, noise, first_draw):
+        # Units of 12, 2, 2 and 1 draws (64 Philox blocks each at most):
+        # 75 draws in chunks of 30, 30 and 15, so at N = 20 each chunk ends
+        # on a partial unit, and from 2^64 - 7 the draw word wraps inside
+        # the first chunk.
+        assert (n <= rng._KERNEL_MAX_COUNT) == (n <= 100)
+        monkeypatch.setattr(rng, "_SUB_BLOCK", 64)
+        monkeypatch.setattr(spectral_estimator, "_CHUNK_BUDGET", 30 * n)
+        monkeypatch.setattr(spectral_estimator, "_PIPELINE_MIN_SAMPLES", 0)
+        p = params_for(n, snr_db=None if noise == "phase only" else 3.0,
+                       sigma_p=0.0 if noise == "additive only" else 0.2,
+                       phase=0.7)
+        n_draws = 75
+        d = reduced_dft_draws(p, SEED, first_draw, n_draws)
+        assert_pipelined(two_threads)
+        assert pools(two_threads) == 3  # one worker per chunk
+        channels = 2 if noise == "both" else 1
+        rows = rng.unit_rows(n)
+        units = channels * sum(-(-size // rows) for size in (30, 30, 15))
+        assert len(stages(two_threads, "fill")) == units - 3
+        assert len(stages(two_threads, "draw")) == 3  # each chunk's last
+        if n == 20:  # the first chunk's last unit, rows 24..30, is partial
+            last = rng.CH_PHASE if noise == "phase only" else rng.CH_ADDITIVE
+            assert (first_draw + 24, 6, last) in stages(two_threads, "draw")
+        monkeypatch.setattr(spectral_estimator, "_THREADS", 1)
+        two_threads.clear()
+        one_thread = reduced_dft_draws(p, SEED, first_draw, n_draws)
+        assert_drawn_once(two_threads)
+        assert pools(two_threads) == 0 and not on_the_worker(two_threads)
+        assert d.tobytes() == one_thread.tobytes()
         want = one_draw_at_a_time(p, SEED, first_draw, n_draws)
         assert d.tobytes() == want.tobytes()
 
     def test_split_at_the_measured_threshold_keeps_its_bits(
             self, monkeypatch, two_threads):
         n = 1000
-        n_draws = spectral_estimator._SPLIT_MIN_SAMPLES // n + 1
+        n_draws = spectral_estimator._PIPELINE_MIN_SAMPLES // n + 1
         p = params_for(n, snr_db=0.0, sigma_p=math.radians(1.0), phase=1.0)
         d = reduced_dft_draws(p, SEED, 5, n_draws)
-        assert sorted(main for main, _, _ in two_threads) == [False, True]
+        assert_pipelined(two_threads)
         monkeypatch.setattr(spectral_estimator, "_THREADS", 1)
         two_threads.clear()
         sequential = reduced_dft_draws(p, SEED, 5, n_draws)
-        assert two_threads == [(True, 5, n_draws)]
+        assert_drawn_once(two_threads)
+        assert pools(two_threads) == 0 and not on_the_worker(two_threads)
         assert d.tobytes() == sequential.tobytes()
         head = one_draw_at_a_time(p, SEED, 5, 3)
         tail = one_draw_at_a_time(p, SEED, 5 + n_draws - 3, 3)
@@ -432,64 +567,142 @@ class TestTwoThreadSplit:
         assert d[-3:].tobytes() == tail.tobytes()
 
     def test_single_cpu_never_splits(self, monkeypatch, two_threads):
-        # one whole call: on one CPU on_two_threads would run two halves
+        # one whole call: on one CPU every unit is drawn on this thread
         monkeypatch.setattr(spectral_estimator, "_THREADS", 1)
-        monkeypatch.setattr(spectral_estimator, "_SPLIT_MIN_SAMPLES",
+        monkeypatch.setattr(spectral_estimator, "_PIPELINE_MIN_SAMPLES",
                             self.MIN_SAMPLES)
         monkeypatch.setattr(spectral_estimator, "_worker_pool", no_pool)
         p = params_for(20, snr_db=3.0, sigma_p=0.2)
         d = reduced_dft_draws(p, SEED, 0, 301)
-        assert two_threads == [(True, 0, 301)]
+        assert two_threads == [("fill", False, 0, 301, rng.CH_PHASE),
+                               ("transform", False, 0, 301, rng.CH_PHASE),
+                               ("draw", False, 0, 301, rng.CH_ADDITIVE)]
         assert d.tobytes() == one_draw_at_a_time(p, SEED, 0, 301).tobytes()
+
+    @pytest.mark.parametrize("n, n_draws, sigma_p", [
+        (20, 300, 0.1),    # a tiny mc op, 6k samples
+        (20, None, 0.1),   # one sample short of the threshold
+        (1000, None, 0.1),  # one sample short of the threshold
+        (20, 3000, 0.0),   # 60k samples in one unit: nothing to overlap
+    ])
+    def test_batch_below_threshold_never_touches_the_pool(
+            self, monkeypatch, two_threads, n, n_draws, sigma_p):
+        if n_draws is None:
+            n_draws = -(-spectral_estimator._PIPELINE_MIN_SAMPLES // n) - 1
+            assert n * n_draws < spectral_estimator._PIPELINE_MIN_SAMPLES
+        monkeypatch.setattr(spectral_estimator, "_worker_pool", no_pool)
+        reduced_dft_draws(params_for(n, snr_db=0.0, sigma_p=sigma_p), SEED,
+                          0, n_draws)
+        assert_drawn_once(two_threads)
+        assert not on_the_worker(two_threads)
 
     @pytest.mark.parametrize("n, n_draws", [
         (20, 4000),   # a mc_short op, 80k samples
         (20, 2000),   # a normality battery batch, 40k samples
-        (1000, None),  # one sample short of the threshold
     ])
-    def test_batch_below_threshold_never_touches_the_pool(
-            self, monkeypatch, two_threads, n, n_draws):
-        if n_draws is None:
-            n_draws = -(-spectral_estimator._SPLIT_MIN_SAMPLES // n) - 1
-        assert n * n_draws < spectral_estimator._SPLIT_MIN_SAMPLES
-        monkeypatch.setattr(spectral_estimator, "_worker_pool", no_pool)
+    def test_benchmark_batches_are_pipelined(self, two_threads, n, n_draws):
+        assert n * n_draws >= spectral_estimator._PIPELINE_MIN_SAMPLES
         reduced_dft_draws(params_for(n, snr_db=0.0, sigma_p=0.1), SEED, 0,
                           n_draws)
-        assert two_threads == [(True, 0, n_draws)]
+        assert_pipelined(two_threads)
+
+    def test_worker_transforms_while_the_caller_fills(self, monkeypatch,
+                                                      two_threads):
+        monkeypatch.setattr(spectral_estimator, "_PIPELINE_MIN_SAMPLES", 0)
+        monkeypatch.setattr(rng, "_SUB_BLOCK", 64)
+        worked = worker_goes_first(monkeypatch)
+        p = params_for(20, snr_db=3.0, sigma_p=0.2)
+        d = reduced_dft_draws(p, SEED, 0, 40)
+        assert worked.is_set()
+        assert any(worker for name, worker, *_ in two_threads
+                   if name == "transform")
+        assert d.tobytes() == one_draw_at_a_time(p, SEED, 0, 40).tobytes()
 
     def test_overflow_in_the_worker_half_is_rejected_silently(
             self, monkeypatch, two_threads):
-        # Only the worker's half overflows.  NumPy's error state is per
+        # Only the worker's units overflow.  NumPy's error state is per
         # thread, so the worker must set its own or warn.
-        monkeypatch.setattr(spectral_estimator, "_SPLIT_MIN_SAMPLES",
-                            self.MIN_SAMPLES)
-        records = spectral_estimator.noisy_records
+        monkeypatch.setattr(spectral_estimator, "_PIPELINE_MIN_SAMPLES", 0)
+        monkeypatch.setattr(rng, "_SUB_BLOCK", 64)
+        transform = RecordUnits.transform
 
-        def overflowing_second_half(params, seed, first_draw, n_draws):
-            signal = records(params, seed, first_draw, n_draws)
-            if first_draw > 0:
-                signal *= 1e308
-            return signal
+        def overflowing_on_the_worker(self, unit):
+            transform(self, unit)
+            if on_worker():
+                channel, start, stop = unit
+                self._rows[channel][start:stop] *= 1e308
 
-        monkeypatch.setattr(spectral_estimator, "noisy_records",
-                            overflowing_second_half)
+        monkeypatch.setattr(RecordUnits, "transform",
+                            overflowing_on_the_worker)
+        worker_goes_first(monkeypatch)
         p = params_for(100, snr_db=0.0, sigma_p=0.1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OutOfRange, match="overflowed"):
                 reduced_dft_draws(p, SEED, 0, 40)
-        assert sorted(main for main, _, _ in two_threads) == [False, True]
+        assert any(worker for name, worker, *_ in two_threads
+                   if name == "transform")
+
+    @pytest.mark.parametrize("where", [
+        "fill", "transform on the worker", "transform on the caller",
+        "last unit"])
+    def test_a_failing_stage_propagates_and_stops_both_threads(
+            self, monkeypatch, two_threads, where):
+        monkeypatch.setattr(spectral_estimator, "_PIPELINE_MIN_SAMPLES", 0)
+        monkeypatch.setattr(rng, "_SUB_BLOCK", 64)
+        stage = where.split()[0] if where != "last unit" else "draw"
+        method = getattr(RecordUnits, stage)
+        release = threading.Event()
+
+        def failing(self, unit):
+            if where == "fill" and unit == self.units[3]:
+                raise ValueError(where)
+            if where == "transform on the worker" and on_worker():
+                raise ValueError(where)
+            if where == "transform on the caller":
+                if on_worker():
+                    # hold the worker so this thread transforms a unit
+                    release.wait(timeout=10)
+                else:
+                    release.set()
+                    raise ValueError(where)
+            if where == "last unit":
+                raise ValueError(where)
+            method(self, unit)
+
+        monkeypatch.setattr(RecordUnits, stage, failing)
+        if where == "transform on the worker":
+            worker_goes_first(monkeypatch)
+        p = params_for(20, snr_db=3.0, sigma_p=0.2)
+        with pytest.raises(ValueError, match=where):
+            finishes(lambda: reduced_dft_draws(p, SEED, 0, 40))
+        assert syncphase_threads() == []
+
+    def test_a_failing_draw_on_one_cpu_starts_no_worker(self, monkeypatch):
+        monkeypatch.setattr(spectral_estimator, "_THREADS", 1)
+        monkeypatch.setattr(spectral_estimator, "_PIPELINE_MIN_SAMPLES", 0)
+        monkeypatch.setattr(spectral_estimator, "_worker_pool", no_pool)
+
+        def failing(self, unit):
+            raise ValueError("draw failed")
+
+        monkeypatch.setattr(RecordUnits, "draw", failing)
+        with pytest.raises(ValueError, match="draw failed"):
+            finishes(lambda: reduced_dft_draws(
+                params_for(20, snr_db=3.0, sigma_p=0.2), SEED, 0, 4000))
+        assert syncphase_threads() == []
 
     def test_concurrent_callers_share_the_pool(self, monkeypatch):
-        # more calling threads than cores, switching often, each splitting
+        # more calling threads than cores, switching often, each pipelining
         # onto a worker of its own: every result keeps its bits
-        monkeypatch.setattr(spectral_estimator, "_SPLIT_MIN_SAMPLES",
+        monkeypatch.setattr(spectral_estimator, "_PIPELINE_MIN_SAMPLES",
                             self.MIN_SAMPLES)
         p = params_for(20, snr_db=3.0, sigma_p=0.2)
         windows = [(start, 150 + start // 100) for start in range(0, 800, 100)]
         monkeypatch.setattr(spectral_estimator, "_THREADS", 1)
         want = [reduced_dft_draws(p, SEED, a, n) for a, n in windows]
         monkeypatch.setattr(spectral_estimator, "_THREADS", 2)
+        monkeypatch.setattr(rng, "_SUB_BLOCK", 64)  # many units per call
         got = [None] * len(windows)
 
         def call(i):
@@ -511,15 +724,15 @@ class TestTwoThreadSplit:
             assert g is not None and g.tobytes() == w.tobytes()
 
     def test_forked_child_still_splits(self, monkeypatch):
-        # The child is forked right after a split; its own split must
-        # start and join a worker of its own.
+        # The child is forked right after a pipelined call; its own
+        # pipeline must start and join a worker of its own.
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("no fork start method on this platform")
         monkeypatch.setattr(spectral_estimator, "_THREADS", 2)
-        monkeypatch.setattr(spectral_estimator, "_SPLIT_MIN_SAMPLES",
+        monkeypatch.setattr(spectral_estimator, "_PIPELINE_MIN_SAMPLES",
                             self.MIN_SAMPLES)
         p = params_for(20, snr_db=3.0, sigma_p=0.2)
-        reduced_dft_draws(p, SEED, 0, 200)  # a split before the fork
+        reduced_dft_draws(p, SEED, 0, 200)  # a pipeline before the fork
         child = multiprocessing.get_context("fork").Process(
             target=reduced_dft_draws, args=(p, SEED, 0, 200))
         child.start()
@@ -527,43 +740,51 @@ class TestTwoThreadSplit:
         if child.is_alive():
             child.kill()
             child.join(timeout=10)
-            pytest.fail("the forked child's split never finished")
+            pytest.fail("the forked child's pipeline never finished")
         assert child.exitcode == 0
 
     @pytest.mark.parametrize("n_draws", [
-        113,  # 40 + 40 + 33: the odd last chunk splits 16/17
-        95,   # 40 + 40 + 15: the last chunk is below the split threshold
+        113,  # 40 + 40 + 33: the last chunk is pipelined too
+        95,   # 40 + 40 + 15: the last chunk is below the threshold
     ])
     @pytest.mark.parametrize("first_draw", [0, 2**64 - 7])
     def test_chunks_split_equal_one_draw_at_a_time(
             self, monkeypatch, two_threads, n_draws, first_draw):
         n, chunk, min_draws = 20, 40, 30
         monkeypatch.setattr(spectral_estimator, "_CHUNK_BUDGET", chunk * n)
-        monkeypatch.setattr(spectral_estimator, "_SPLIT_MIN_SAMPLES",
+        monkeypatch.setattr(spectral_estimator, "_PIPELINE_MIN_SAMPLES",
                             min_draws * n)
         p = params_for(n, snr_db=3.0, sigma_p=0.2, phase=0.7)
         d = reduced_dft_draws(p, SEED, first_draw, n_draws)
-        want_halves = []
+        # each chunk is one row block: its phase unit is filled and
+        # transformed, its additive one drawn in one call, and a worker
+        # is started for each chunk of at least min_draws
+        want_fills, want_draws, want_pools = [], [], 0
         for start in range(0, n_draws, chunk):
             size = min(chunk, n_draws - start)
             first = first_draw + start
-            if size < min_draws:
-                want_halves.append((True, first, size))
-            else:
-                mid = size // 2
-                want_halves += [(True, first, mid),
-                                (False, first + mid, size - mid)]
-        assert sorted(two_threads) == sorted(want_halves)
+            want_fills.append((first, size, rng.CH_PHASE))
+            want_draws.append((first, size, rng.CH_ADDITIVE))
+            want_pools += size >= min_draws
+        assert_drawn_once(two_threads)
+        assert stages(two_threads, "fill") == want_fills
+        assert stages(two_threads, "draw") == want_draws
+        assert pools(two_threads) == want_pools
         two_threads.clear()
         want = one_draw_at_a_time(p, SEED, first_draw, n_draws)
         assert d.tobytes() == want.tobytes()
 
     def test_no_worker_thread_outlives_a_split(self, monkeypatch,
                                                two_threads):
-        monkeypatch.setattr(spectral_estimator, "_SPLIT_MIN_SAMPLES",
+        monkeypatch.setattr(spectral_estimator, "_PIPELINE_MIN_SAMPLES",
                             self.MIN_SAMPLES)
         reduced_dft_draws(params_for(20, snr_db=3.0), SEED, 0, 200)
-        assert sorted(main for main, _, _ in two_threads) == [False, True]
+        # sigma_p = 0: one additive unit, nothing to overlap
+        assert two_threads == [("draw", False, 0, 200, rng.CH_ADDITIVE)]
+        two_threads.clear()
+        reduced_dft_draws(params_for(20, snr_db=3.0, sigma_p=0.2), SEED, 0,
+                          200)
+        assert_pipelined(two_threads)
         assert syncphase_threads() == []
 
     def test_worker_is_joined_when_head_raises(self, monkeypatch):
