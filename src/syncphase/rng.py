@@ -11,8 +11,9 @@ normal-stream function.  It is two stages in one call, which the package
 also runs apart: :func:`uniform_filler` makes the uniforms (the fill
 stage) and :func:`to_normals` turns them into normals (``ndtri``).  The
 fill stage holds the GIL for many small calls and ``ndtri`` runs without
-it, so ``spectral_estimator.reduced_dft_draws`` pipelines large batches:
-the calling thread makes every fill and a worker thread the transforms.
+it, so the package's one schedule of a batch
+(``signal_model.RecordUnits.build``) makes every fill on the calling
+thread and, in large batches, shares the transforms with a worker thread.
 A row's words depend only on its substream, so which call or thread
 fills it is layout only and gives the same bits.  The normals are also
 the same bits with or without NumPy's AVX-512 kernels
@@ -39,22 +40,27 @@ its own cost grows with ``count``.  Filling 2000 draws on 2 cores
 (NumPy 2.4), the kernel took 0.3x the native time at count 20, 0.6x at 48
 and 0.87x at 96.  Kernel time over native time for ``reduced_dft_draws``
 at 0 dB and 1 degree, medians of interleaved runs (31 at 2*10^5 samples for
-counts 96 to 112, 21 above; 9 at 4*10^6); the two-thread row was taken
-under the split into two halves of draws that the pipeline replaced:
+counts 96 to 112, 21 above; 9 at 4*10^6), on one thread:
 
     count            96    100   104   108   112   120   128   200   256
     one thread, 2e5  0.91  0.96  1.13  1.08  1.02  1.09  1.11  1.24  1.32
     one thread, 4e6  1.00  0.99  0.95  1.00  0.91  0.82  0.97  1.22  1.25
-    two threads, 4e6 0.65  0.72   -     -    0.74  0.72  0.71  0.95  1.09
 
-Split, the kernel won up to 200.  On one thread it stops winning after
-100: at 100 it won 26 of 31 small batches, from 104 to 112 at most 14 of
-31, at 120 and above none of 21.  So the kernel fills counts up to 100
-and the native loop longer records.  Under the pipeline every fill runs
-on the calling thread, and the kernel's ratio (21 runs at 2*10^5, 5 at
-4*10^6) is 0.37 and 0.33 at 20, 0.73 and 0.78 at 64, 0.94 and 0.86 at
-80, but 1.07 and 1.05 at 96 and 1.17 and 1.06 at 100: pipelined, the
-crossover lies between 80 and 96.
+On one thread the kernel stops winning after 100: at 100 it won 26 of 31
+small batches, from 104 to 112 at most 14 of 31, at 120 and above none
+of 21.  With every fill on the calling thread and the transforms shared
+with a worker, the crossover is lower (61 runs at 2*10^5, 9 at 4*10^6):
+
+    count            80    84    88    92    96    100
+    two threads, 2e5 1.00  1.06  1.08  1.12  1.15  1.15
+    two threads, 4e6 0.89  0.98  0.95  0.96  1.00  1.09
+
+In other sets of 31 to 61 runs at 2*10^5 (five at 80, four at 84 and 88)
+the ratio was 0.89 to 1.02 at 80 and 0.97 to 1.12 at 84 and 88.  80 is
+the largest count at which the kernel came within 2% of the native loop
+in every set at either size, so the kernel fills counts up to 80 and the
+native loop longer records.  On one CPU, counts 81 to 100 fill up to 9%
+slower than they could.
 
 The kernel works in sub-blocks of ``_SUB_BLOCK`` Philox blocks (3276 draws
 at count 20) over one set of work buffers (about 1.8 MB), updated in
@@ -96,7 +102,7 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 # Largest samples-per-substream count filled by the NumPy kernel; measured,
 # see the module docstring.
-_KERNEL_MAX_COUNT = 100
+_KERNEL_MAX_COUNT = 80
 # Philox blocks per kernel sub-block.
 _SUB_BLOCK = 16384
 

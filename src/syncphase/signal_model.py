@@ -18,7 +18,8 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TextIO, Union
+from queue import SimpleQueue
+from typing import Any, Callable, TextIO, Union
 
 import numpy as np
 
@@ -174,6 +175,11 @@ def _shape(params: SignalParams, channel: int, normals: np.ndarray,
         np.multiply(normals, params.sigma_additive, out=out)
 
 
+def _in_turn(head: Callable[[], Any], tail: Callable[[], Any]) -> None:
+    head()
+    tail()
+
+
 class RecordUnits:
     """The records of draws [first_draw, first_draw + n_draws), built in
     units of work.
@@ -191,8 +197,9 @@ class RecordUnits:
 
     Both ways a row passes through the same operations in the same order,
     and units share no rows, so neither the order nor the thread of the
-    units changes a bit.  :meth:`records` then adds the noise into the
-    records and returns them.
+    units changes a bit.  :meth:`build` is the one schedule of a batch's
+    units; :meth:`records` then adds the noise into the records and returns
+    them.
     """
 
     def __init__(self, params: SignalParams, seed: int, first_draw: int,
@@ -237,18 +244,44 @@ class RecordUnits:
         block = self._rows[channel][start:stop]
         _shape(self.params, channel, rng.to_normals(block), block, self.base)
 
-    def in_order(self) -> np.ndarray:
-        """Every unit drawn in order on this thread, then :meth:`records`.
-        Each unit but the last is filled and transformed; the last is
-        drawn in one call, as on the calling thread of
-        ``spectral_estimator``'s pipeline, so both keep
-        ``rng.standard_normals_block`` on their path (perfbench's tracer
-        times the RNG layer there)."""
-        for unit in self.units[:-1]:
-            self.fill(unit)
-            self.transform(unit)
-        if self.units:
-            self.draw(self.units[-1])
+    def build(self, run: Callable[..., Any] = _in_turn) -> np.ndarray:
+        """Draw every unit, then return :meth:`records`.  ``run(head,
+        tail)`` calls each part once: the default runs head, then tail, on
+        this thread; ``spectral_estimator.on_two_threads`` runs tail on a
+        worker.
+
+        head fills every unit but the last, in order, and queues each; draws
+        the last unit in one call through ``rng.standard_normals_block``
+        (perfbench's tracer times the RNG layer there); then transforms
+        queued units.  tail transforms queued units.  After its fills, also
+        when one raises, head queues one stop for each part, and each part
+        ends at the first stop it takes, so neither waits for a unit that
+        will not come.  Both parts run under this thread's NumPy error
+        state."""
+        units = self.units
+        queued: SimpleQueue = SimpleQueue()
+        errors = np.geterr()  # per thread: the tail may run on another
+
+        def transform_queued() -> None:
+            with np.errstate(**errors):
+                unit = queued.get()
+                while unit is not None:
+                    self.transform(unit)
+                    unit = queued.get()
+
+        def head() -> None:
+            try:
+                for unit in units[:-1]:
+                    self.fill(unit)
+                    queued.put(unit)
+            finally:
+                queued.put(None)
+                queued.put(None)
+            if units:
+                self.draw(units[-1])
+            transform_queued()
+
+        run(head, transform_queued)
         return self.records()
 
     def records(self) -> np.ndarray:
@@ -273,7 +306,7 @@ def noisy_records(
     params: SignalParams, seed: int, first_draw: int, n_draws: int
 ) -> np.ndarray:
     """Records of draws [first_draw, first_draw + n_draws) as an (n_draws, N)
-    matrix: the units of :class:`RecordUnits` drawn in order on this thread.
+    matrix: :meth:`RecordUnits.build` with both parts on this thread.
     Row j is a pure function of (params, seed, first_draw + j).
 
     Phase noise and additive noise come from independent counter-based
@@ -281,7 +314,7 @@ def noisy_records(
     operation is elementwise, so a row does not depend on the batch it was
     drawn in.
     """
-    return RecordUnits(params, seed, first_draw, n_draws).in_order()
+    return RecordUnits(params, seed, first_draw, n_draws).build()
 
 
 def generate(params: SignalParams, seed: int, draw_index: int = 0) -> np.ndarray:

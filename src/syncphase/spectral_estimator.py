@@ -21,14 +21,13 @@ from __future__ import annotations
 import cmath
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .errors import EmptyInput, OutOfRange, ZeroVector
+from .errors import EmptyInput, LengthMismatch, OutOfRange, ZeroVector
 from .signal_model import RecordUnits, SignalParams, snr_linear
 
 
@@ -96,13 +95,17 @@ def principal_phase(d: np.ndarray) -> np.ndarray:
 def estimate_phase(samples: np.ndarray, params: SignalParams) -> PhaseStatistic:
     """Phase estimate of one record drawn with the configuration params.
 
-    Raises OutOfRange when a sample is nan or infinite, A*N is too small
+    Raises LengthMismatch when the record does not hold params.n_samples
+    samples, OutOfRange when a sample is nan or infinite, A*N is too small
     (see _reduction_scale), or the statistic or A*N overflowed, and
     ZeroVector when the record (or the bin statistic itself) is identically
     zero, in which case arg() is undefined.
     """
     if len(samples) == 0:
         raise EmptyInput("record holds no samples")
+    if len(samples) != params.n_samples:
+        raise LengthMismatch(f"record holds {len(samples)} samples, the "
+                             f"configuration N = {params.n_samples}")
     if not np.all(np.isfinite(samples)):
         raise OutOfRange("record holds a non-finite sample: phase is undefined")
     if not np.any(samples):
@@ -180,8 +183,8 @@ _CHUNK_BUDGET = 4_000_000
 # lost in either run; mc_short's 80k-sample ops and the battery's
 # 40k-sample batches are pipelined.
 _PIPELINE_MIN_SAMPLES = 30_000
-# Threads a chunk is pipelined across: both cores when the process may use
-# two.
+# Threads on_two_threads runs its two parts on: two when the process may
+# use two CPUs.
 _THREADS = min(2, len(os.sched_getaffinity(0))
                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
@@ -229,84 +232,17 @@ def _reduce(d, scale: float, out: Optional[np.ndarray] = None):
     return np.divide(2.0 * d, scale, out=out)
 
 
-class _Handoff:
-    """Units filled on one thread and taken for their transform by two."""
-
-    def __init__(self) -> None:
-        self._ready = threading.Condition()
-        self._filled = 0
-        self._taken = 0
-        self._closed = False
-
-    def publish(self) -> None:
-        """One more unit, the next in order, is filled."""
-        with self._ready:
-            self._filled += 1
-            self._ready.notify()
-
-    def close(self) -> None:
-        """No unit will be published after this."""
-        with self._ready:
-            self._closed = True
-            self._ready.notify()
-
-    def take(self) -> Optional[int]:
-        """The index of the next filled unit nobody has taken, waiting for
-        one while the fill is open; None once every filled unit is taken
-        and the fill is closed."""
-        with self._ready:
-            while self._taken == self._filled and not self._closed:
-                self._ready.wait()
-            if self._taken == self._filled:
-                return None
-            self._taken += 1
-            return self._taken - 1
-
-
-def _pipelined(batch: RecordUnits) -> None:
-    """Draw every unit of batch in two stages on two threads.  This thread
-    fills the units in order; a worker transforms each unit once it is
-    filled, and this thread, after the last fill, transforms those the
-    worker has not taken.  The fill is closed also when it raises, so the
-    worker never waits for a unit that will not come, and a failure on
-    either thread leaves :func:`on_two_threads` once both have stopped."""
-    units = batch.units
-    handoff = _Handoff()
-
-    def transform_taken() -> None:
-        # NumPy's error state is per thread: each thread sets its own
-        with np.errstate(over="ignore", invalid="ignore"):  # checked later
-            index = handoff.take()
-            while index is not None:
-                batch.transform(units[index])
-                index = handoff.take()
-
-    def fill_all() -> None:
-        try:
-            for unit in units[:-1]:
-                batch.fill(unit)
-                handoff.publish()
-        finally:
-            handoff.close()
-        # Nothing is left to fill after the last unit, so handing it off
-        # would only make this thread wait: it draws the last unit itself.
-        batch.draw(units[-1])
-        transform_taken()
-
-    on_two_threads(fill_all, transform_taken)
-
-
 def _chunk_records(params: SignalParams, master_seed: int, first_draw: int,
                    n_draws: int) -> np.ndarray:
-    """The records of one chunk: pipelined when the process may use two
-    CPUs and the chunk has at least ``_PIPELINE_MIN_SAMPLES`` samples in
-    two units or more, else drawn in order on this thread."""
+    """The records of one chunk, built by :meth:`RecordUnits.build`: its
+    tail on a worker (:func:`on_two_threads`) when the chunk has at least
+    ``_PIPELINE_MIN_SAMPLES`` samples in two units or more, else both parts
+    on this thread."""
     batch = RecordUnits(params, master_seed, first_draw, n_draws)
-    if (_THREADS > 1 and len(batch.units) > 1
+    if (len(batch.units) > 1
             and n_draws * params.n_samples >= _PIPELINE_MIN_SAMPLES):
-        _pipelined(batch)
-        return batch.records()
-    return batch.in_order()
+        return batch.build(on_two_threads)
+    return batch.build()
 
 
 def _check_finite(scale: float, reduced) -> None:
@@ -330,15 +266,16 @@ def reduced_dft_draws(
     This is the one place that schedules a batch.  The draws are computed in
     the chunks of :func:`draw_chunks`, so memory beyond the 16 bytes per
     draw of the result does not grow with the batch.  A chunk's records are
-    built in the units of :class:`RecordUnits`.  When the process may use
-    two CPUs, a chunk of at least ``_PIPELINE_MIN_SAMPLES`` samples in two
-    units or more runs as a two-stage pipeline (:func:`_pipelined`): this
-    thread fills the units' Philox uniforms, the part that holds the GIL
-    for many small calls, and a worker thread started for that chunk (see
-    :func:`on_two_threads`) turns them into normals and records, which
-    NumPy and SciPy compute without the GIL.  Other chunks are drawn unit
-    by unit on this thread.  This thread then adds the noise into the
-    records, runs one Goertzel recurrence over the chunk and reduces it.
+    built in the units of :class:`RecordUnits`, by its one schedule
+    (:meth:`RecordUnits.build`): this thread fills the units' Philox
+    uniforms, the part that holds the GIL for many small calls, and turns
+    the filled units into normals and records, which NumPy and SciPy
+    compute without the GIL.  A chunk of at least
+    ``_PIPELINE_MIN_SAMPLES`` samples in two units or more also hands the
+    filled units to a worker thread started for that chunk (see
+    :func:`on_two_threads`), so the two stages overlap when the process
+    may use two CPUs.  This thread then adds the noise into the records,
+    runs one Goertzel recurrence over the chunk and reduces it.
     Every draw is a pure function of (seed, draw, channel), and its row
     passes through the same row-wise operations in any chunk, unit or
     thread, so all of this is layout only and the result has the same

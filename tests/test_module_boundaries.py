@@ -1,7 +1,9 @@
 """Each module keeps its private names: no ``from .module import _name``
 and no ``module._name`` read through ``from . import module`` across the
 modules of the package, so every decision stays behind the module that owns
-it.  The package exports a pinned list of functions, types and errors.
+it.  Only ``spectral_estimator.on_two_threads`` reads the thread count, and
+no other module imports a thread library.  The package exports a pinned
+list of functions, types and errors.
 Importing the package loads NumPy and ``scipy.special`` only: SciPy's
 heavier subpackages wait for the call that needs them."""
 import ast
@@ -99,6 +101,82 @@ def test_a_private_attribute_read_is_caught(tmp_path):
         (4, "spectral_estimator", "_THREADS"),
         (5, "rng", "_MASK64"),
         (7, "quadrature", "_budget")]
+
+
+# --- threads ---------------------------------------------------------------------
+
+THREAD_MODULES = ("threading", "concurrent")
+
+
+def threads_reads(path):
+    """(line, enclosing function) of each read of ``_THREADS`` in ``path``,
+    None outside any function."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = (child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+            if (isinstance(child, ast.Name) and child.id == "_THREADS"
+                    and isinstance(child.ctx, ast.Load)):
+                found.append((child.lineno, function))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
+
+
+def thread_imports(path):
+    """(line, module) of each import of ``threading`` or
+    ``concurrent.futures`` in ``path``, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        found.extend((node.lineno, name) for name in names
+                     if name.split(".")[0] in THREAD_MODULES)
+    return found
+
+
+def test_only_on_two_threads_reads_the_thread_count():
+    # one place decides whether a second thread runs; everything else
+    # hands its two parts to on_two_threads
+    reads = threads_reads(PACKAGE / "spectral_estimator.py")
+    assert reads and {function for _, function in reads} == {"on_two_threads"}
+    offenders = {path.name: threads_reads(path)
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name != "spectral_estimator.py"}
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_only_spectral_estimator_imports_threads():
+    offenders = {path.name: thread_imports(path)
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name != "spectral_estimator.py"}
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_a_thread_count_read_or_thread_import_is_caught(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("import os, threading\n"
+                    "from concurrent.futures import ThreadPoolExecutor\n"
+                    "_THREADS = 2\n"
+                    "def on_two_threads():\n"
+                    "    return _THREADS\n"
+                    "def _chunk_records():\n"
+                    "    import concurrent.futures\n"
+                    "    def part():\n"
+                    "        return _THREADS > 1\n"
+                    "WIDE = _THREADS\n")
+    assert threads_reads(path) == [(5, "on_two_threads"), (9, "part"),
+                                   (10, None)]
+    assert thread_imports(path) == [(1, "threading"),
+                                    (2, "concurrent.futures"),
+                                    (7, "concurrent.futures")]
 
 
 # --- the public API --------------------------------------------------------------

@@ -73,7 +73,7 @@ def _fresh_substream_normals(seed, draw, channel, count):
 def test_block_rows_match_fresh_philox_per_draw(channel, count):
     # counts that leave part of Philox's 4-word buffer unused must not leak
     # it into the next row; draws 2^64-3 .. 2^64+2 wrap to 0, 1, 2.  96 and
-    # 97 sit inside the kernel range and stay covered whatever the crossover.
+    # 97 stay covered whatever the crossover.
     first = 2**64 - 3
     block = rng.standard_normals_block(17, first, 6, channel, count)
     assert block.shape == (6, count)

@@ -10,7 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
-from syncphase.errors import EmptyInput, OutOfRange, ZeroVector
+from syncphase.errors import (EmptyInput, LengthMismatch, OutOfRange,
+                             ZeroVector)
 from syncphase.signal_model import (RecordUnits, generate, make_params,
                                     sigma_x_for_snr)
 from syncphase.spectral_estimator import (
@@ -166,6 +167,16 @@ class TestEstimatePhase:
         # arctan2(-0.0, -1.0) is -pi, the one endpoint outside (-pi, pi]
         assert principal_phase(np.array([complex(-1.0, -0.0)]))[0] == math.pi
         assert principal_phase(np.array([complex(-1.0, 0.0)]))[0] == math.pi
+
+    @pytest.mark.parametrize("n_record", [40, 19])  # too long, too short
+    def test_record_of_another_length_rejected(self, n_record):
+        # The tone of p for n_record samples.  Read with N = 20, 40 samples
+        # once gave a statistic of 3e-15, whose phase is rounding noise,
+        # and 19 samples a phase of 0.877 rad for a true 1.0, with no error.
+        p = params_for(20, phase=1.0)
+        record = np.cos(math.tau * np.arange(n_record) / 20 + 1.0)
+        with pytest.raises(LengthMismatch, match=f"{n_record} samples"):
+            estimate_phase(record, p)
 
     def test_all_zero_record_rejected(self):
         p = params_for(4)
@@ -433,7 +444,7 @@ def assert_drawn_once(calls):
     assert len(set(drawn)) == len(drawn)
 
 
-def assert_pipelined(calls):
+def assert_worker_started(calls):
     """assert_drawn_once, with a worker started for the units."""
     assert_drawn_once(calls)
     assert stages(calls, "fill") and pools(calls) >= 1
@@ -504,7 +515,7 @@ class TestTwoThreadSplit:
         n_draws = -(-self.MIN_SAMPLES // n) + extra  # odd and even counts
         p = params_for(n, snr_db=3.0, sigma_p=0.2, phase=0.7)
         d = reduced_dft_draws(p, SEED, first_draw, n_draws)
-        assert_pipelined(two_threads)
+        assert_worker_started(two_threads)
         drawn = stages(two_threads, "fill") + stages(two_threads, "draw")
         assert sum(size for _, size, _ in drawn) == 2 * n_draws
         two_threads.clear()
@@ -512,15 +523,15 @@ class TestTwoThreadSplit:
         assert d.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("noise", ["both", "phase only", "additive only"])
-    @pytest.mark.parametrize("n", [20, 100, 101, 1000])
+    @pytest.mark.parametrize("n", [20, 80, 81, 1000])
     @pytest.mark.parametrize("first_draw", [0, 2**64 - 7])
     def test_pipeline_equals_one_thread_and_one_draw_at_a_time(
             self, monkeypatch, two_threads, n, noise, first_draw):
-        # Units of 12, 2, 2 and 1 draws (64 Philox blocks each at most):
+        # Units of 12, 3, 3 and 1 draws (64 Philox blocks each at most):
         # 75 draws in chunks of 30, 30 and 15, so at N = 20 each chunk ends
         # on a partial unit, and from 2^64 - 7 the draw word wraps inside
         # the first chunk.
-        assert (n <= rng._KERNEL_MAX_COUNT) == (n <= 100)
+        assert (n <= rng._KERNEL_MAX_COUNT) == (n <= 80)
         monkeypatch.setattr(rng, "_SUB_BLOCK", 64)
         monkeypatch.setattr(spectral_estimator, "_CHUNK_BUDGET", 30 * n)
         monkeypatch.setattr(spectral_estimator, "_PIPELINE_MIN_SAMPLES", 0)
@@ -529,7 +540,7 @@ class TestTwoThreadSplit:
                        phase=0.7)
         n_draws = 75
         d = reduced_dft_draws(p, SEED, first_draw, n_draws)
-        assert_pipelined(two_threads)
+        assert_worker_started(two_threads)
         assert pools(two_threads) == 3  # one worker per chunk
         channels = 2 if noise == "both" else 1
         rows = rng.unit_rows(n)
@@ -554,7 +565,7 @@ class TestTwoThreadSplit:
         n_draws = spectral_estimator._PIPELINE_MIN_SAMPLES // n + 1
         p = params_for(n, snr_db=0.0, sigma_p=math.radians(1.0), phase=1.0)
         d = reduced_dft_draws(p, SEED, 5, n_draws)
-        assert_pipelined(two_threads)
+        assert_worker_started(two_threads)
         monkeypatch.setattr(spectral_estimator, "_THREADS", 1)
         two_threads.clear()
         sequential = reduced_dft_draws(p, SEED, 5, n_draws)
@@ -567,16 +578,18 @@ class TestTwoThreadSplit:
         assert d[-3:].tobytes() == tail.tobytes()
 
     def test_single_cpu_never_splits(self, monkeypatch, two_threads):
-        # one whole call: on one CPU every unit is drawn on this thread
+        # one whole call: on one CPU every unit is drawn on this thread,
+        # the head part (fills, the last unit's draw) before the transforms
         monkeypatch.setattr(spectral_estimator, "_THREADS", 1)
         monkeypatch.setattr(spectral_estimator, "_PIPELINE_MIN_SAMPLES",
                             self.MIN_SAMPLES)
         monkeypatch.setattr(spectral_estimator, "_worker_pool", no_pool)
         p = params_for(20, snr_db=3.0, sigma_p=0.2)
-        d = reduced_dft_draws(p, SEED, 0, 301)
+        # each part must take a stop of its own, or the tail waits forever
+        d = finishes(lambda: reduced_dft_draws(p, SEED, 0, 301))
         assert two_threads == [("fill", False, 0, 301, rng.CH_PHASE),
-                               ("transform", False, 0, 301, rng.CH_PHASE),
-                               ("draw", False, 0, 301, rng.CH_ADDITIVE)]
+                               ("draw", False, 0, 301, rng.CH_ADDITIVE),
+                               ("transform", False, 0, 301, rng.CH_PHASE)]
         assert d.tobytes() == one_draw_at_a_time(p, SEED, 0, 301).tobytes()
 
     @pytest.mark.parametrize("n, n_draws, sigma_p", [
@@ -604,7 +617,7 @@ class TestTwoThreadSplit:
         assert n * n_draws >= spectral_estimator._PIPELINE_MIN_SAMPLES
         reduced_dft_draws(params_for(n, snr_db=0.0, sigma_p=0.1), SEED, 0,
                           n_draws)
-        assert_pipelined(two_threads)
+        assert_worker_started(two_threads)
 
     def test_worker_transforms_while_the_caller_fills(self, monkeypatch,
                                                       two_threads):
@@ -784,7 +797,7 @@ class TestTwoThreadSplit:
         two_threads.clear()
         reduced_dft_draws(params_for(20, snr_db=3.0, sigma_p=0.2), SEED, 0,
                           200)
-        assert_pipelined(two_threads)
+        assert_worker_started(two_threads)
         assert syncphase_threads() == []
 
     def test_worker_is_joined_when_head_raises(self, monkeypatch):
