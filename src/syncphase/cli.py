@@ -20,6 +20,7 @@ Conventions:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -28,7 +29,9 @@ import re
 import sys
 from fractions import Fraction
 from itertools import product
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
+from typing import (
+    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -233,7 +236,11 @@ def _write_table(
     rows: Sequence[Sequence[Any]],
     provenance: Dict[str, Any],
     out_path: Optional[str],
+    csv_body: Optional[str] = None,
 ) -> None:
+    """Write the table as CSV or, with ``--json``, as JSON.  ``csv_body``,
+    if given, is the CSV rendering of ``rows`` (one line each), written in
+    place of formatting them."""
     meta = {"tool": f"syncphase {__version__}", "command": command, **provenance}
     buffer = io.StringIO()
     if o.json_output:
@@ -248,8 +255,11 @@ def _write_table(
         for key, value in meta.items():
             buffer.write(f"# {key}: {value}\n")
         buffer.write(",".join(columns) + "\n")
-        for row in rows:
-            buffer.write(",".join(_fmt(v) for v in row) + "\n")
+        if csv_body is None:
+            for row in rows:
+                buffer.write(",".join(_fmt(v) for v in row) + "\n")
+        else:
+            buffer.write(csv_body)
     if out_path:
         with open(out_path, "w") as fp:
             fp.write(buffer.getvalue())
@@ -418,14 +428,26 @@ def _cmd_mc(o) -> int:
         rows, provenance, o.out,
     )
     if o.hist_out:
-        centers = 0.5 * (report.hist_edges[:-1] + report.hist_edges[1:])
-        hist_rows = list(zip(np.degrees(centers).tolist(),
-                             report.hist_counts.tolist()))
+        thetas, cells = _hist_thetas(report.hist_edges.tobytes())
+        counts = report.hist_counts.tolist()
+        csv_body = None if o.json_output else "".join(
+            [cell + str(k) + "\n" for cell, k in zip(cells, counts)])
         _write_table(
-            o, "mc-hist", ["theta_deg", "count"], hist_rows,
-            provenance, o.hist_out,
+            o, "mc-hist", ["theta_deg", "count"], list(zip(thetas, counts)),
+            provenance, o.hist_out, csv_body,
         )
     return 0
+
+
+@functools.lru_cache(maxsize=1)
+def _hist_thetas(edges: bytes) -> Tuple[Tuple[float, ...], Tuple[str, ...]]:
+    """The histogram's bin centres in degrees, as floats and as the CSV
+    cells ``_fmt(theta) + ","``, from the float64 ``edges``.  ``run_mc``
+    returns the same edges in every run, so they are formatted once per
+    process."""
+    e = np.frombuffer(edges)
+    thetas = tuple(np.degrees(0.5 * (e[:-1] + e[1:])).tolist())
+    return thetas, tuple(_fmt(t) + "," for t in thetas)
 
 
 @_command("divergence", "divergences between the exact density, uniform, "

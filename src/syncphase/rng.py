@@ -27,7 +27,15 @@ give the words of a Philox freshly built for each substream:
   Philox increments counter word 0 before each 4-word block, so block b of
   draw d is the Philox function of ``[b, d, channel, 0]``,
   b = 1..ceil(count/4).  The kernel evaluates these counters for many draws
-  at once, with 64x64-bit products built from 32-bit limbs.
+  at once, with 64x64-bit products built from 32-bit limbs, and runs each
+  of the first three rounds on what its words depend on.  After round 1,
+  x0 depends on the draw alone, x1 is a constant, and x2 and x3 depend on
+  the block alone.  Round 1 and the block parts of rounds 2 and 3 are
+  Python ints, computed once per filler; round 2 multiplies x0 on a
+  (draws, 1) column and XORs it with a block row into x2; round 3
+  multiplies only x2 on the full (draws, blocks) arrays and leaves x3
+  block-only, which round 4 XORs in as a row.  Rounds 4 to 10 run on the
+  full arrays: 15 full-size high products per sub-block instead of 18.
 * above it, the native loop: one Philox per (seed, channel) whose counter is
   reset, for each draw, to ``[0, draw, channel, 0]`` with an empty output
   buffer.  The counter is reset rather than advanced: advancing carries out
@@ -35,32 +43,21 @@ give the words of a Philox freshly built for each substream:
 
 The crossover is measured, not tuned per caller.  At short records the
 native loop's cost is the per-draw state setter and ``random`` call (about
-3 us per substream), not the Philox arithmetic, and the kernel avoids both;
-its own cost grows with ``count``.  Filling 2000 draws on 2 cores
-(NumPy 2.4), the kernel took 0.3x the native time at count 20, 0.6x at 48
-and 0.87x at 96.  Kernel time over native time for ``reduced_dft_draws``
-at 0 dB and 1 degree, medians of interleaved runs (31 at 2*10^5 samples for
-counts 96 to 112, 21 above; 9 at 4*10^6), on one thread:
+3 us per substream), not the Philox arithmetic, and the kernel avoids
+both; its own cost grows with the ceil(count/4) Philox blocks of a
+substream.  Kernel time over native time for
+``reduced_dft_draws`` at 0 dB and 1 degree, every fill on the calling
+thread and the transforms shared with a worker (2 cores, NumPy 2.4),
+lowest and highest median of interleaved runs in eight sets of 31 to 61
+runs at 2*10^5 samples (six at count 100) and four sets of 9 at 4*10^6:
 
-    count            96    100   104   108   112   120   128   200   256
-    one thread, 2e5  0.91  0.96  1.13  1.08  1.02  1.09  1.11  1.24  1.32
-    one thread, 4e6  1.00  0.99  0.95  1.00  0.91  0.82  0.97  1.22  1.25
+    count     80         84         88         92         96         100
+    2e5       0.87-0.95  0.89-0.97  0.91-0.99  0.92-1.03  0.95-1.04  1.03-1.05
+    4e6       0.75-0.82  0.80-0.86  0.79-0.88  0.81-0.90  0.84-0.89  0.88-0.96
 
-On one thread the kernel stops winning after 100: at 100 it won 26 of 31
-small batches, from 104 to 112 at most 14 of 31, at 120 and above none
-of 21.  With every fill on the calling thread and the transforms shared
-with a worker, the crossover is lower (61 runs at 2*10^5, 9 at 4*10^6):
-
-    count            80    84    88    92    96    100
-    two threads, 2e5 1.00  1.06  1.08  1.12  1.15  1.15
-    two threads, 4e6 0.89  0.98  0.95  0.96  1.00  1.09
-
-In other sets of 31 to 61 runs at 2*10^5 (five at 80, four at 84 and 88)
-the ratio was 0.89 to 1.02 at 80 and 0.97 to 1.12 at 84 and 88.  80 is
-the largest count at which the kernel came within 2% of the native loop
-in every set at either size, so the kernel fills counts up to 80 and the
-native loop longer records.  On one CPU, counts 81 to 100 fill up to 9%
-slower than they could.
+88 is the largest count at which the kernel came within 2% of the native
+loop in every set at either size, so the kernel fills counts up to 88 and
+the native loop longer records.
 
 The kernel works in sub-blocks of ``_SUB_BLOCK`` Philox blocks (3276 draws
 at count 20) over one set of work buffers (about 1.8 MB), updated in
@@ -102,7 +99,7 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 # Largest samples-per-substream count filled by the NumPy kernel; measured,
 # see the module docstring.
-_KERNEL_MAX_COUNT = 80
+_KERNEL_MAX_COUNT = 88
 # Philox blocks per kernel sub-block.
 _SUB_BLOCK = 16384
 
@@ -144,20 +141,49 @@ def _philox_filler(key0: int, channel: int, count: int,
     count) gets the ``random()`` values, (w >> 11) * 2^-53, of the first
     ``count`` words of the Philox blocks [b, first_draw + j, channel, 0],
     b = 1, 2, ...  The work buffers hold one sub-block of at most
-    ``max_rows`` draws and are reused by every call."""
+    ``max_rows`` draws and are reused by every call.
+
+    Rounds 1 to 3 are factored by what their words depend on (module
+    docstring); rounds 4 to 10 run on full (draws, blocks) arrays."""
     n_blocks = -(-count // 4)
     rows = min(max(1, max_rows), unit_rows(count))
-    # counter words x0..x3, high products h0, h1, work s0..s2
+    # full-size counter words x0..x3, high products h0, h1, work s0..s2
     bufs = np.empty((9, rows, n_blocks), dtype=np.uint64)
+    # the draw column: round-1 x0, its high product, work c0..c2
+    cols = np.empty((5, rows, 1), dtype=np.uint64)
     words = np.empty((rows, n_blocks, 4), dtype=np.uint64)
     offsets = np.arange(rows, dtype=np.uint64)[:, None]
     m0, m1 = np.uint64(_PHILOX_M[0]), np.uint64(_PHILOX_M[1])
-    # Round 1 multiplies only b and the channel, so it is done once here in
-    # Python ints; the draw word enters it through an XOR alone.
+    keys = [((key0 + r * _PHILOX_W[0]) & _MASK64,
+             (_KEY_SALT + r * _PHILOX_W[1]) & _MASK64)
+            for r in range(_PHILOX_ROUNDS)]
+
+    def block_row(values) -> np.ndarray:
+        return np.array(values, dtype=np.uint64)
+
+    # Round 1 of [b, d, channel, 0]: x0 = d ^ x0_draw, x1 = x1_ch, and x2
+    # and x3 depend on b alone.
     p_ch = channel * _PHILOX_M[1]
+    x0_draw = np.uint64((p_ch >> 64) ^ keys[0][0])
+    x1_ch = p_ch & _MASK64
     p_b = [b * _PHILOX_M[0] for b in range(1, n_blocks + 1)]
-    x2_first = np.array([(p >> 64) ^ _KEY_SALT for p in p_b], dtype=np.uint64)
-    x3_first = np.array([p & _MASK64 for p in p_b], dtype=np.uint64)
+    x2_b = [(q >> 64) ^ keys[0][1] for q in p_b]
+    x3_b = [q & _MASK64 for q in p_b]
+    # Round 2: x0 and x1 depend on b alone; hi/lo(x0 M0) are draw columns,
+    # x2 = hi(x0 M0) ^ r2_x2 and x3 = lo(x0 M0).
+    k0, k1 = keys[1]
+    q_b = [x * _PHILOX_M[1] for x in x2_b]
+    x0_b = [(q >> 64) ^ x1_ch ^ k0 for q in q_b]
+    x1_b = [q & _MASK64 for q in q_b]
+    r2_x2 = block_row([x ^ k1 for x in x3_b])
+    # Round 3: x0 = hi(x2 M1) ^ r3_x0 and x1 = lo(x2 M1) are full size,
+    # x2 = (round-2 x3) ^ r3_x2, and x3 = r3_x3 depends on b alone.
+    k0, k1 = keys[2]
+    q_b = [x * _PHILOX_M[0] for x in x0_b]
+    r3_x0 = block_row([x ^ k0 for x in x1_b])
+    r3_x2 = block_row([(q >> 64) ^ k1 for q in q_b])
+    r3_x3 = block_row([q & _MASK64 for q in q_b])
+    full_keys = [(np.uint64(k0), np.uint64(k1)) for k0, k1 in keys[3:]]
 
     def fill(u: np.ndarray, first_draw: int) -> None:
         n_draws = u.shape[0]
@@ -166,29 +192,32 @@ def _philox_filler(key0: int, channel: int, count: int,
         for start in range(0, n_draws, rows):
             m = min(rows, n_draws - start)
             x0, x1, x2, x3, h0, h1, s0, s1, s2 = bufs[:, :m]
+            d, dh, c0, c1, c2 = cols[:, :m]
             # uint64 arithmetic wraps, so the draw word is taken mod 2^64
             np.add(offsets[:m], np.uint64((first_draw + start) & _MASK64),
-                   out=x0)
-            x0 ^= np.uint64((p_ch >> 64) ^ key0)
-            x1.fill(p_ch & _MASK64)
-            x2[...] = x2_first
-            x3[...] = x3_first
-            k0 = (key0 + _PHILOX_W[0]) & _MASK64
-            k1 = (_KEY_SALT + _PHILOX_W[1]) & _MASK64
-            for _ in range(_PHILOX_ROUNDS - 1):
+                   out=d)
+            d ^= x0_draw
+            _mulhi(d, _PHILOX_M[0], dh, c0, c1, c2)
+            d *= m0  # round-2 x3
+            np.bitwise_xor(dh, r2_x2, out=x2)
+            _mulhi(x2, _PHILOX_M[1], x0, s0, s1, s2)
+            x0 ^= r3_x0
+            np.multiply(x2, m1, out=x1)
+            np.bitwise_xor(d, r3_x2, out=x2)
+            x3_in = r3_x3
+            for k0, k1 in full_keys:
                 # (x0, x1, x2, x3) <- (hi(x2 M1) ^ x1 ^ k0, lo(x2 M1),
                 #                      hi(x0 M0) ^ x3 ^ k1, lo(x0 M0))
                 _mulhi(x2, _PHILOX_M[1], h1, s0, s1, s2)
                 h1 ^= x1
-                h1 ^= np.uint64(k0)
+                h1 ^= k0
                 np.multiply(x2, m1, out=x1)
                 _mulhi(x0, _PHILOX_M[0], h0, s0, s1, s2)
-                h0 ^= x3
-                h0 ^= np.uint64(k1)
+                h0 ^= x3_in
+                h0 ^= k1
                 np.multiply(x0, m0, out=x3)
+                x3_in = x3
                 x0, x2, h0, h1 = h1, h0, x2, x0  # old x0, x2 are free again
-                k0 = (k0 + _PHILOX_W[0]) & _MASK64
-                k1 = (k1 + _PHILOX_W[1]) & _MASK64
             w = words[:m]
             for i, x in enumerate((x0, x1, x2, x3)):
                 np.right_shift(x, _SHIFT11, out=w[:, :, i])

@@ -838,6 +838,41 @@ class TestMcCommand:
         assert np.diff(centers) == pytest.approx(0.5, abs=1e-9)
         assert sum(counts) == 5000
 
+    def test_histogram_bytes_match_the_generic_rendering(self, tmp_path,
+                                                         monkeypatch):
+        # The θ column is formatted once per process; the table must have
+        # the bytes that _write_table gives the report's rows through _fmt,
+        # and a CSV run must not see a JSON run's cells, or the reverse.
+        write_table, reports, calls = cli._write_table, [], []
+
+        def record_run(config):
+            reports.append(run_mc(config))
+            return reports[-1]
+
+        def record_write(*args):
+            calls.append(args)
+            write_table(*args)
+
+        monkeypatch.setattr(cli, "run_mc", record_run)
+        monkeypatch.setattr(cli, "_write_table", record_write)
+        cli._hist_thetas.cache_clear()
+        for i, fmt in enumerate(["csv", "json", "csv", "json"]):
+            hist = tmp_path / f"hist{i}.{fmt}"
+            argv = ["mc", "--snr-db", "-10", "--sigma-p-deg", "5", "--n",
+                    "20", "--draws", str(300 + i), "--seed", str(i),
+                    "--out", str(tmp_path / "t"), "--hist-out", str(hist)]
+            assert main(argv + ["--json"] * (fmt == "json")) == 0
+            o, command, columns, _, provenance = calls[-1][:5]
+            assert command == "mc-hist"
+            edges = reports[-1].hist_edges
+            centers = 0.5 * (edges[:-1] + edges[1:])
+            rows = list(zip(np.degrees(centers).tolist(),
+                            reports[-1].hist_counts.tolist()))
+            generic = tmp_path / f"generic{i}.{fmt}"
+            write_table(o, command, columns, rows, provenance, str(generic))
+            assert hist.read_bytes() == generic.read_bytes(), fmt
+        assert cli._hist_thetas.cache_info().misses == 1
+
 
 class TestDivergenceCommand:
     def test_divergence_sweep(self, tmp_path):

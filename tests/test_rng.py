@@ -1,4 +1,5 @@
 """Tests for the counter-based noise streams."""
+import random
 import tracemalloc
 
 import numpy as np
@@ -69,17 +70,87 @@ def _fresh_substream_normals(seed, draw, channel, count):
 
 @pytest.mark.parametrize("channel", [rng.CH_PHASE, rng.CH_ADDITIVE])
 @pytest.mark.parametrize("count", sorted({
-    1, 3, 4, 33, 0, 96, 97, rng._KERNEL_MAX_COUNT, rng._KERNEL_MAX_COUNT + 1}))
+    1, 3, 4, 33, 0, 80, 81, 96, 97, rng._KERNEL_MAX_COUNT,
+    rng._KERNEL_MAX_COUNT + 1}))
 def test_block_rows_match_fresh_philox_per_draw(channel, count):
     # counts that leave part of Philox's 4-word buffer unused must not leak
-    # it into the next row; draws 2^64-3 .. 2^64+2 wrap to 0, 1, 2.  96 and
-    # 97 stay covered whatever the crossover.
+    # it into the next row; draws 2^64-3 .. 2^64+2 wrap to 0, 1, 2.  80, 81,
+    # 96 and 97 stay covered whatever the crossover.
     first = 2**64 - 3
     block = rng.standard_normals_block(17, first, 6, channel, count)
     assert block.shape == (6, count)
     for j in range(6):
         want = _fresh_substream_normals(17, first + j, channel, count)
         assert np.array_equal(block[j], want)
+
+
+def _random_kernel_cases(n_cases=40):
+    """(seed, first_draw, n_draws, channel, count) drawn from a fixed seed:
+    seeds at and above 2^63 and 2^64 - 1, first draws that wrap past 2^64,
+    counts 1 to 80 including non-multiples of 4, both channels."""
+    r = random.Random(20211019)
+    cases = []
+    for i in range(n_cases):
+        seed = (2**64 - 1, 2**63 + r.getrandbits(63), r.getrandbits(64),
+                r.getrandbits(70))[i % 4]
+        n_draws = r.randint(1, 6)
+        if i % 3 == 0:
+            first = 2**64 - r.randint(1, n_draws)  # wraps inside the block
+        else:
+            first = r.getrandbits(64)
+        count = (1, 80, 4 * r.randint(1, 20) - r.randint(1, 3),
+                 r.randint(1, 80))[i % 4]
+        cases.append((seed, first, n_draws, i % 2, count))
+    return cases
+
+
+@pytest.mark.parametrize("seed,first,n_draws,channel,count",
+                         _random_kernel_cases())
+def test_random_kernel_cases_match_fresh_philox(seed, first, n_draws,
+                                                channel, count):
+    # the kernel folds its first three rounds into key-dependent constants,
+    # so a seed or draw word not taken mod 2^64 shows up here
+    block = rng.standard_normals_block(seed, first, n_draws, channel, count)
+    for j in range(n_draws):
+        want = _fresh_substream_normals(seed, first + j, channel, count)
+        assert np.array_equal(block[j], want), j
+
+
+def test_random_kernel_cases_cover_the_edges():
+    cases = _random_kernel_cases()
+    assert len(cases) == 40
+    assert any(seed == 2**64 - 1 for seed, *_ in cases)
+    assert any(seed >= 2**64 for seed, *_ in cases)
+    assert sum(2**63 <= seed < 2**64 for seed, *_ in cases) >= 10
+    assert any(first + n > 2**64 for _, first, n, _, _ in cases)
+    assert {channel for *_, channel, _ in cases} == {0, 1}
+    counts = {count for *_, count in cases}
+    assert {1, 80} <= counts and any(count % 4 for count in counts)
+    assert all(1 <= count <= rng._KERNEL_MAX_COUNT for count in counts)
+
+
+def test_kernel_runs_fifteen_full_size_products_per_sub_block(monkeypatch):
+    # Rounds 1-3 work on block-only or draw-only factors: one high product
+    # per sub-block on the draw column, 15 on full (draws, blocks) arrays.
+    monkeypatch.setattr(rng, "_SUB_BLOCK", 64)  # 12 draws at count 20
+    shapes = []
+    mulhi = rng._mulhi
+
+    def counting(x, m, out, s0, s1, s2):
+        shapes.append(x.shape)
+        mulhi(x, m, out, s0, s1, s2)
+
+    monkeypatch.setattr(rng, "_mulhi", counting)
+    u = rng._uniforms_block(5, 2**64 - 20, 30, rng.CH_ADDITIVE, 20)
+    sub_blocks = [(12, 5), (12, 5), (6, 5)]
+    want = []
+    for rows, blocks in sub_blocks:
+        want += [(rows, 1)] + [(rows, blocks)] * 15
+    assert shapes == want
+    for j in (0, 19, 20, 29):  # the draw word wraps at j = 20
+        z = ndtri(u[j])
+        assert np.array_equal(
+            z, _fresh_substream_normals(5, 2**64 - 20 + j, 1, 20))
 
 
 def test_kernel_sub_blocks_match_fresh_philox_per_draw():
