@@ -48,22 +48,31 @@ both; its own cost grows with the ceil(count/4) Philox blocks of a
 substream.  Kernel time over native time for
 ``reduced_dft_draws`` at 0 dB and 1 degree, every fill on the calling
 thread and the transforms shared with a worker (2 cores, NumPy 2.4),
-lowest and highest median of interleaved runs in eight sets of 31 to 61
-runs at 2*10^5 samples (six at count 100) and four sets of 9 at 4*10^6:
+lowest and highest median of interleaved runs, each set in a fresh
+process: eight sets of 41 runs at 2*10^5 samples and four sets of 9 at
+4*10^6:
 
-    count     80         84         88         92         96         100
-    2e5       0.87-0.95  0.89-0.97  0.91-0.99  0.92-1.03  0.95-1.04  1.03-1.05
-    4e6       0.75-0.82  0.80-0.86  0.79-0.88  0.81-0.90  0.84-0.89  0.88-0.96
+    count  92         96         100        104        108        112
+    2e5    0.93-0.96  0.95-0.97  0.95-0.98  0.99-1.04  0.99-1.01  1.03-1.08
+    4e6    0.86-0.91  0.88-0.94  0.90-0.96  0.95-1.00  0.93-0.98  0.99-1.04
 
-88 is the largest count at which the kernel came within 2% of the native
-loop in every set at either size, so the kernel fills counts up to 88 and
-the native loop longer records.
+100 is the largest count up to which the kernel came within 2% of the
+native loop in every set at both sizes (104 reached 1.035 in one set), so
+the kernel fills counts up to 100 and the native loop longer records.
 
 The kernel works in sub-blocks of ``_SUB_BLOCK`` Philox blocks (3276 draws
-at count 20) over one set of work buffers (about 1.8 MB), updated in
-place, so its memory does not grow with ``n_draws`` and the buffers stay in
-cache.  For a 200k-draw chunk at count 20, one pass over the whole chunk
-took 0.29 s and 106 MB of work buffers; sub-blocked, 0.14 s and 1.8 MB.
+at count 20), updated in place in one fixed-size arena of work memory
+(``_ARENA_WORDS``, about 2.4 MB), so its memory does not grow with
+``n_draws`` and the arena stays in cache.  For a 200k-draw chunk at count
+20, one pass over the whole chunk took 0.29 s and 106 MB of work buffers;
+sub-blocked, 0.14 s and 1.8 MB.  A fill takes an arena from the free list
+``_ARENAS`` for one call and puts it back when the call ends, also when it
+raises, so concurrent fills never share one.  The arenas are kept for the
+process.  Buffers allocated per filler went back to the OS at the end of
+each ``mc`` call and were faulted in again by the next: an ``mc`` call at
+N = 20 and 4000 draws took about 1050 minor page faults, and takes about
+280 with the pool.  A fill writes every arena word before it reads it, so
+the words another fill left there change no bit.
 
 Channels:
     CH_PHASE    multiplicative phase-noise samples
@@ -99,9 +108,17 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 # Largest samples-per-substream count filled by the NumPy kernel; measured,
 # see the module docstring.
-_KERNEL_MAX_COUNT = 88
+_KERNEL_MAX_COUNT = 100
 # Philox blocks per kernel sub-block.
 _SUB_BLOCK = 16384
+# uint64 words of one kernel arena: 9 work words and 4 output words per
+# Philox block of a sub-block, and 5 draw-column words per draw, of which a
+# sub-block holds at most _SUB_BLOCK.
+_ARENA_WORDS = 18 * _SUB_BLOCK
+# Free kernel arenas, kept for the process.  A fill pops one (or allocates
+# one if none is free) and appends it back when it ends; both are atomic
+# under the GIL, so the list never holds more arenas than fills ran at once.
+_ARENAS: list = []
 
 _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
@@ -135,23 +152,19 @@ def unit_rows(count: int) -> int:
     return max(1, _SUB_BLOCK // max(1, -(-count // 4)))
 
 
-def _philox_filler(key0: int, channel: int, count: int,
-                   max_rows: int) -> Callable[[np.ndarray, int], None]:
+def _philox_filler(key0: int, channel: int,
+                   count: int) -> Callable[[np.ndarray, int], None]:
     """fill(u, first_draw) for the NumPy kernel: row j of u (n_draws,
     count) gets the ``random()`` values, (w >> 11) * 2^-53, of the first
     ``count`` words of the Philox blocks [b, first_draw + j, channel, 0],
-    b = 1, 2, ...  The work buffers hold one sub-block of at most
-    ``max_rows`` draws and are reused by every call.
+    b = 1, 2, ...  Each call works in sub-blocks of ``unit_rows(count)``
+    draws, in an arena taken from ``_ARENAS`` for the call.
 
     Rounds 1 to 3 are factored by what their words depend on (module
     docstring); rounds 4 to 10 run on full (draws, blocks) arrays."""
     n_blocks = -(-count // 4)
-    rows = min(max(1, max_rows), unit_rows(count))
-    # full-size counter words x0..x3, high products h0, h1, work s0..s2
-    bufs = np.empty((9, rows, n_blocks), dtype=np.uint64)
-    # the draw column: round-1 x0, its high product, work c0..c2
-    cols = np.empty((5, rows, 1), dtype=np.uint64)
-    words = np.empty((rows, n_blocks, 4), dtype=np.uint64)
+    rows = unit_rows(count)
+    size = rows * n_blocks
     offsets = np.arange(rows, dtype=np.uint64)[:, None]
     m0, m1 = np.uint64(_PHILOX_M[0]), np.uint64(_PHILOX_M[1])
     keys = [((key0 + r * _PHILOX_W[0]) & _MASK64,
@@ -186,9 +199,24 @@ def _philox_filler(key0: int, channel: int, count: int,
     full_keys = [(np.uint64(k0), np.uint64(k1)) for k0, k1 in keys[3:]]
 
     def fill(u: np.ndarray, first_draw: int) -> None:
-        n_draws = u.shape[0]
         if n_blocks == 0:
             return
+        try:
+            arena = _ARENAS.pop()
+        except IndexError:
+            arena = np.empty(_ARENA_WORDS, dtype=np.uint64)
+        try:
+            fill_in(arena, u, first_draw)
+        finally:
+            _ARENAS.append(arena)
+
+    def fill_in(arena: np.ndarray, u: np.ndarray, first_draw: int) -> None:
+        # full-size counter words x0..x3, high products h0, h1, work s0..s2
+        bufs = arena[:9 * size].reshape(9, rows, n_blocks)
+        words = arena[9 * size:13 * size].reshape(rows, n_blocks, 4)
+        # the draw column: round-1 x0, its high product, work c0..c2
+        cols = arena[13 * size:13 * size + 5 * rows].reshape(5, rows, 1)
+        n_draws = u.shape[0]
         for start in range(0, n_draws, rows):
             m = min(rows, n_draws - start)
             x0, x1, x2, x3, h0, h1, s0, s1, s2 = bufs[:, :m]
@@ -253,16 +281,16 @@ def _native_filler(key0: int, channel: int) -> Callable[[np.ndarray, int], None]
     return fill
 
 
-def uniform_filler(seed: int, channel: int, count: int,
-                   max_rows: int) -> Callable[[np.ndarray, int], None]:
+def uniform_filler(seed: int, channel: int,
+                   count: int) -> Callable[[np.ndarray, int], None]:
     """fill(u, first_draw): the uniforms on (0, 1) of substreams
     first_draw + j of ``channel``, written into the rows of u, an
-    (n_draws, count) float array.  The fill stage: the filler keeps its
-    generator or kernel buffers (sized for ``max_rows`` draws) from call to
-    call, so one thread makes every call of one filler."""
+    (n_draws, count) float array.  The fill stage.  A native filler keeps
+    its generator from call to call, so one thread makes every call of one
+    filler; a kernel call works in a process-wide arena of its own."""
     key0 = seed & _MASK64
     if count <= _KERNEL_MAX_COUNT:
-        fill_words = _philox_filler(key0, channel, count, max_rows)
+        fill_words = _philox_filler(key0, channel, count)
     else:
         fill_words = _native_filler(key0, channel)
 
@@ -281,7 +309,7 @@ def _uniforms_block(
     if count < 0:
         raise OutOfRange("count must be non-negative")
     u = np.empty((n_draws, count))
-    uniform_filler(seed, channel, count, n_draws)(u, first_draw)
+    uniform_filler(seed, channel, count)(u, first_draw)
     return u
 
 

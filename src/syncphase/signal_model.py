@@ -220,7 +220,6 @@ class RecordUnits:
                       for start in range(0, n_draws, step)
                       for channel in self._rows]
         self._fills = {}
-        self._max_rows = min(step, n_draws)
 
     def draw(self, unit) -> None:
         """Fill and transform a unit through ``rng.standard_normals_block``."""
@@ -236,7 +235,7 @@ class RecordUnits:
         fill = self._fills.get(channel)
         if fill is None:
             fill = self._fills[channel] = rng.uniform_filler(
-                self.seed, channel, self.params.n_samples, self._max_rows)
+                self.seed, channel, self.params.n_samples)
         fill(self._rows[channel][start:stop], self.first_draw + start)
 
     def transform(self, unit) -> None:

@@ -1,5 +1,7 @@
 """Tests for the counter-based noise streams."""
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -70,12 +72,12 @@ def _fresh_substream_normals(seed, draw, channel, count):
 
 @pytest.mark.parametrize("channel", [rng.CH_PHASE, rng.CH_ADDITIVE])
 @pytest.mark.parametrize("count", sorted({
-    1, 3, 4, 33, 0, 80, 81, 96, 97, rng._KERNEL_MAX_COUNT,
+    1, 3, 4, 33, 0, 80, 81, 88, 89, 96, 97, rng._KERNEL_MAX_COUNT,
     rng._KERNEL_MAX_COUNT + 1}))
 def test_block_rows_match_fresh_philox_per_draw(channel, count):
     # counts that leave part of Philox's 4-word buffer unused must not leak
     # it into the next row; draws 2^64-3 .. 2^64+2 wrap to 0, 1, 2.  80, 81,
-    # 96 and 97 stay covered whatever the crossover.
+    # 88, 89, 96 and 97 stay covered whatever the crossover.
     first = 2**64 - 3
     block = rng.standard_normals_block(17, first, 6, channel, count)
     assert block.shape == (6, count)
@@ -177,6 +179,139 @@ def test_kernel_work_memory_does_not_grow_with_draws():
         tracemalloc.stop()
     assert z.shape == (50_000, 20)
     assert peak - z.nbytes < 4 * 2**20
+
+
+def _arena_probe(monkeypatch, on_call):
+    """Wrap ``rng._mulhi`` so that on_call(out) sees every full-size or
+    draw-column array a kernel fill writes, and give the test an empty
+    arena pool of its own."""
+    monkeypatch.setattr(rng, "_ARENAS", [])
+    mulhi = rng._mulhi
+
+    def probe(x, m, out, s0, s1, s2):
+        on_call(out)
+        mulhi(x, m, out, s0, s1, s2)
+
+    monkeypatch.setattr(rng, "_mulhi", probe)
+
+
+def _assert_fresh_rows(u, seed, first, channel):
+    for j, row in enumerate(u):
+        want = _fresh_substream_normals(seed, first + j, channel, u.shape[1])
+        assert np.array_equal(ndtri(row), want), j
+
+
+def test_kernel_fillers_reuse_one_arena(monkeypatch):
+    # Every filler works in the one pooled arena, and each call below starts
+    # on the words another filler (other channel, count and seed) left there.
+    outs = []
+    _arena_probe(monkeypatch, outs.append)
+    rng.uniform_filler(3, rng.CH_PHASE, 33)(np.empty((5, 33)), 0)
+    assert len(rng._ARENAS) == 1
+    arena = rng._ARENAS[0]
+    assert arena.size == rng._ARENA_WORDS
+    assert all(np.shares_memory(out, arena) for out in outs)
+    fillers = [(11, 1), (2**64 - 1, 20), (2**63 + 5, 88)]
+    fillers = [(seed, count, rng.uniform_filler(seed, rng.CH_ADDITIVE, count))
+               for seed, count in fillers]
+    for first in (2**64 - 3, 40, 7):
+        for seed, count, fill in fillers:
+            outs.clear()
+            u = np.empty((6, count))
+            fill(u, first)
+            assert outs and all(np.shares_memory(out, arena) for out in outs)
+            assert len(rng._ARENAS) == 1 and rng._ARENAS[0] is arena
+            _assert_fresh_rows(u, seed, first, rng.CH_ADDITIVE)
+
+
+def test_concurrent_fills_take_separate_arenas(monkeypatch):
+    # Each thread waits inside its fill, after taking its arena, until the
+    # other has taken one too, so the two fills run at the same time.
+    barrier = threading.Barrier(2, timeout=60)
+    outs = {}
+
+    def meet(out):
+        ident = threading.get_ident()
+        if len(outs) < 2 and ident not in outs:
+            outs[ident] = out
+            barrier.wait()
+
+    _arena_probe(monkeypatch, meet)
+    seed, first, count = 2**64 + 3, 2**64 - 2, 20
+    results, errors = {}, []
+
+    def run(channel):
+        try:
+            u = np.empty((7, count))
+            rng.uniform_filler(seed, channel, count)(u, first)
+            results[channel] = u
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(channel,))
+               for channel in (rng.CH_PHASE, rng.CH_ADDITIVE)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(60)
+    assert not errors and not any(t.is_alive() for t in threads)
+    a, b = rng._ARENAS
+    assert a is not b
+    one, other = outs.values()
+    assert not np.shares_memory(one, other)
+    for channel, u in results.items():
+        assert np.array_equal(
+            u, rng._uniforms_block(seed, first, 7, channel, count))
+        _assert_fresh_rows(u, seed, first, channel)
+    assert len(rng._ARENAS) == 2
+
+
+def test_fills_on_more_threads_than_cores_keep_their_bits(monkeypatch):
+    # a lost or doubled pop/append would leave a wrong or repeated arena
+    monkeypatch.setattr(rng, "_ARENAS", [])
+    n_threads, n_fills, count = 4, 25, 20
+    want = [rng._uniforms_block(7, 50 * i, 50, i % 2, count)
+            for i in range(n_threads)]
+    assert len(rng._ARENAS) == 1
+    errors = []
+
+    def run(i):
+        fill = rng.uniform_filler(7, i % 2, count)
+        try:
+            for _ in range(n_fills):
+                u = np.empty((50, count))
+                fill(u, 50 * i)
+                assert np.array_equal(u, want[i])
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,))
+               for i in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(t.is_alive() for t in threads)
+    assert 1 <= len(rng._ARENAS) <= n_threads
+    assert len({id(arena) for arena in rng._ARENAS}) == len(rng._ARENAS)
+
+
+def test_a_failing_fill_returns_its_arena(monkeypatch):
+    monkeypatch.setattr(rng, "_ARENAS", [])
+    fill = rng.uniform_filler(1, rng.CH_PHASE, 20)
+    with pytest.raises(ValueError):
+        fill(np.empty((4, 21)), 0)  # u has the wrong shape
+    assert len(rng._ARENAS) == 1
+    arena = rng._ARENAS[0]
+    u = np.empty((4, 20))
+    fill(u, 0)
+    assert len(rng._ARENAS) == 1 and rng._ARENAS[0] is arena
+    _assert_fresh_rows(u, 1, 0, rng.CH_PHASE)
 
 
 def test_back_to_back_blocks_share_no_state():

@@ -523,15 +523,15 @@ class TestTwoThreadSplit:
         assert d.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("noise", ["both", "phase only", "additive only"])
-    @pytest.mark.parametrize("n", [20, 80, 81, 88, 89, 1000])
+    @pytest.mark.parametrize("n", [20, 80, 81, 88, 89, 100, 101, 1000])
     @pytest.mark.parametrize("first_draw", [0, 2**64 - 7])
     def test_pipeline_equals_one_thread_and_one_draw_at_a_time(
             self, monkeypatch, two_threads, n, noise, first_draw):
-        # Units of 12, 3, 3, 2, 2 and 1 draws (64 Philox blocks each at most):
-        # 75 draws in chunks of 30, 30 and 15, so at N = 20 each chunk ends
-        # on a partial unit, and from 2^64 - 7 the draw word wraps inside
-        # the first chunk.
-        assert (n <= rng._KERNEL_MAX_COUNT) == (n <= 88)
+        # Units of 12, 3, 3, 2, 2, 2, 2 and 1 draws (64 Philox blocks each at
+        # most): 75 draws in chunks of 30, 30 and 15, so at N = 20 each chunk
+        # ends on a partial unit, and from 2^64 - 7 the draw word wraps
+        # inside the first chunk.
+        assert (n <= rng._KERNEL_MAX_COUNT) == (n <= 100)
         monkeypatch.setattr(rng, "_SUB_BLOCK", 64)
         monkeypatch.setattr(spectral_estimator, "_CHUNK_BUDGET", 30 * n)
         monkeypatch.setattr(spectral_estimator, "_PIPELINE_MIN_SAMPLES", 0)
