@@ -2,12 +2,12 @@
 
 Determinism contract: every aggregate is a pure function of
 (params, n_draws, master_seed).  Draw ``d`` always consumes the substreams
-keyed by ``(master_seed, d, channel)``.  ``reduced_dft_draws`` alone decides
-how a batch is computed (the chunks of ``draw_chunks``, a large chunk
-pipelined across two threads); each draw's statistic depends on its own substreams
-alone and lands at its own index, so that is layout only.  ``run_mc`` walks
-the same ``draw_chunks``, one partial per chunk in a fixed order, and
-combines the chunk partials by pairwise summation.
+keyed by ``(master_seed, d, channel)``.  A batch is computed in the chunks
+of ``draw_chunks``, each built by ``signal_model.RecordUnits.build`` (a large
+chunk pipelined across two threads); each draw's statistic depends on its
+own substreams alone and lands at its own index, so that is layout only.
+``run_mc`` walks the same ``draw_chunks``, one partial per chunk in a fixed
+order, and combines the chunk partials by pairwise summation.
 Henze-Zirkler's pair sum may run the two top-level nodes of its pairwise
 summation on two threads; each node adds its terms in np.sum's own order
 and the two are added as np.sum adds them, so that split does not change a
@@ -41,9 +41,9 @@ from .errors import (
     TooFewPoints,
 )
 from .phase_pdf import wrap_angle
-from .signal_model import SignalParams
-from .spectral_estimator import (draw_chunks, on_two_threads,
-                                  principal_phase, reduced_dft_draws)
+from .signal_model import SignalParams, on_two_threads
+from .spectral_estimator import (draw_chunks, principal_phase,
+                                  reduced_dft_draws)
 
 HIST_BINS = 720
 

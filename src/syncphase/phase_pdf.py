@@ -294,9 +294,12 @@ def classify_regime(
     PhaseNoiseFloor:  phase noise dominates, 1 - beta_p^2 > 10/SNR;
     Linear:           beta_p > 0.9999 and rmse within 2% of 1/sqrt(N*SNR);
     Transitional:     everything else.
+    Raises OutOfRange for an rmse that is not finite and > 0.
     """
     if rmse is None:
         rmse = rmse_polar(PolarPdf.from_moments(moments))
+    elif not (0.0 < rmse < math.inf):
+        raise OutOfRange(f"rmse must be finite and > 0, got {rmse!r}")
     limit = rmse_uniform_limit()
     if abs(rmse - limit) <= 0.02 * limit:
         return Regime.UNIFORM_SATURATED

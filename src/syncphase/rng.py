@@ -11,9 +11,9 @@ normal-stream function.  It is two stages in one call, which the package
 also runs apart: :func:`uniform_filler` makes the uniforms (the fill
 stage) and :func:`to_normals` turns them into normals (``ndtri``).  The
 fill stage holds the GIL for many small calls and ``ndtri`` runs without
-it, so the package's one schedule of a batch
-(``signal_model.RecordUnits.build``) makes every fill on the calling
-thread and, in large batches, shares the transforms with a worker thread.
+it, so ``signal_model.RecordUnits.build``, the package's one builder of
+a batch and the one place that starts a thread for it, makes every fill on
+this thread and, in large batches, shares the transforms with a worker.
 A row's words depend only on its substream, so which call or thread
 fills it is layout only and gives the same bits.  The normals are also
 the same bits with or without NumPy's AVX-512 kernels
@@ -81,6 +81,7 @@ Channels:
 
 from __future__ import annotations
 
+import operator
 from typing import Callable
 
 import numpy as np
@@ -144,6 +145,16 @@ def _mulhi(x, m: int, out, s0, s1, s2) -> None:
     out *= m_hi
     out += s2
     out += s0
+
+
+def as_int(value, name: str) -> int:
+    """value as a Python int, also from a NumPy integer, whose 64-bit
+    arithmetic would overflow where a seed or draw word is taken mod 2^64;
+    OutOfRange for a non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise OutOfRange(f"{name} must be an integer, got {value!r}") from None
 
 
 def unit_rows(count: int) -> int:
@@ -288,7 +299,7 @@ def uniform_filler(seed: int, channel: int,
     (n_draws, count) float array.  The fill stage.  A native filler keeps
     its generator from call to call, so one thread makes every call of one
     filler; a kernel call works in a process-wide arena of its own."""
-    key0 = seed & _MASK64
+    key0 = as_int(seed, "seed") & _MASK64
     if count <= _KERNEL_MAX_COUNT:
         fill_words = _philox_filler(key0, channel, count)
     else:
@@ -309,7 +320,7 @@ def _uniforms_block(
     if count < 0:
         raise OutOfRange("count must be non-negative")
     u = np.empty((n_draws, count))
-    uniform_filler(seed, channel, count)(u, first_draw)
+    uniform_filler(seed, channel, count)(u, as_int(first_draw, "draw index"))
     return u
 
 

@@ -7,6 +7,8 @@ The estimator is the complex DFT coefficient at the (synchronous) tone bin,
 reduced by its noise-free magnitude A*N/2 and passed through arg().  The
 coefficient comes from the Goertzel recurrence (one real multiply per
 sample); the tests check it against a compensated-summation direct sum.
+Each chunk's records come from ``signal_model.noisy_records``, which
+decides how a batch is drawn and on how many threads.
 
 Portability: the draws (Philox words, ``ndtri``, cosine synthesis and the
 Goertzel recurrence) give the same bits with or without NumPy's AVX-512
@@ -20,15 +22,13 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 from .errors import EmptyInput, LengthMismatch, OutOfRange, ZeroVector
-from .signal_model import RecordUnits, SignalParams, snr_linear
+from .signal_model import SignalParams, noisy_records, snr_linear
 
 
 def _check_bin(n_samples: int, k: int) -> None:
@@ -164,29 +164,6 @@ def theoretical_moments(params: SignalParams) -> TheoreticalMoments:
 
 # target samples per chunk; keeps peak memory flat across record lengths
 _CHUNK_BUDGET = 4_000_000
-# Smallest chunk, in samples (n_draws * N), that reduced_dft_draws
-# pipelines across two threads.  Measured on 2 cores (NumPy 2.4), the
-# pipeline's speed against one thread at 0 dB and 1 degree, medians of 61
-# interleaved runs:
-#
-#     samples     N = 20   100    128    1000
-#     10^4            0.89  0.91   0.93   0.92
-#     2*10^4          0.94  0.97   1.07   1.01
-#     2.5*10^4        1.07  1.08   1.10   1.05
-#     3*10^4          1.08  1.08   1.15   1.06
-#     4*10^4          1.13  1.15   1.17   1.09
-#     8*10^4          1.33  1.40   1.19   1.07
-#     10^6            1.66  1.59   1.63   1.70
-#
-# A second run put 2*10^4 at 0.92 and 0.94 for N = 20 and 100 and 3*10^4
-# at 1.03 to 1.15.  3*10^4 is the smallest size at which no record length
-# lost in either run; mc_short's 80k-sample ops and the battery's
-# 40k-sample batches are pipelined.
-_PIPELINE_MIN_SAMPLES = 30_000
-# Threads on_two_threads runs its two parts on: two when the process may
-# use two CPUs.
-_THREADS = min(2, len(os.sched_getaffinity(0))
-               if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 def draw_chunks(n_samples: int, n_draws: int) -> Iterator[Tuple[int, int]]:
@@ -196,26 +173,6 @@ def draw_chunks(n_samples: int, n_draws: int) -> Iterator[Tuple[int, int]]:
     chunk = max(1, _CHUNK_BUDGET // max(1, n_samples))
     for start in range(0, n_draws, chunk):
         yield start, min(start + chunk, n_draws)
-
-
-def _worker_pool() -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(max_workers=1,
-                              thread_name_prefix="syncphase-draws")
-
-
-def on_two_threads(head: Callable[[], Any],
-                   tail: Callable[[], Any]) -> Tuple[Any, Any]:
-    """(head(), tail()), with tail run on a worker thread started for this
-    call and head on the calling thread.  The worker is joined before this
-    returns or raises, also when head raises.  When the process may use
-    only one CPU (``_THREADS < 2``), head and then tail run on the calling
-    thread and no worker is started, so a caller need not ask how many
-    CPUs there are."""
-    if _THREADS < 2:
-        return head(), tail()
-    with _worker_pool() as pool:
-        worker = pool.submit(tail)
-        return head(), worker.result()
 
 
 def _reduction_scale(params: SignalParams) -> float:
@@ -230,19 +187,6 @@ def _reduction_scale(params: SignalParams) -> float:
 def _reduce(d, scale: float, out: Optional[np.ndarray] = None):
     """2*D/(A*N) for the single-record and the batched path alike."""
     return np.divide(2.0 * d, scale, out=out)
-
-
-def _chunk_records(params: SignalParams, master_seed: int, first_draw: int,
-                   n_draws: int) -> np.ndarray:
-    """The records of one chunk, built by :meth:`RecordUnits.build`: its
-    tail on a worker (:func:`on_two_threads`) when the chunk has at least
-    ``_PIPELINE_MIN_SAMPLES`` samples in two units or more, else both parts
-    on this thread."""
-    batch = RecordUnits(params, master_seed, first_draw, n_draws)
-    if (len(batch.units) > 1
-            and n_draws * params.n_samples >= _PIPELINE_MIN_SAMPLES):
-        return batch.build(on_two_threads)
-    return batch.build()
 
 
 def _check_finite(scale: float, reduced) -> None:
@@ -263,23 +207,15 @@ def reduced_dft_draws(
     reduction.  Raises OutOfRange before any draw when A*N is too small,
     and after them when the records, their sum or the scale A*N overflowed.
 
-    This is the one place that schedules a batch.  The draws are computed in
-    the chunks of :func:`draw_chunks`, so memory beyond the 16 bytes per
-    draw of the result does not grow with the batch.  A chunk's records are
-    built in the units of :class:`RecordUnits`, by its one schedule
-    (:meth:`RecordUnits.build`): this thread fills the units' Philox
-    uniforms, the part that holds the GIL for many small calls, and turns
-    the filled units into normals and records, which NumPy and SciPy
-    compute without the GIL.  A chunk of at least
-    ``_PIPELINE_MIN_SAMPLES`` samples in two units or more also hands the
-    filled units to a worker thread started for that chunk (see
-    :func:`on_two_threads`), so the two stages overlap when the process
-    may use two CPUs.  This thread then adds the noise into the records,
-    runs one Goertzel recurrence over the chunk and reduces it.
-    Every draw is a pure function of (seed, draw, channel), and its row
-    passes through the same row-wise operations in any chunk, unit or
-    thread, so all of this is layout only and the result has the same
-    bits.
+    The draws are computed in the chunks of :func:`draw_chunks`, so memory
+    beyond the 16 bytes per draw of the result does not grow with the
+    batch.  Each chunk's records come from
+    :func:`~syncphase.signal_model.noisy_records`, whose builder decides
+    how the chunk is drawn and on how many threads; this thread then runs
+    one Goertzel recurrence over the chunk and reduces it.  Every draw is
+    a pure function of (seed, draw, channel), and its row passes through
+    the same row-wise operations in any chunk, unit or thread, so the
+    chunking is layout only and the result has the same bits.
     """
     if n_draws < 0:
         raise OutOfRange("n_draws must be non-negative")
@@ -288,9 +224,9 @@ def reduced_dft_draws(
     for start, stop in draw_chunks(params.n_samples, n_draws):
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             # one expression, so a chunk's records are freed before the next
-            _reduce(dft_bin_batch(_chunk_records(params, master_seed,
-                                                 first_draw + start,
-                                                 stop - start),
+            _reduce(dft_bin_batch(noisy_records(params, master_seed,
+                                                first_draw + start,
+                                                stop - start),
                                   params.bin_index),
                     scale, out=reduced[start:stop])
     _check_finite(scale, reduced)

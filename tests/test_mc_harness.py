@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, lognorm, rankdata
 
-from syncphase import mc_harness, spectral_estimator
+from syncphase import mc_harness, signal_model, spectral_estimator
 from syncphase.errors import (
     EmptyInput,
     LengthMismatch,
@@ -191,6 +191,17 @@ class TestRunMc:
         with pytest.raises(OutOfRange):
             run_mc(McConfig(params=params_for(8), n_draws=0, master_seed=0))
 
+    @pytest.mark.parametrize("n", [20, 1000])  # kernel fill, native loop
+    def test_numpy_integer_seed_gives_the_python_int_report(self, n):
+        p = params_for(n, snr_db=0.0, sigma_p=0.1)
+        want = run_mc(McConfig(params=p, n_draws=100, master_seed=7))
+        got = run_mc(McConfig(params=p, n_draws=100, master_seed=np.int64(7)))
+        assert got.rmse_empirical.hex() == want.rmse_empirical.hex()
+        assert got.mean_d == want.mean_d
+        assert got.hist_counts.tobytes() == want.hist_counts.tobytes()
+        with pytest.raises(OutOfRange, match="must be an integer"):
+            run_mc(McConfig(params=p, n_draws=100, master_seed=7.0))
+
 
 class TestHenzeZirkler:
     def test_null_calibration(self):
@@ -262,18 +273,18 @@ class TestHenzeZirkler:
             self, monkeypatch, threads, tile):
         # With a 64-term tile (NumPy's 128-term loop is the smallest leaf)
         # and the split forced, leaves and the top split fall mid-row.
-        monkeypatch.setattr(spectral_estimator, "_THREADS", threads)
+        monkeypatch.setattr(signal_model, "_THREADS", threads)
         monkeypatch.setattr(mc_harness, "_HZ_SPLIT_MIN_PAIRS", 0)
         if tile is not None:
             monkeypatch.setattr(mc_harness, "_HZ_TILE", tile)
         pools = []
-        worker_pool = spectral_estimator._worker_pool
+        worker_pool = signal_model._worker_pool
 
         def recording_pool():
             pools.append(True)
             return worker_pool()
 
-        monkeypatch.setattr(spectral_estimator, "_worker_pool",
+        monkeypatch.setattr(signal_model, "_worker_pool",
                             recording_pool)
         gen = np.random.default_rng(47)
         for n in (20, 21, 37, 999, 2001):
@@ -296,7 +307,7 @@ class TestHenzeZirkler:
         # n = 1000: the (n, n) product is 8 MB, two matrices are 16 MB, and
         # a matrix kept after a call would stay traced.  With the cycle
         # collector off, a reference cycle would keep one too.
-        monkeypatch.setattr(spectral_estimator, "_THREADS", threads)
+        monkeypatch.setattr(signal_model, "_THREADS", threads)
         x = np.random.default_rng(19).standard_normal((1000, 2))
         henze_zirkler(x)  # warm-up, outside the traced calls
         gc.disable()
@@ -314,8 +325,8 @@ class TestHenzeZirkler:
     def test_batch_below_threshold_never_touches_the_pool(self, monkeypatch):
         # the CLI tests' --hz-draws 20
         assert 20 * 20 < mc_harness._HZ_SPLIT_MIN_PAIRS
-        monkeypatch.setattr(spectral_estimator, "_THREADS", 2)
-        monkeypatch.setattr(spectral_estimator, "_worker_pool", no_pool)
+        monkeypatch.setattr(signal_model, "_THREADS", 2)
+        monkeypatch.setattr(signal_model, "_worker_pool", no_pool)
         p = params_for(20, snr_db=0.0, sigma_p=math.radians(1.0))
         (report,) = run_convergence_battery(
             [p], SEED, repetitions=1, hz_draws=20, hoeffding_draws=10)
@@ -324,10 +335,10 @@ class TestHenzeZirkler:
     def test_single_cpu_never_starts_the_pool(self, monkeypatch):
         x = np.random.default_rng(13).standard_normal((2000, 2))
         assert 2000 * 2000 >= mc_harness._HZ_SPLIT_MIN_PAIRS
-        monkeypatch.setattr(spectral_estimator, "_THREADS", 2)
+        monkeypatch.setattr(signal_model, "_THREADS", 2)
         split = henze_zirkler(x)
-        monkeypatch.setattr(spectral_estimator, "_THREADS", 1)
-        monkeypatch.setattr(spectral_estimator, "_worker_pool", no_pool)
+        monkeypatch.setattr(signal_model, "_THREADS", 1)
+        monkeypatch.setattr(signal_model, "_worker_pool", no_pool)
         sequential = henze_zirkler(x)
         assert sequential.statistic.hex() == split.statistic.hex()
         assert sequential.p_value.hex() == split.p_value.hex()
@@ -337,7 +348,7 @@ class TestHenzeZirkler:
         # start and join a worker of its own.
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("no fork start method on this platform")
-        monkeypatch.setattr(spectral_estimator, "_THREADS", 2)
+        monkeypatch.setattr(signal_model, "_THREADS", 2)
         x = np.random.default_rng(17).standard_normal((2000, 2))
         want = henze_zirkler(x)  # a split before the fork
         child = multiprocessing.get_context("fork").Process(
@@ -351,7 +362,7 @@ class TestHenzeZirkler:
         assert child.exitcode == 0
 
     def test_no_worker_thread_outlives_a_split(self, monkeypatch):
-        monkeypatch.setattr(spectral_estimator, "_THREADS", 2)
+        monkeypatch.setattr(signal_model, "_THREADS", 2)
         monkeypatch.setattr(mc_harness, "_HZ_SPLIT_MIN_PAIRS", 0)
         henze_zirkler(np.random.default_rng(23).standard_normal((300, 2)))
         assert [t.name for t in threading.enumerate()
@@ -638,6 +649,13 @@ class TestConvergenceBattery:
             tracemalloc.stop()
         assert report.failure is None
         assert peak < 6 * 2**20
+
+    def test_numpy_integer_seed_gives_the_python_int_report(self):
+        p = params_for(20, snr_db=0.0, sigma_p=math.radians(1.0))
+        kwargs = dict(repetitions=2, hz_draws=50, hoeffding_draws=40)
+        (want,) = run_convergence_battery([p], 3, **kwargs)
+        (got,) = run_convergence_battery([p], np.int64(3), **kwargs)
+        assert got == want
 
     def test_parameter_validation(self):
         p = params_for(20, snr_db=0.0)

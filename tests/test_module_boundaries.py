@@ -1,8 +1,8 @@
 """Each module keeps its private names: no ``from .module import _name``
 and no ``module._name`` read through ``from . import module`` across the
 modules of the package, so every decision stays behind the module that owns
-it.  Only ``spectral_estimator.on_two_threads`` reads the thread count, and
-no other module imports a thread library.  The package exports a pinned
+it.  Only ``signal_model.on_two_threads`` reads the thread count, and no
+other module imports a thread library.  The package exports a pinned
 list of functions, types and errors.
 Importing the package loads NumPy and ``scipy.special`` only: SciPy's
 heavier subpackages wait for the call that needs them."""
@@ -145,18 +145,18 @@ def thread_imports(path):
 def test_only_on_two_threads_reads_the_thread_count():
     # one place decides whether a second thread runs; everything else
     # hands its two parts to on_two_threads
-    reads = threads_reads(PACKAGE / "spectral_estimator.py")
+    reads = threads_reads(PACKAGE / "signal_model.py")
     assert reads and {function for _, function in reads} == {"on_two_threads"}
     offenders = {path.name: threads_reads(path)
                  for path in sorted(PACKAGE.glob("*.py"))
-                 if path.name != "spectral_estimator.py"}
+                 if path.name != "signal_model.py"}
     assert {name: found for name, found in offenders.items() if found} == {}
 
 
-def test_only_spectral_estimator_imports_threads():
+def test_only_signal_model_imports_threads():
     offenders = {path.name: thread_imports(path)
                  for path in sorted(PACKAGE.glob("*.py"))
-                 if path.name != "spectral_estimator.py"}
+                 if path.name != "signal_model.py"}
     assert {name: found for name, found in offenders.items() if found} == {}
 
 
@@ -167,7 +167,7 @@ def test_a_thread_count_read_or_thread_import_is_caught(tmp_path):
                     "_THREADS = 2\n"
                     "def on_two_threads():\n"
                     "    return _THREADS\n"
-                    "def _chunk_records():\n"
+                    "def build():\n"
                     "    import concurrent.futures\n"
                     "    def part():\n"
                     "        return _THREADS > 1\n"

@@ -461,6 +461,11 @@ class TestClassifyRegime:
         assert classify_regime(mom, rmse=rmse_uniform_limit()) == \
             Regime.UNIFORM_SATURATED
 
+    @pytest.mark.parametrize("rmse", [math.nan, math.inf, -1.0, 0.0])
+    def test_an_rmse_that_is_not_finite_and_positive_is_rejected(self, rmse):
+        with pytest.raises(OutOfRange, match="rmse"):
+            classify_regime(moments_for(1000, snr_db=20.0), rmse=rmse)
+
 
 class TestErrorReport:
     def test_fields_are_mutually_consistent(self):

@@ -40,6 +40,25 @@ def test_seed_is_taken_modulo_2_to_64():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("count", [20, 1000])  # the kernel, the native loop
+def test_numpy_integer_seed_and_draw_give_the_python_int_bits(count):
+    want = rng.standard_normals_block(2**64 - 2, 2**64 - 1, 3,
+                                      rng.CH_ADDITIVE, count)
+    got = rng.standard_normals_block(np.int64(-2), np.uint64(2**64 - 1), 3,
+                                     rng.CH_ADDITIVE, count)
+    assert got.tobytes() == want.tobytes()
+    u = np.empty((3, count))
+    rng.uniform_filler(np.uint64(2**64 - 2), rng.CH_ADDITIVE, count)(
+        u, 2**64 - 1)
+    assert rng.to_normals(u).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed, first_draw", [(1.5, 0), (5, 0.5)])
+def test_a_non_integer_seed_or_draw_is_rejected(seed, first_draw):
+    with pytest.raises(OutOfRange, match="must be an integer"):
+        rng.standard_normals_block(seed, first_draw, 2, rng.CH_PHASE, 20)
+
+
 def test_prefix_property():
     # a shorter request is a prefix of a longer one from the same substream
     long = rng._uniforms_block(7, 1, 1, rng.CH_PHASE, 256)[0]

@@ -201,6 +201,36 @@ class TestRecordUnits:
             assert want[j].tobytes() == generate(p, 9, first + j).tobytes()
 
 
+class TestNumpyIntegerSeeds:
+    # A seed or draw index that is a NumPy integer gives the bits of the
+    # Python int, on the kernel fill (N = 20) and the native loop (N = 1000)
+    @staticmethod
+    def params(n):
+        return make_params(amplitude=1.0, f0=1.0, fs=n, phase=0.4,
+                           sigma_additive=0.3, sigma_phase=0.1, n_samples=n)
+
+    @pytest.mark.parametrize("n", [20, 1000])
+    @pytest.mark.parametrize("seed, draw_index", [
+        (np.int64(5), 3), (np.int32(5), 3), (np.uint64(5), 3),
+        (np.int64(-3), 3), (np.uint64(2**64 - 1), 3), (5, np.int64(3)),
+        (5, np.int32(3)), (5, np.uint64(2**64 - 1))])
+    def test_numpy_integers_give_the_python_int_bits(self, n, seed,
+                                                     draw_index):
+        p = self.params(n)
+        want = generate(p, seed=int(seed), draw_index=int(draw_index))
+        got = generate(p, seed=seed, draw_index=draw_index)
+        assert got.tobytes() == want.tobytes()
+        batch = noisy_records(p, seed, draw_index - 1, 3)
+        assert batch[1].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed, draw_index", [
+        (1.5, 0), (5, 2.0), ("5", 0), (np.float64(5.0), 0)])
+    def test_a_non_integer_seed_or_draw_index_is_rejected(self, seed,
+                                                         draw_index):
+        with pytest.raises(OutOfRange, match="must be an integer"):
+            generate(self.params(20), seed=seed, draw_index=draw_index)
+
+
 class TestSnrHelpers:
     def test_snr_of_unit_noise(self):
         p = make_params(amplitude=1.0, f0=1.0, fs=4.0, sigma_additive=1.0,

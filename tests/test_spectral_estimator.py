@@ -23,6 +23,7 @@ from syncphase.spectral_estimator import (
     reduced_dft_draws,
     theoretical_moments,
 )
+import syncphase.signal_model as signal_model
 import syncphase.spectral_estimator as spectral_estimator
 from syncphase import rng
 
@@ -324,7 +325,7 @@ class TestReducedDraws:
         def no_draws(*args):
             raise AssertionError("no record may be drawn")
 
-        monkeypatch.setattr(spectral_estimator, "RecordUnits", no_draws)
+        monkeypatch.setattr(spectral_estimator, "noisy_records", no_draws)
         with pytest.raises(OutOfRange, match=r"A\*N = .* is too small"):
             reduced_dft_draws(p, 0, 0, 10)
         with pytest.raises(OutOfRange, match=r"A\*N = .* is too small"):
@@ -394,15 +395,15 @@ def two_threads(monkeypatch):
     record (stage, on the worker, first draw, draws, channel) for every
     fill, transform and one-call draw of a unit, and ("pool", ...) for
     every worker started."""
-    monkeypatch.setattr(spectral_estimator, "_THREADS", 2)
+    monkeypatch.setattr(signal_model, "_THREADS", 2)
     calls = []
-    worker_pool = spectral_estimator._worker_pool
+    worker_pool = signal_model._worker_pool
 
     def recording_pool():
         calls.append(("pool", False, None, None, None))
         return worker_pool()
 
-    monkeypatch.setattr(spectral_estimator, "_worker_pool", recording_pool)
+    monkeypatch.setattr(signal_model, "_worker_pool", recording_pool)
 
     def recording(stage):
         method = getattr(RecordUnits, stage)
@@ -495,6 +496,32 @@ def finishes(call, timeout=60):
     return done["value"]
 
 
+@pytest.mark.parametrize("n, n_draws", [
+    (20, 4000),   # an mc_short chunk: kernel fill, pipelined
+    (1000, 1000),  # an mc_long chunk: native fill, pipelined
+])
+def test_each_chunk_draws_its_last_unit_through_the_rng_module(
+        monkeypatch, n, n_draws):
+    # perfbench's tracer replaces rng.standard_normals_block to time the
+    # RNG layer: the package must look it up through the module, once per
+    # chunk, for the chunk's last unit
+    p = params_for(n, snr_db=0.0, sigma_p=math.radians(1.0), phase=1.0)
+    want = reduced_dft_draws(p, SEED, 9, n_draws)
+    block = rng.standard_normals_block
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return block(*args)
+
+    monkeypatch.setattr(rng, "standard_normals_block", counting)
+    d = reduced_dft_draws(p, SEED, 9, n_draws)
+    channel, start, stop = RecordUnits(p, SEED, 9, n_draws).units[-1]
+    assert start > 0
+    assert calls == [(SEED, 9 + start, stop - start, channel, n)]
+    assert d.tobytes() == want.tobytes()
+
+
 class TestTwoThreadSplit:
     # The two-stage pipeline that splits a chunk's work across two threads:
     # the calling thread fills every unit, a worker transforms them.  A
@@ -510,7 +537,7 @@ class TestTwoThreadSplit:
     def test_split_equals_one_draw_at_a_time(self, monkeypatch, two_threads,
                                              n, extra, first_draw):
         assert (n <= rng._KERNEL_MAX_COUNT) == (n == 20)
-        monkeypatch.setattr(spectral_estimator, "_PIPELINE_MIN_SAMPLES",
+        monkeypatch.setattr(signal_model, "_PIPELINE_MIN_SAMPLES",
                             self.MIN_SAMPLES)
         n_draws = -(-self.MIN_SAMPLES // n) + extra  # odd and even counts
         p = params_for(n, snr_db=3.0, sigma_p=0.2, phase=0.7)
@@ -534,7 +561,7 @@ class TestTwoThreadSplit:
         assert (n <= rng._KERNEL_MAX_COUNT) == (n <= 100)
         monkeypatch.setattr(rng, "_SUB_BLOCK", 64)
         monkeypatch.setattr(spectral_estimator, "_CHUNK_BUDGET", 30 * n)
-        monkeypatch.setattr(spectral_estimator, "_PIPELINE_MIN_SAMPLES", 0)
+        monkeypatch.setattr(signal_model, "_PIPELINE_MIN_SAMPLES", 0)
         p = params_for(n, snr_db=None if noise == "phase only" else 3.0,
                        sigma_p=0.0 if noise == "additive only" else 0.2,
                        phase=0.7)
@@ -550,7 +577,7 @@ class TestTwoThreadSplit:
         if n == 20:  # the first chunk's last unit, rows 24..30, is partial
             last = rng.CH_PHASE if noise == "phase only" else rng.CH_ADDITIVE
             assert (first_draw + 24, 6, last) in stages(two_threads, "draw")
-        monkeypatch.setattr(spectral_estimator, "_THREADS", 1)
+        monkeypatch.setattr(signal_model, "_THREADS", 1)
         two_threads.clear()
         one_thread = reduced_dft_draws(p, SEED, first_draw, n_draws)
         assert_drawn_once(two_threads)
@@ -562,11 +589,11 @@ class TestTwoThreadSplit:
     def test_split_at_the_measured_threshold_keeps_its_bits(
             self, monkeypatch, two_threads):
         n = 1000
-        n_draws = spectral_estimator._PIPELINE_MIN_SAMPLES // n + 1
+        n_draws = signal_model._PIPELINE_MIN_SAMPLES // n + 1
         p = params_for(n, snr_db=0.0, sigma_p=math.radians(1.0), phase=1.0)
         d = reduced_dft_draws(p, SEED, 5, n_draws)
         assert_worker_started(two_threads)
-        monkeypatch.setattr(spectral_estimator, "_THREADS", 1)
+        monkeypatch.setattr(signal_model, "_THREADS", 1)
         two_threads.clear()
         sequential = reduced_dft_draws(p, SEED, 5, n_draws)
         assert_drawn_once(two_threads)
@@ -580,10 +607,10 @@ class TestTwoThreadSplit:
     def test_single_cpu_never_splits(self, monkeypatch, two_threads):
         # one whole call: on one CPU every unit is drawn on this thread,
         # the head part (fills, the last unit's draw) before the transforms
-        monkeypatch.setattr(spectral_estimator, "_THREADS", 1)
-        monkeypatch.setattr(spectral_estimator, "_PIPELINE_MIN_SAMPLES",
+        monkeypatch.setattr(signal_model, "_THREADS", 1)
+        monkeypatch.setattr(signal_model, "_PIPELINE_MIN_SAMPLES",
                             self.MIN_SAMPLES)
-        monkeypatch.setattr(spectral_estimator, "_worker_pool", no_pool)
+        monkeypatch.setattr(signal_model, "_worker_pool", no_pool)
         p = params_for(20, snr_db=3.0, sigma_p=0.2)
         # each part must take a stop of its own, or the tail waits forever
         d = finishes(lambda: reduced_dft_draws(p, SEED, 0, 301))
@@ -601,9 +628,9 @@ class TestTwoThreadSplit:
     def test_batch_below_threshold_never_touches_the_pool(
             self, monkeypatch, two_threads, n, n_draws, sigma_p):
         if n_draws is None:
-            n_draws = -(-spectral_estimator._PIPELINE_MIN_SAMPLES // n) - 1
-            assert n * n_draws < spectral_estimator._PIPELINE_MIN_SAMPLES
-        monkeypatch.setattr(spectral_estimator, "_worker_pool", no_pool)
+            n_draws = -(-signal_model._PIPELINE_MIN_SAMPLES // n) - 1
+            assert n * n_draws < signal_model._PIPELINE_MIN_SAMPLES
+        monkeypatch.setattr(signal_model, "_worker_pool", no_pool)
         reduced_dft_draws(params_for(n, snr_db=0.0, sigma_p=sigma_p), SEED,
                           0, n_draws)
         assert_drawn_once(two_threads)
@@ -614,14 +641,28 @@ class TestTwoThreadSplit:
         (20, 2000),   # a normality battery batch, 40k samples
     ])
     def test_benchmark_batches_are_pipelined(self, two_threads, n, n_draws):
-        assert n * n_draws >= spectral_estimator._PIPELINE_MIN_SAMPLES
+        assert n * n_draws >= signal_model._PIPELINE_MIN_SAMPLES
         reduced_dft_draws(params_for(n, snr_db=0.0, sigma_p=0.1), SEED, 0,
                           n_draws)
         assert_worker_started(two_threads)
 
+    def test_a_long_record_is_pipelined_with_the_same_bytes(
+            self, monkeypatch, two_threads):
+        # one record of 40000 samples: two one-row units, above the
+        # threshold, so generate takes the chunks' pipeline
+        p = params_for(40_000, snr_db=3.0, sigma_p=0.2, phase=0.7)
+        record = generate(p, SEED, 5)
+        assert_worker_started(two_threads)
+        monkeypatch.setattr(signal_model, "_THREADS", 1)
+        two_threads.clear()
+        one_thread = generate(p, SEED, 5)
+        assert_drawn_once(two_threads)
+        assert pools(two_threads) == 0 and not on_the_worker(two_threads)
+        assert record.tobytes() == one_thread.tobytes()
+
     def test_worker_transforms_while_the_caller_fills(self, monkeypatch,
                                                       two_threads):
-        monkeypatch.setattr(spectral_estimator, "_PIPELINE_MIN_SAMPLES", 0)
+        monkeypatch.setattr(signal_model, "_PIPELINE_MIN_SAMPLES", 0)
         monkeypatch.setattr(rng, "_SUB_BLOCK", 64)
         worked = worker_goes_first(monkeypatch)
         p = params_for(20, snr_db=3.0, sigma_p=0.2)
@@ -635,7 +676,7 @@ class TestTwoThreadSplit:
             self, monkeypatch, two_threads):
         # Only the worker's units overflow.  NumPy's error state is per
         # thread, so the worker must set its own or warn.
-        monkeypatch.setattr(spectral_estimator, "_PIPELINE_MIN_SAMPLES", 0)
+        monkeypatch.setattr(signal_model, "_PIPELINE_MIN_SAMPLES", 0)
         monkeypatch.setattr(rng, "_SUB_BLOCK", 64)
         transform = RecordUnits.transform
 
@@ -661,7 +702,7 @@ class TestTwoThreadSplit:
         "last unit"])
     def test_a_failing_stage_propagates_and_stops_both_threads(
             self, monkeypatch, two_threads, where):
-        monkeypatch.setattr(spectral_estimator, "_PIPELINE_MIN_SAMPLES", 0)
+        monkeypatch.setattr(signal_model, "_PIPELINE_MIN_SAMPLES", 0)
         monkeypatch.setattr(rng, "_SUB_BLOCK", 64)
         stage = where.split()[0] if where != "last unit" else "draw"
         method = getattr(RecordUnits, stage)
@@ -692,9 +733,9 @@ class TestTwoThreadSplit:
         assert syncphase_threads() == []
 
     def test_a_failing_draw_on_one_cpu_starts_no_worker(self, monkeypatch):
-        monkeypatch.setattr(spectral_estimator, "_THREADS", 1)
-        monkeypatch.setattr(spectral_estimator, "_PIPELINE_MIN_SAMPLES", 0)
-        monkeypatch.setattr(spectral_estimator, "_worker_pool", no_pool)
+        monkeypatch.setattr(signal_model, "_THREADS", 1)
+        monkeypatch.setattr(signal_model, "_PIPELINE_MIN_SAMPLES", 0)
+        monkeypatch.setattr(signal_model, "_worker_pool", no_pool)
 
         def failing(self, unit):
             raise ValueError("draw failed")
@@ -708,13 +749,13 @@ class TestTwoThreadSplit:
     def test_concurrent_callers_share_the_pool(self, monkeypatch):
         # more calling threads than cores, switching often, each pipelining
         # onto a worker of its own: every result keeps its bits
-        monkeypatch.setattr(spectral_estimator, "_PIPELINE_MIN_SAMPLES",
+        monkeypatch.setattr(signal_model, "_PIPELINE_MIN_SAMPLES",
                             self.MIN_SAMPLES)
         p = params_for(20, snr_db=3.0, sigma_p=0.2)
         windows = [(start, 150 + start // 100) for start in range(0, 800, 100)]
-        monkeypatch.setattr(spectral_estimator, "_THREADS", 1)
+        monkeypatch.setattr(signal_model, "_THREADS", 1)
         want = [reduced_dft_draws(p, SEED, a, n) for a, n in windows]
-        monkeypatch.setattr(spectral_estimator, "_THREADS", 2)
+        monkeypatch.setattr(signal_model, "_THREADS", 2)
         monkeypatch.setattr(rng, "_SUB_BLOCK", 64)  # many units per call
         got = [None] * len(windows)
 
@@ -741,8 +782,8 @@ class TestTwoThreadSplit:
         # pipeline must start and join a worker of its own.
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("no fork start method on this platform")
-        monkeypatch.setattr(spectral_estimator, "_THREADS", 2)
-        monkeypatch.setattr(spectral_estimator, "_PIPELINE_MIN_SAMPLES",
+        monkeypatch.setattr(signal_model, "_THREADS", 2)
+        monkeypatch.setattr(signal_model, "_PIPELINE_MIN_SAMPLES",
                             self.MIN_SAMPLES)
         p = params_for(20, snr_db=3.0, sigma_p=0.2)
         reduced_dft_draws(p, SEED, 0, 200)  # a pipeline before the fork
@@ -765,7 +806,7 @@ class TestTwoThreadSplit:
             self, monkeypatch, two_threads, n_draws, first_draw):
         n, chunk, min_draws = 20, 40, 30
         monkeypatch.setattr(spectral_estimator, "_CHUNK_BUDGET", chunk * n)
-        monkeypatch.setattr(spectral_estimator, "_PIPELINE_MIN_SAMPLES",
+        monkeypatch.setattr(signal_model, "_PIPELINE_MIN_SAMPLES",
                             min_draws * n)
         p = params_for(n, snr_db=3.0, sigma_p=0.2, phase=0.7)
         d = reduced_dft_draws(p, SEED, first_draw, n_draws)
@@ -789,7 +830,7 @@ class TestTwoThreadSplit:
 
     def test_no_worker_thread_outlives_a_split(self, monkeypatch,
                                                two_threads):
-        monkeypatch.setattr(spectral_estimator, "_PIPELINE_MIN_SAMPLES",
+        monkeypatch.setattr(signal_model, "_PIPELINE_MIN_SAMPLES",
                             self.MIN_SAMPLES)
         reduced_dft_draws(params_for(20, snr_db=3.0), SEED, 0, 200)
         # sigma_p = 0: one additive unit, nothing to overlap
@@ -801,7 +842,7 @@ class TestTwoThreadSplit:
         assert syncphase_threads() == []
 
     def test_worker_is_joined_when_head_raises(self, monkeypatch):
-        monkeypatch.setattr(spectral_estimator, "_THREADS", 2)
+        monkeypatch.setattr(signal_model, "_THREADS", 2)
         started = threading.Event()
         finished = []
 
@@ -815,15 +856,15 @@ class TestTwoThreadSplit:
             raise ValueError("head failed")
 
         with pytest.raises(ValueError, match="head failed"):
-            spectral_estimator.on_two_threads(head, tail)
+            signal_model.on_two_threads(head, tail)
         assert len(finished) == 1
         assert finished[0].startswith("syncphase-draws")
         assert syncphase_threads() == []
 
     def test_two_threads_return_head_then_tail(self, monkeypatch):
-        monkeypatch.setattr(spectral_estimator, "_THREADS", 2)
+        monkeypatch.setattr(signal_model, "_THREADS", 2)
         main = threading.current_thread()
-        head, tail = spectral_estimator.on_two_threads(
+        head, tail = signal_model.on_two_threads(
             lambda: threading.current_thread(),
             lambda: threading.current_thread())
         assert head is main and tail is not main
@@ -831,8 +872,8 @@ class TestTwoThreadSplit:
 
     def test_one_cpu_runs_head_then_tail_on_the_calling_thread(
             self, monkeypatch):
-        monkeypatch.setattr(spectral_estimator, "_THREADS", 1)
-        monkeypatch.setattr(spectral_estimator, "_worker_pool", no_pool)
+        monkeypatch.setattr(signal_model, "_THREADS", 1)
+        monkeypatch.setattr(signal_model, "_worker_pool", no_pool)
         calls = []
 
         def call(name):
@@ -840,6 +881,6 @@ class TestTwoThreadSplit:
             return threading.current_thread()
 
         main = threading.current_thread()
-        assert spectral_estimator.on_two_threads(
+        assert signal_model.on_two_threads(
             lambda: call("head"), lambda: call("tail")) == (main, main)
         assert calls == ["head", "tail"]
