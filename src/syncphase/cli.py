@@ -55,6 +55,7 @@ from .phase_pdf import (
 from .signal_model import (
     generate,
     make_params,
+    on_two_threads,
     read_samples_csv,
     sigma_x_for_snr,
 )
@@ -455,15 +456,23 @@ def _hist_thetas(edges: bytes) -> Tuple[Tuple[float, ...], Tuple[str, ...]]:
           **_SIGNAL, snr_db=_Opt(_cast_float_list),
           sigma_p_deg=_Opt(_cast_float, "0"), n=_Opt(_cast_int), **_OUTPUT)
 def _cmd_divergence(o) -> int:
-    rows = []
-    for snr_db in sorted(o.snr_db):
+    """One row per SNR, in sorted order.  The cells are independent: with
+    two or more, the calling thread computes the first half (rounded up)
+    and a worker the rest (:func:`on_two_threads`), so the first failing
+    cell in sorted order still names the error."""
+    snrs = sorted(o.snr_db)
+    # beta_p depends on --sigma-p-deg alone: checked once, on the first
+    # cell's moments, so that cell's own input errors still come first
+    first = theoretical_moments(_params_from(o, snrs[0], o.sigma_p_deg, o.n))
+    if first.beta_p == 0.0:
+        raise OutOfRange(
+            f"--sigma-p-deg {o.sigma_p_deg!r} leaves no lobe: "
+            "exp(-sigma_p^2/2) underflows to 0, so the density is "
+            "uniform and its Gaussian approximation does not exist")
+
+    def cell(snr_db) -> list:
         params = _params_from(o, snr_db, o.sigma_p_deg, o.n)
         moments = theoretical_moments(params)
-        if moments.beta_p == 0.0:
-            raise OutOfRange(
-                f"--sigma-p-deg {o.sigma_p_deg!r} leaves no lobe: "
-                "exp(-sigma_p^2/2) underflows to 0, so the density is "
-                "uniform and its Gaussian approximation does not exist")
         p = density_from_pdf(PolarPdf.from_moments(moments))
         # the other two grids share p's node set, checked once
         q_gauss = gaussian_approximation(moments, p)
@@ -473,7 +482,15 @@ def _cmd_divergence(o) -> int:
             kl_gauss = kl_divergence(p, q_gauss)
         except SupportMismatch:
             kl_gauss = None
-        rows.append([snr_db, kl_uniform, bhat, kl_gauss])
+        return [snr_db, kl_uniform, bhat, kl_gauss]
+
+    if len(snrs) == 1:
+        rows = [cell(snrs[0])]
+    else:
+        half = (len(snrs) + 1) // 2
+        head, tail = on_two_threads(lambda: list(map(cell, snrs[:half])),
+                                    lambda: list(map(cell, snrs[half:])))
+        rows = head + tail
     _write_table(
         o, "divergence",
         ["snr_db", "kl_to_uniform", "bhat_to_gauss", "kl_to_gauss_or_NA"],

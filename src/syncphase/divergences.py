@@ -143,10 +143,34 @@ def phase_nodes(spread: float, center: float = 0.0) -> np.ndarray:
     return _sorted_distinct(ambient, window)
 
 
+# A Gaussian lobe of std s sampled on a lattice of step h has trapezoid
+# mass 1 + 2*sum_k exp(-2*pi^2*k^2*(s/h)^2)*cos(...); its leading term
+# stays below NORMALIZATION_TOL only from s/h of about 0.857 on.
+_MIN_SPREAD_STEPS = math.sqrt(math.log(2.0 / NORMALIZATION_TOL)
+                              / (2.0 * math.pi**2))
+
+
 def density_from_pdf(pdf: PolarPdf) -> DensityGrid:
-    """Sample the closed-form phase density on its adapted node set."""
+    """Sample the closed-form phase density on its adapted node set.
+
+    wrap_angle computes a window node as (x + pi) - pi, so the nodes near
+    the centre c fall on doubles about ulp(|c| + pi) apart (4.4e-16 rad at
+    c = 0), however many the window asks for.  A lobe whose grid fails its
+    mass check while its spread is below ``_MIN_SPREAD_STEPS`` of that
+    step raises OutOfRange naming this resolution limit."""
     nodes = phase_nodes(pdf.spread, pdf.phi)
-    return DensityGrid(nodes=nodes, values=pdf_value(pdf, nodes))
+    values = pdf_value(pdf, nodes)
+    try:
+        return DensityGrid(nodes=nodes, values=values)
+    except OutOfRange:
+        step = float(np.spacing(abs(wrap_angle(pdf.phi)) + math.pi))
+        if pdf.spread >= _MIN_SPREAD_STEPS * step:
+            raise
+    raise OutOfRange(
+        f"lobe spread {float(pdf.spread)!r} rad is below the resolution of "
+        f"the phase nodes: near its centre they are doubles {step:.3g} rad "
+        f"apart, and a lobe narrower than {_MIN_SPREAD_STEPS:.3f} of that "
+        f"step cannot be sampled to unit mass within {NORMALIZATION_TOL}")
 
 
 def uniform_density_on(nodes: Union[np.ndarray, DensityGrid]) -> DensityGrid:

@@ -214,11 +214,18 @@ def on_two_threads(head: Callable[[], Any],
     returns or raises, also when head raises.  When the process may use
     only one CPU (``_THREADS < 2``), head and then tail run on the calling
     thread and no worker is started, so a caller need not ask how many
-    CPUs there are."""
+    CPUs there are.  Either way both parts run under the calling thread's
+    NumPy error state, and an exception of head wins over one of tail."""
     if _THREADS < 2:
         return head(), tail()
+    errors = np.geterr()  # per thread: a worker starts from NumPy's default
+
+    def tail_here() -> Any:
+        with np.errstate(**errors):
+            return tail()
+
     with _worker_pool() as pool:
-        worker = pool.submit(tail)
+        worker = pool.submit(tail_here)
         return head(), worker.result()
 
 
@@ -234,6 +241,8 @@ class RecordUnits:
 
     * :meth:`fill` writes the unit's uniforms into its rows.  The fillers
       keep generator state, so one thread makes every fill of a batch.
+      There is a filler for each channel of a unit before the last; the
+      last unit is drawn in one call (:meth:`build`).
     * :meth:`transform` turns a filled unit's uniforms into normals and
       them into its share of the synthesis, on any thread.
 
@@ -262,7 +271,7 @@ class RecordUnits:
                       for start in range(0, n_draws, step)
                       for channel in self._rows]
         self._fills = {channel: rng.uniform_filler(self.seed, channel, n)
-                       for channel in self._rows}
+                       for channel in {unit[0] for unit in self.units[:-1]}}
 
     def draw(self, unit) -> None:
         """Fill and transform a unit through ``rng.standard_normals_block``."""
@@ -295,18 +304,15 @@ class RecordUnits:
         queued units.  tail transforms queued units.  After its fills, also
         when one raises, head queues one stop for each part, and each part
         ends at the first stop it takes, so neither waits for a unit that
-        will not come.  Both parts run under this thread's NumPy error
-        state."""
+        will not come."""
         units = self.units
         queued: SimpleQueue = SimpleQueue()
-        errors = np.geterr()  # per thread: the tail may run on another
 
         def transform_queued() -> None:
-            with np.errstate(**errors):
+            unit = queued.get()
+            while unit is not None:
+                self.transform(unit)
                 unit = queued.get()
-                while unit is not None:
-                    self.transform(unit)
-                    unit = queued.get()
 
         def head() -> None:
             try:

@@ -4,9 +4,11 @@ Every test drives :func:`syncphase.cli.main` in-process and inspects the
 CSV/JSON tables it writes, so the assertions cover argument plumbing,
 formatting conventions, and exit codes as a user would see them.
 """
+import hashlib
 import json
 import math
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -14,14 +16,19 @@ import pytest
 
 import syncphase.cli as cli
 import syncphase.phase_pdf as phase_pdf
+import syncphase.signal_model as signal_model
 from syncphase import __version__
 from syncphase.cli import main
-from syncphase.errors import QuadratureNonConvergence
+from syncphase.errors import OutOfRange, QuadratureNonConvergence
 from syncphase.mc_harness import McConfig, run_mc
 from syncphase.signal_model import make_params, sigma_x_for_snr
 from syncphase.spectral_estimator import theoretical_moments
 
 SEED = 12
+
+
+def no_pool():
+    raise AssertionError("this table must stay on the calling thread")
 
 
 def read_table(path):
@@ -898,6 +905,85 @@ class TestDivergenceCommand:
             kl_gauss = fcell(columns, rows[i], "kl_to_gauss_or_NA")
             assert kl_gauss > 0
             assert kl_gauss >= 2.0 * bhat[i]
+
+    # --n 20: -50 dB is a wide lobe, 60 dB a narrow one, and 10 dB the NA
+    # cell of test_divergence_sweep
+    @pytest.mark.parametrize("snr_db", [
+        "10", "0,-10", "0,-10,10", "60,-50,0,10,-10,30"])
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_two_threads_give_the_one_thread_bytes(self, tmp_path,
+                                                   monkeypatch, snr_db, fmt):
+        argv = ["divergence", "--snr-db", snr_db, "--n", "20"] + fmt
+        one, two = tmp_path / "one", tmp_path / "two"
+        monkeypatch.setattr(signal_model, "_THREADS", 1)
+        monkeypatch.setattr(signal_model, "_worker_pool", no_pool)
+        assert main(argv + ["--out", str(one)]) == 0
+        monkeypatch.undo()
+        monkeypatch.setattr(signal_model, "_THREADS", 2)
+        assert main(argv + ["--out", str(two)]) == 0
+        assert two.read_bytes() == one.read_bytes()
+
+    @pytest.mark.parametrize("snr_db, workers", [("0", 0), ("0,-10,10", 1)])
+    def test_cells_start_at_most_one_worker(self, monkeypatch, capsys,
+                                            snr_db, workers):
+        monkeypatch.setattr(signal_model, "_THREADS", 2)
+        pools = []
+        worker_pool = signal_model._worker_pool
+
+        def recording_pool():
+            pools.append(True)
+            return worker_pool()
+
+        monkeypatch.setattr(signal_model, "_worker_pool", recording_pool)
+        assert main(["divergence", "--snr-db", snr_db, "--n", "20"]) == 0
+        assert len(pools) == workers
+        # three comment lines, the header, one row per cell
+        rows = len(capsys.readouterr().out.splitlines()) - 4
+        assert rows == len(snr_db.split(","))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_first_failing_cell_in_sorted_order_names_the_error(
+            self, monkeypatch, capsys, threads):
+        # head: -10 and 0 dB, tail: 10 and 20 dB.  The tail's cell fails
+        # first in time; the head's failure is still the one reported.
+        monkeypatch.setattr(signal_model, "_THREADS", threads)
+        tail_failed = threading.Event()
+        approximation = cli.gaussian_approximation
+
+        def failing(moments, nodes):
+            if math.isclose(moments.snr, 100.0):
+                tail_failed.set()
+                raise OutOfRange("cell at 20 dB failed")
+            if math.isclose(moments.snr, 1.0):
+                if threads == 2:
+                    tail_failed.wait(timeout=10)
+                raise OutOfRange("cell at 0 dB failed")
+            return approximation(moments, nodes)
+
+        monkeypatch.setattr(cli, "gaussian_approximation", failing)
+        assert main(["divergence", "--snr-db", "20,10,0,-10",
+                     "--n", "20"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "syncphase: OutOfRange: cell at 0 dB failed\n"
+        assert tail_failed.is_set() == (threads == 2)
+
+    def test_lobe_below_the_node_resolution_is_named(self, tmp_path, capsys):
+        # the window nodes near 0 lie on multiples of ulp(pi) = 4.4e-16 rad;
+        # a 1e-16 rad lobe fails its mass check, and the error says why
+        assert main(["divergence", "--snr-db", "280", "--n", "10000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("syncphase: OutOfRange: lobe spread "
+                              "1.0000000000000001e-16 rad is below the "
+                              "resolution of the phase nodes")
+        assert "4.44e-16 rad apart" in err and err.count("\n") == 1
+        # 260 dB (spread 1e-15 rad, 181 distinct window nodes) keeps the
+        # table it had before the check
+        table = tmp_path / "t.csv"
+        assert main(["divergence", "--snr-db", "260", "--n", "10000",
+                     "--out", str(table)]) == 0
+        assert hashlib.sha256(table.read_bytes()).hexdigest() == (
+            "c1021cdb1b74e4cc27ea71d11505a57e28534b14d7d658409e208b5b21be29bd")
 
 
 class TestEfficiencyCommand:

@@ -1,4 +1,5 @@
 """Tests for the generative signal model and its validation rules."""
+import hashlib
 import io
 import math
 
@@ -199,6 +200,49 @@ class TestRecordUnits:
         assert staged.records().tobytes() == want.tobytes()
         for j in (0, 7, 29):
             assert want[j].tobytes() == generate(p, 9, first + j).tobytes()
+
+    # sha256 of noisy_records(params(0.3, 0.1), 9, 5, n_draws), recorded
+    # while every noisy channel still got a filler of its own
+    RECORD_SHA256 = {
+        1: "526ae279c90c927fa15cdf44af98be7bf0f28e4a5963d7d467fb7cfebbd06607",
+        2000: "ae60ecdefaf55d8119051b8bc48b9f7a9032a0669ff8aa811f4e266f7c64ffdd",
+    }
+
+    @pytest.mark.parametrize("n_draws, sub_block, want", [
+        # one row block: build fills the phase unit and draws the additive
+        # one, whose filler rng.standard_normals_block builds
+        (1, None, [(rng.CH_PHASE, 1), (rng.CH_ADDITIVE, 1)]),
+        (2000, None, [(rng.CH_PHASE, 1), (rng.CH_ADDITIVE, 1)]),
+        # three row blocks of 12, 12 and 6 draws
+        (30, 64, [(rng.CH_PHASE, 3), (rng.CH_ADDITIVE, 1),
+                  (rng.CH_ADDITIVE, 2)]),
+    ])
+    def test_every_filler_built_makes_a_fill(self, monkeypatch, n_draws,
+                                             sub_block, want):
+        if sub_block is not None:
+            monkeypatch.setattr(rng, "_SUB_BLOCK", sub_block)
+        built = []
+        filler = rng.uniform_filler
+
+        def counting_filler(seed, channel, count):
+            fill = filler(seed, channel, count)
+            built.append([channel, 0])
+            calls = built[-1]
+
+            def counted(u, first_draw):
+                calls[1] += 1
+                fill(u, first_draw)
+            return counted
+
+        monkeypatch.setattr(rng, "uniform_filler", counting_filler)
+        p = self.params(0.3, 0.1)
+        records = noisy_records(p, 9, 5, n_draws)
+        assert sorted(map(tuple, built)) == want
+        if n_draws in self.RECORD_SHA256:
+            assert hashlib.sha256(records.tobytes()).hexdigest() == \
+                self.RECORD_SHA256[n_draws]
+        for j in (0, n_draws - 1):
+            assert records[j].tobytes() == generate(p, 9, 5 + j).tobytes()
 
 
 class TestNumpyIntegerSeeds:

@@ -884,3 +884,21 @@ class TestTwoThreadSplit:
         assert signal_model.on_two_threads(
             lambda: call("head"), lambda: call("tail")) == (main, main)
         assert calls == ["head", "tail"]
+
+    def test_tail_runs_under_the_callers_error_state(self, monkeypatch):
+        # a worker thread starts from NumPy's default error state; the tail
+        # must see the caller's, as the head does
+        monkeypatch.setattr(signal_model, "_THREADS", 2)
+
+        def log_zero():
+            return np.log(np.zeros(1))
+
+        with np.errstate(divide="raise"):
+            with pytest.raises(FloatingPointError):
+                signal_model.on_two_threads(lambda: None, log_zero)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(divide="ignore"):
+                _, tail = signal_model.on_two_threads(lambda: None, log_zero)
+        assert tail[0] == -np.inf
+        assert syncphase_threads() == []
