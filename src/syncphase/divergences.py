@@ -138,7 +138,7 @@ def phase_nodes(spread: float, center: float = 0.0) -> np.ndarray:
     half_width = U_LIMIT * spread
     window = np.linspace(c - half_width, c + half_width, DENSE_NODES)
     # one sorted run, or two where the wrap moves the part past the seam
-    window = np.asarray(wrap_angle(window))
+    window = wrap_angle(window)
     ambient = np.linspace(-math.pi, math.pi, AMBIENT_NODES)
     return _sorted_distinct(ambient, window)
 
@@ -151,26 +151,38 @@ _MIN_SPREAD_STEPS = math.sqrt(math.log(2.0 / NORMALIZATION_TOL)
 
 
 def density_from_pdf(pdf: PolarPdf) -> DensityGrid:
-    """Sample the closed-form phase density on its adapted node set.
+    """Sample the closed-form phase density on its adapted node set; at
+    beta_p = 0 (no lobe) the uniform density on the wide node set.
 
     wrap_angle computes a window node as (x + pi) - pi, so the nodes near
     the centre c fall on doubles about ulp(|c| + pi) apart (4.4e-16 rad at
-    c = 0), however many the window asks for.  A lobe whose grid fails its
-    mass check while its spread is below ``_MIN_SPREAD_STEPS`` of that
-    step raises OutOfRange naming this resolution limit."""
+    c = 0), however many the window asks for.  The node set ends at
+    -fl(pi) and fl(pi), so no node samples the 2(pi - fl(pi)) rad across
+    the seam.  A lobe whose grid fails its mass check raises OutOfRange
+    naming the limit it hit: a spread below ``_MIN_SPREAD_STEPS`` of that
+    step, or a window that reaches the seam."""
+    if pdf.beta_p == 0.0:
+        return uniform_density_on(phase_nodes(NARROW_SPREAD))
     nodes = phase_nodes(pdf.spread, pdf.phi)
     values = pdf_value(pdf, nodes)
     try:
         return DensityGrid(nodes=nodes, values=values)
     except OutOfRange:
-        step = float(np.spacing(abs(wrap_angle(pdf.phi)) + math.pi))
-        if pdf.spread >= _MIN_SPREAD_STEPS * step:
+        c = abs(wrap_angle(pdf.phi))
+        step = float(np.spacing(c + math.pi))
+        if pdf.spread < _MIN_SPREAD_STEPS * step:
+            limit = (f"is below the resolution of the phase nodes: near its "
+                     f"centre they are doubles {step:.3g} rad apart, and a "
+                     f"lobe narrower than {_MIN_SPREAD_STEPS:.3f} of that step")
+        elif math.pi - c < U_LIMIT * pdf.spread:
+            limit = (f"is centred {math.pi - c:.3g} rad from the seam at "
+                     f"+-pi, where the phase nodes end at -fl(pi) and fl(pi), "
+                     f"2.4e-16 rad apart, and a lobe this narrow that close")
+        else:
             raise
     raise OutOfRange(
-        f"lobe spread {float(pdf.spread)!r} rad is below the resolution of "
-        f"the phase nodes: near its centre they are doubles {step:.3g} rad "
-        f"apart, and a lobe narrower than {_MIN_SPREAD_STEPS:.3f} of that "
-        f"step cannot be sampled to unit mass within {NORMALIZATION_TOL}")
+        f"lobe spread {float(pdf.spread)!r} rad {limit} cannot be sampled to "
+        f"unit mass within {NORMALIZATION_TOL}")
 
 
 def uniform_density_on(nodes: Union[np.ndarray, DensityGrid]) -> DensityGrid:
@@ -196,11 +208,14 @@ def gaussian_approximation(moments: TheoreticalMoments,
     truncated Gaussian a valid density.
     """
     pdf = PolarPdf.from_moments(moments)
+    if pdf.beta_p == 0.0:
+        raise OutOfRange("beta_p = 0 leaves no lobe: the density is uniform "
+                         "and has no Gaussian approximation")
     spread = pdf.spread
     if nodes is None:
         nodes = phase_nodes(spread, pdf.phi)
     nodes, spacing = _node_set(nodes)
-    z = np.asarray(wrap_angle(nodes - pdf.phi)) / spread
+    z = wrap_angle(nodes - pdf.phi) / spread
     values = np.exp(-0.5 * z * z) / (math.sqrt(math.tau) * spread)
     values = values / _trapezoid(values, spacing)
     return DensityGrid(nodes=nodes, values=values, _spacing=spacing)
@@ -231,11 +246,9 @@ def kl_divergence(p: DensityGrid, q: DensityGrid) -> float:
             f"p-mass {mass:.3e}",
             unsupported_mass=min(mass, 1.0),
         )
-    if np.all(has_p):
+    with np.errstate(divide="ignore", invalid="ignore"):
         integrand = pv * np.log(pv / qv)
-    else:
-        integrand = np.zeros_like(pv)
-        integrand[has_p] = pv[has_p] * np.log(pv[has_p] / qv[has_p])
+    integrand[~has_p] = 0.0  # 0 log 0 = 0; those nodes gave nan or -inf
     return _trapezoid(integrand, p._spacing)
 
 

@@ -72,11 +72,9 @@ class McReport:
 
 
 def _pairwise_sum(parts: Sequence):
-    """Pairwise reduction of floats or of equal-shape arrays (element-wise);
-    summation order depends only on len(parts)."""
+    """Pairwise reduction of one or more floats or equal-shape arrays
+    (element-wise); summation order depends only on len(parts)."""
     items = list(parts)
-    if not items:
-        return 0.0
     while len(items) > 1:
         merged = [
             items[i] + items[i + 1] if i + 1 < len(items) else items[i]
@@ -101,7 +99,7 @@ def run_mc(config: McConfig) -> McReport:
     for start, stop in draw_chunks(params.n_samples, config.n_draws):
         d = reduced_dft_draws(params, config.master_seed, start, stop - start)
         phi_hat = principal_phase(d)
-        err = np.asarray(wrap_angle(phi_hat - params.phase))
+        err = wrap_angle(phi_hat - params.phase)
         e2 = err * err
         chunk_d = complex(np.sum(d))
         partials.append(np.array([
@@ -472,9 +470,7 @@ def fisher_combine(p_values: Sequence[float]) -> Tuple[float, float]:
     with np.errstate(divide="ignore"):
         statistic = float(-2.0 * np.sum(np.log(p)))
     # chi2.sf(statistic, 2k) with the same bits
-    p_value = (float(chdtrc(2 * p.shape[0], statistic)) if statistic > 0.0
-               else 1.0)
-    return statistic, p_value
+    return statistic, float(chdtrc(2 * p.shape[0], statistic))
 
 
 # --- the battery -----------------------------------------------------------------

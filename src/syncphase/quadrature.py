@@ -65,6 +65,8 @@ _X15, _W15 = _symmetric_rule(
 # 2 0.894, 4 0.879, 8 0.876, 16 0.891.  Integrand calls per integral:
 # 8.8 at 1, 5.3 at 2, 3.8 at 4, 3.7 at 8 and 16 (19.7 at one panel a call).
 _LOOKAHEAD = 8
+_ABS_TOL = 1e-14     # error floor, which ends an integral of zero
+_MAX_PANELS = 2000   # panel budget (QuadratureNonConvergence past it)
 _X = np.concatenate((_X15, _X7))
 
 
@@ -91,15 +93,13 @@ def integrate(
     b: float,
     *,
     rel_tol: float = 1e-10,
-    abs_tol: float = 1e-14,
-    max_panels: int = 2000,
     breakpoints: Sequence[float] = (),
 ) -> float:
     """Integrate f over [a, b] to the requested tolerance.
 
     `breakpoints` seeds the initial panel boundaries (useful to bracket a
     narrow feature so the first error estimates already see it).  The
-    tolerance test is  sum(panel errors) <= max(abs_tol, rel_tol*|integral|).
+    tolerance test is  sum(panel errors) <= max(_ABS_TOL, rel_tol*|integral|).
 
     f must be element-wise and pure: each call gets the abscissae of several
     panels at once, some of which the refinement may never use, and the
@@ -119,11 +119,11 @@ def integrate(
     while True:
         total = math.fsum(p[2] for p in panels)
         err = math.fsum(p[3] for p in panels)
-        if err <= max(abs_tol, rel_tol * abs(total)):
+        if err <= max(_ABS_TOL, rel_tol * abs(total)):
             return total
-        if len(panels) >= max_panels:
+        if len(panels) >= _MAX_PANELS:
             raise QuadratureNonConvergence(
-                f"panel budget {max_panels} exhausted: estimated error "
+                f"panel budget {_MAX_PANELS} exhausted: estimated error "
                 f"{err:.3e} on integral {total:.6e}",
                 best_estimate=total,
                 error_estimate=err,

@@ -14,7 +14,6 @@ floating-point remainder test.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -130,10 +129,7 @@ def make_params(
             f"N*f0/fs = {k_frac} is not an integer; choose N, f0, fs so the "
             f"tone lands exactly on a DFT bin"
         )
-    k = int(k_frac)
-    if k < 1:
-        # only reachable for very short records (fs > 2*f0 forces k < N/2)
-        raise NonSynchronous(f"derived bin index k={k} must be >= 1")
+    k = int(k_frac)  # >= 1: a positive integer, as N, f0 and fs are positive
 
     ph = float(phase)
     if not math.isfinite(ph):
@@ -179,22 +175,22 @@ def _shape(params: SignalParams, channel: int, normals: np.ndarray,
 
 # Smallest batch, in samples (n_draws * N), that RecordUnits.build
 # pipelines across two threads.  Measured on 2 cores (NumPy 2.4), the
-# pipeline's speed against one thread at 0 dB and 1 degree, medians of 61
-# interleaved runs:
+# pipeline's speed against one thread at 0 dB and 1 degree, the median of
+# five sets, each a ratio of medians of 61 interleaved runs (15 at 10^6):
 #
 #     samples     N = 20   100    128    1000
-#     10^4            0.89  0.91   0.93   0.92
-#     2*10^4          0.94  0.97   1.07   1.01
-#     2.5*10^4        1.07  1.08   1.10   1.05
-#     3*10^4          1.08  1.08   1.15   1.06
-#     4*10^4          1.13  1.15   1.17   1.09
-#     8*10^4          1.33  1.40   1.19   1.07
-#     10^6            1.66  1.59   1.63   1.70
+#     10^4            0.94  0.96   1.03   1.06
+#     2*10^4          0.97  1.06   1.13   1.24
+#     2.5*10^4        1.01  1.01   1.11   1.28
+#     3*10^4          1.03  1.05   1.12   1.37
+#     4*10^4          1.09  1.10   1.13   1.33
+#     8*10^4          1.35  1.34   1.37   1.39
+#     10^6            1.64  1.70   1.72   1.86
 #
-# A second run put 2*10^4 at 0.92 and 0.94 for N = 20 and 100 and 3*10^4
-# at 1.03 to 1.15.  3*10^4 is the smallest size at which no record length
-# lost in either run; mc_short's 80k-sample ops and the battery's
-# 40k-sample batches are pipelined.
+# At N = 20 the five sets ranged 0.96-1.02 at 2*10^4, 1.00-1.08 at
+# 2.5*10^4 and 1.01-1.04 at 3*10^4.  3*10^4 is the smallest size at which
+# no record length lost in any set; mc_short's 80k-sample ops and the
+# battery's 40k-sample batches are pipelined.
 _PIPELINE_MIN_SAMPLES = 30_000
 # Threads on_two_threads runs its two parts on: two when the process may
 # use two CPUs.
@@ -427,15 +423,12 @@ def sigma_x_for_snr(amplitude: float, snr: float) -> float:
 
 # --- sample CSV (schema: n,sample) -------------------------------------------
 
-def read_samples_csv(fp: Union[TextIO, str]) -> np.ndarray:
+def read_samples_csv(fp: TextIO) -> np.ndarray:
     """Read the `n,sample` rows that ``syncphase gen`` writes.
 
-    Accepts an open file or a string of CSV text; '#' comment lines and the
-    header are skipped.  Raises EmptyInput when no data rows are present and
+    Reads an open file; '#' comment lines and the header are skipped.  Raises EmptyInput when no data rows are present and
     OutOfRange on a malformed, out-of-order or non-finite sample row.
     """
-    if isinstance(fp, str):
-        fp = io.StringIO(fp)
     values = []
     reader = csv.reader(line for line in fp if not line.lstrip().startswith("#"))
     for row in reader:

@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import re
+import runpy
 import threading
 import warnings
 
@@ -178,6 +179,14 @@ class TestExitCodes:
 
     def test_version_exits_zero(self, capsys):
         assert main(["--version"]) == 0
+        assert f"syncphase {__version__}" in capsys.readouterr().out
+
+    def test_python_m_syncphase_runs_main(self, capsys, monkeypatch):
+        # `python -m syncphase`, run in this interpreter
+        monkeypatch.setattr("sys.argv", ["syncphase", "--version"])
+        with pytest.raises(SystemExit) as done:
+            runpy.run_module("syncphase", run_name="__main__")
+        assert done.value.code == 0
         assert f"syncphase {__version__}" in capsys.readouterr().out
 
     def test_nonsynchronous_grid_is_validation_error(self, capsys):
@@ -521,6 +530,16 @@ class TestOutputConventions:
         assert main(["gen", "--config", str(config)]) == 2
         assert f"bad value for {flag}:" in capsys.readouterr().err
 
+    def test_config_list_is_a_list_option(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"snr_db": [20, 0], "n": [100]}))
+        assert main(["rmse", "--config", str(config), "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [row["snr_db"] for row in rows] == [0.0, 20.0]
+        config.write_text(json.dumps({"snr_db": [0, "x"], "n": [100]}))
+        assert main(["rmse", "--config", str(config)]) == 2
+        assert "bad value for --snr-db:" in capsys.readouterr().err
+
     def test_config_integral_float_is_an_integer(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"n": 20.0, "seed": 7}))
@@ -784,6 +803,12 @@ class TestPdfCommand:
     def test_non_finite_window_is_validation_error(self, capsys, bound):
         assert main(["pdf", "--snr-db", "0", "--n", "20"] + bound) == 2
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stop", ["10", "-5"])
+    def test_empty_window_is_validation_error(self, capsys, stop):
+        assert main(["pdf", "--snr-db", "0", "--n", "20",
+                     "--theta-start-deg", "10", "--theta-stop-deg", stop]) == 2
+        assert "must exceed --theta-start-deg" in capsys.readouterr().err
 
 
 class TestMcCommand:

@@ -1,6 +1,8 @@
 """Tests for density grids and the KL / Bhattacharyya distances."""
+import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +75,17 @@ class TestDensityGrid:
             DensityGrid(nodes=nodes, values=3.0 * ok)  # mass far from 1
         with pytest.raises(OutOfRange):
             DensityGrid(nodes=nodes[:1], values=ok[:1])
+        with pytest.raises(OutOfRange, match="nodes and values must be 1-D"):
+            DensityGrid(nodes=nodes, values=ok[None, :])
+
+    @pytest.mark.parametrize("nodes, message", [
+        (np.zeros((2, 3)), "nodes must be 1-D"),
+        (np.array([0.0, 1.0, math.nan]), "nodes must be finite"),
+        (np.array([-math.inf, 0.0, 1.0]), "nodes must be finite"),
+    ])
+    def test_node_set_validation(self, nodes, message):
+        with pytest.raises(OutOfRange, match=message):
+            uniform_density_on(nodes)
 
     def test_narrow_lobe_at_boundary_keeps_unit_mass(self):
         # a lobe hugging +pi wraps its dense window across the seam;
@@ -80,6 +93,51 @@ class TestDensityGrid:
         pdf = PolarPdf(beta_p=1.0, sigma=1e-3, phi=math.pi - 0.01)
         grid = density_from_pdf(pdf)
         assert grid.mass == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("phi", [math.pi, -math.pi, math.pi - 1e-15])
+    def test_lobe_on_the_seam_names_the_gap(self, phi):
+        # the nodes end at -fl(pi) and fl(pi); a 4.4e-12 rad lobe on the
+        # seam puts 2.2e-5 of its mass in the 2.4e-16 rad between them
+        pdf = PolarPdf(beta_p=1.0, sigma=4.4e-12, phi=phi)
+        with pytest.raises(OutOfRange, match="rad from the seam at"):
+            density_from_pdf(pdf)
+
+    @pytest.mark.parametrize("phi, sha256", [
+        (math.pi,
+         "2b7d6f8599f8416a399fe25c7395bb6256b4bd23396afa4f9c2770e9099ba288"),
+        (-math.pi,
+         "1d848a2341e3f4078a4d5db51e59b6a0c67082032d9747acfac7dbd0eaf171f7"),
+        (math.pi - 1e-15,
+         "17d0c4b6970b4423e1ecdb3cf02dcdb04c70bdf784cfdfec0d928028bcce155a"),
+    ])
+    def test_wider_lobe_on_the_seam_keeps_its_grid(self, phi, sha256):
+        # at 1e-10 rad the gap's share is under 1e-6, so the grid passes
+        # its mass check; the seam check runs only on a failed grid, and
+        # the pinned SHA-256s keep these grids' bits
+        grid = density_from_pdf(PolarPdf(beta_p=1.0, sigma=1e-10, phi=phi))
+        got = hashlib.sha256(grid.nodes.tobytes() + grid.values.tobytes())
+        assert got.hexdigest() == sha256
+
+
+class TestUniformLimit:
+    # sigma_p = 50 rad: exp(-sigma_p^2/2) underflows, so beta_p = 0
+    MOMENTS = moments_for(20, 0.0, sigma_p=50.0)
+
+    def test_density_is_the_uniform_grid_on_the_wide_nodes(self):
+        assert self.MOMENTS.beta_p == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = density_from_pdf(PolarPdf.from_moments(self.MOMENTS))
+        assert grid.nodes.tobytes() == phase_nodes(0.25).tobytes()
+        assert grid.values.tobytes() == \
+            uniform_density_on(grid).values.tobytes()
+
+    @pytest.mark.parametrize("nodes", [None, WIDE])
+    def test_gaussian_approximation_names_the_missing_lobe(self, nodes):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange, match="no lobe"):
+                gaussian_approximation(self.MOMENTS, nodes)
 
 
 class TestPhaseNodes:
@@ -169,6 +227,12 @@ class TestKlDivergence:
 
 
 class TestBhattacharyya:
+    def test_disjoint_densities_are_infinitely_far(self):
+        nodes = np.arange(7.0)
+        p = DensityGrid(nodes=nodes, values=[2 / 3, 2 / 3, 0, 0, 0, 0, 0])
+        q = DensityGrid(nodes=nodes, values=[0, 0, 0, 0, 0, 2 / 3, 2 / 3])
+        assert bhattacharyya_distance(p, q) == math.inf
+
     def test_identical_densities(self):
         g = g0_density(-30.0)
         assert abs(bhattacharyya_distance(g, g)) < 1e-10

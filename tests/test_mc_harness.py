@@ -466,6 +466,8 @@ class TestHoeffdingD:
             hoeffding_d(np.arange(4.0), np.arange(4.0))
         with pytest.raises(OutOfRange):
             hoeffding_d(np.full(6, math.inf), np.arange(6.0))
+        with pytest.raises(OutOfRange, match="must be 1-D"):
+            hoeffding_d(np.zeros((6, 2)), np.arange(6.0))
 
     @pytest.mark.parametrize("n", [5, 6, 37, 600])
     @pytest.mark.parametrize("case", sorted(RANK_CASES))

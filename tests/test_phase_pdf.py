@@ -1,4 +1,5 @@
 """Tests for the closed-form estimator density and the error analysis."""
+import dataclasses
 import math
 
 import numpy as np
@@ -341,6 +342,14 @@ class TestApproximations:
         val = rmse_linear_approx(1000, 100.0)
         assert val == pytest.approx(3.1623e-3, rel=1e-4)
         assert math.degrees(val) == pytest.approx(0.1812, abs=1e-4)
+
+    @pytest.mark.parametrize("beta_p", [-0.1, 1.5, math.nan])
+    def test_floor_approx_rejects_beta_p_outside_the_unit_interval(
+            self, beta_p):
+        moments = dataclasses.replace(moments_for(1000, sigma_p=0.1),
+                                      beta_p=beta_p)
+        with pytest.raises(OutOfRange, match="beta_p must be in"):
+            rmse_floor_approx(moments)
 
     def test_floor_approx_value(self):
         val = rmse_floor_approx(moments_for(1000, sigma_p=math.radians(1.0)))

@@ -2,6 +2,7 @@
 import hashlib
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -75,6 +76,26 @@ class TestMakeParams:
         with pytest.raises(OutOfRange):
             make_params(amplitude=1.0, f0=1.0, fs=4.0, n_samples=4,
                         sigma_phase=-0.5)
+
+    def test_fractions_are_exact_frequencies(self):
+        p = make_params(amplitude=1.0, f0=Fraction(1, 10), fs=Fraction(1),
+                        n_samples=10)
+        assert (p.f0, p.fs, p.bin_index) == (0.1, 1.0, 1)
+
+    @pytest.mark.parametrize("f0, fs, message", [
+        (math.inf, 4.0, "f0 must be finite"),
+        (1.0, math.nan, "fs must be finite"),
+        ("one", 4.0, "f0 is not a number"),
+        (1.0, "1/0", "fs is not a number"),
+        ([1.0], 4.0, "f0 has unsupported type list"),
+        (0.0, 4.0, "f0 must be > 0"),
+        (-1.0, 4.0, "f0 must be > 0"),
+        (1.0, 0, "fs must be > 0"),
+        (1.0, "-4", "fs must be > 0"),
+    ])
+    def test_frequency_validation(self, f0, fs, message):
+        with pytest.raises(OutOfRange, match=message):
+            make_params(amplitude=1.0, f0=f0, fs=fs, n_samples=4)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_phase_rejected(self, bad):
@@ -164,6 +185,10 @@ class TestRecordUnits:
         return make_params(amplitude=1.5, f0=3, fs=n, phase=0.4,
                            sigma_additive=sigma_x, sigma_phase=sigma_p,
                            n_samples=n)
+
+    def test_negative_draw_count_rejected(self):
+        with pytest.raises(OutOfRange, match="n_draws"):
+            noisy_records(self.params(0.3, 0.1), 1, 0, -1)
 
     def test_units_are_row_blocks_of_each_noisy_channel(self, monkeypatch):
         monkeypatch.setattr(rng, "_SUB_BLOCK", 64)  # 12 draws at N = 20
@@ -321,6 +346,11 @@ class TestSnrHelpers:
         p = quarter_period()
         assert snr_linear(p) == math.inf
 
+    @pytest.mark.parametrize("amplitude", [0.0, -1.0, math.nan])
+    def test_sigma_needs_a_positive_amplitude(self, amplitude):
+        with pytest.raises(NonPositiveAmplitude):
+            sigma_x_for_snr(amplitude, 1.0)
+
     def test_infinite_snr_means_zero_sigma(self):
         assert sigma_x_for_snr(2.0, math.inf) == 0.0
 
@@ -371,6 +401,12 @@ class TestSampleCsv:
             read_samples_csv(io.StringIO("n,sample\n0,1.0\n2,0.5\n"))
         with pytest.raises(OutOfRange):
             read_samples_csv(io.StringIO("n,sample\n0,not-a-number\n"))
+        with pytest.raises(OutOfRange, match="malformed sample row: \\['0'\\]"):
+            read_samples_csv(io.StringIO("n,sample\n0\n"))
+
+    def test_blank_rows_are_skipped(self):
+        back = read_samples_csv(io.StringIO("n,sample\n\n0,1.5\n\n1,-2.0\n"))
+        assert back.tolist() == [1.5, -2.0]
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_sample_rejected_naming_its_row(self, bad):

@@ -179,6 +179,20 @@ class TestEstimatePhase:
         with pytest.raises(LengthMismatch, match=f"{n_record} samples"):
             estimate_phase(record, p)
 
+    def test_empty_record_rejected(self):
+        with pytest.raises(EmptyInput):
+            estimate_phase(np.array([]), params_for(4))
+
+    def test_zero_statistic_rejected(self):
+        # one subnormal sample, reduced by A*N = 2e301, gives a bin
+        # statistic of exactly 0: the record is not all zero, its phase
+        # is still undefined
+        p = make_params(1e300, 1.0, 10.0, n_samples=20)
+        samples = np.zeros(20)
+        samples[0] = 5e-324
+        with pytest.raises(ZeroVector, match="statistic is zero"):
+            estimate_phase(samples, p)
+
     def test_all_zero_record_rejected(self):
         p = params_for(4)
         with pytest.raises(ZeroVector):
