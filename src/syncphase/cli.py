@@ -7,7 +7,9 @@ Conventions:
     record (``-inf`` is SNR 0 and is rejected);
   * outputs are CSV with ``#`` provenance comments (tool version, command,
     seed, grid hash) and are byte-deterministic for identical invocations;
-    ``--json`` emits the same rows as a JSON document instead;
+    ``--json`` emits the same rows as a strict JSON document instead, a
+    cell CSV writes as ``NA`` as null and an infinite one as "inf" or
+    "-inf";
   * each command declares its options once, in its ``_command`` table; a
     JSON config file (``--config``) can supply any of them by table key
     (``snr_db`` for ``--snr-db``, ``in_path`` for ``--in``, ``json_output``
@@ -214,6 +216,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_cell(value):
+    """A table cell for JSON, which has no infinity: an infinite float is
+    written as the CSV cell and the SNR flags' token, "inf" or "-inf"."""
+    if isinstance(value, float) and math.isinf(value):
+        return repr(value)
+    return value
+
+
 def _grid_hash(o: argparse.Namespace, *keys: str, **extra) -> str:
     """Digest of the options ``keys`` of ``o`` plus ``extra``, and of each
     signal option (amplitude, f0, fs) whose value differs from its default.
@@ -248,9 +258,12 @@ def _write_table(
         doc = {
             "provenance": meta,
             "columns": list(columns),
-            "rows": [dict(zip(columns, row)) for row in rows],
+            "rows": [{column: _json_cell(value)
+                      for column, value in zip(columns, row)}
+                     for row in rows],
         }
-        json.dump(doc, buffer, indent=2, default=str)
+        # strict JSON: a nan cell is a bug to report, not a NaN token
+        json.dump(doc, buffer, indent=2, default=str, allow_nan=False)
         buffer.write("\n")
     else:
         for key, value in meta.items():
@@ -541,14 +554,18 @@ def _cmd_normality(o) -> int:
     )
     rows = []
     for (snr_db, sigma_p, n), rep in zip(grid_points, reports):
+        # a degenerate point has no figures: NA, not nan
+        hz, fisher, fisher_p, hoeffding = [None] * 4 if rep.failure else [
+            rep.hz_statistic, rep.fisher_statistic, rep.fisher_p_value,
+            rep.hoeffding_statistic]
         rows.append([
             snr_db, sigma_p, n,
-            rep.hz_statistic,
+            hz,
             ";".join(repr(float(p)) for p in rep.hz_p_values),
             ";".join(repr(float(p)) for p in rep.hz_p_adjusted),
-            rep.fisher_statistic,
-            rep.fisher_p_value,
-            rep.hoeffding_statistic,
+            fisher,
+            fisher_p,
+            hoeffding,
             rep.verdict_normality,
             rep.failure if rep.failure else "",
         ])

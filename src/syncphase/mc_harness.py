@@ -11,7 +11,9 @@ order, and combines the chunk partials by pairwise summation.
 Henze-Zirkler's pair sum may run the two top-level nodes of its pairwise
 summation on two threads; each node adds its terms in np.sum's own order
 and the two are added as np.sum adds them, so that split does not change a
-bit either.  Results are therefore bit-identical however the work is
+bit either.  The battery draws consecutive batches in one call and may run
+Hoeffding's D beside Henze-Zirkler; each test still sees the values of its
+own batch.  Results are therefore bit-identical however the work is
 scheduled, on one NumPy build and CPU feature set: the errors pass through
 ``np.arctan2`` and Henze-Zirkler through ``np.exp``, whose last bits NumPy
 takes from an AVX-512 kernel where the CPU has one.  The draws themselves
@@ -28,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -145,21 +148,15 @@ class HzResult(NamedTuple):
 
 
 # Pair terms per leaf of _hz_pair_sum: a node of NumPy's pairwise-sum tree
-# that is built and summed in one reused buffer.  Measured on 2 cores (NumPy
-# 2.4) at n = 2000, medians of 601 interleaved runs, one thread and two:
-# 2^15 terms 20.8 and 14.8 ms, 2^16 20.6 and 12.7 ms, 2^17 21.8 and
-# 12.9 ms.  Summing the whole (n, n) matrix at once took 38-52 ms.
+# that is built and summed in one reused buffer of 2^16 doubles (512 KB),
+# where summing the whole (n, n) matrix at once holds a second such matrix.
 _HZ_TILE = 2**16
 # NumPy's pairwise_sum adds up to this many terms in one unrolled loop and
 # splits only longer runs, so no leaf may be shorter.
 _NUMPY_PAIRWISE_BLOCK = 128
-# Smallest pair count (n^2) that _hz_pair_sum splits across two threads.
-# Measured on 2 cores, the split's speed against one thread over 601
-# interleaved runs, median (quartiles) and share of runs won, at n = 300,
-# 500, 700, 1000, 1400 and 2000: 1.01x (0.79-1.17) 52%, 1.25x (0.99-1.41)
-# 74%, 1.37x (1.07-1.55) 81%, 1.50x (1.21-1.68) 86%, 1.57x (1.28-1.74) 88%,
-# 1.60x (1.34-1.76) 91%.  n = 700 is the smallest measured size whose lower
-# quartile gains.
+# Smallest pair count (n^2) that _hz_pair_sum splits across two threads,
+# n = 700; run_convergence_battery runs Hoeffding's D beside Henze-Zirkler
+# from the same count on.
 _HZ_SPLIT_MIN_PAIRS = 490_000
 
 
@@ -169,32 +166,28 @@ def _pairwise_split(m: int) -> int:
     return left - left % 8
 
 
-def _hz_pair_node(half: np.ndarray, d_diag: np.ndarray, scale: float,
+def _hz_pair_node(half: np.ndarray, d_half: np.ndarray, scale: float,
                   start: int, count: int, tile: int,
-                  scratch: Optional[Tuple[np.ndarray, np.ndarray]] = None
-                  ) -> float:
+                  scratch: Optional[np.ndarray] = None) -> float:
     """Sum of the pair terms at flat indices [start, start + count) of the
     (n, n) pair matrix, added in the order np.sum adds that node."""
-    n = d_diag.shape[0]
-    if scratch is None:  # one pair of leaf buffers per thread
-        size = min(count, tile)
-        scratch = (np.empty(size + 2 * n), np.empty(size))
+    n = d_half.shape[0]
+    if scratch is None:  # one leaf buffer per thread
+        scratch = np.empty(min(count, tile) + 2 * n)
     if count > tile:
         left = _pairwise_split(count)
-        return (_hz_pair_node(half, d_diag, scale, start, left, tile,
+        return (_hz_pair_node(half, d_half, scale, start, left, tile,
                               scratch)
-                + _hz_pair_node(half, d_diag, scale, start + left,
+                + _hz_pair_node(half, d_half, scale, start + left,
                                 count - left, tile, scratch))
-    rows, twice = scratch
     stop = start + count
     first, col = divmod(start, n)
     last = (stop - 1) // n
-    # d_i + d_j over the whole rows the leaf spans; the leaf starts at col
-    np.add(d_diag[first:last + 1, None], d_diag,
-           out=rows[:(last - first + 1) * n].reshape(-1, n))
-    buf = rows[col:col + count]
-    np.multiply(half.reshape(-1)[start:stop], 2.0, out=twice[:count])
-    buf -= twice[:count]
+    # d_i/2 + d_j/2 over the whole rows the leaf spans; the leaf starts at col
+    np.add(d_half[first:last + 1, None], d_half,
+           out=scratch[:(last - first + 1) * n].reshape(-1, n))
+    buf = scratch[col:col + count]
+    buf -= half.reshape(-1)[start:stop]
     buf *= scale
     np.exp(buf, out=buf)
     return float(np.sum(buf))
@@ -209,14 +202,27 @@ def _hz_pair_sum(half: np.ndarray, d_diag: np.ndarray, b2: float) -> float:
     with NumPy's pairwise summation, one recursion over the flat index
     range whose split points depend only on the length.  Here the same
     recursion runs in Python down to leaves of about ``_HZ_TILE`` terms:
-    each leaf builds its terms in a small reused buffer, with the same
-    element-wise operations in the same order, and np.sum of that buffer
-    adds them exactly as the whole-matrix sum adds that subtree.  So the
-    result has the same bits, while the only (n, n) array is ``half``,
+    each leaf builds its terms in a small reused buffer, and np.sum of that
+    buffer adds them exactly as the whole-matrix sum adds that subtree.  So
+    the result has the same bits, while the only (n, n) array is ``half``,
     which is read and left unmodified.  This leans on NumPy's pairwise
     order (the split at m // 2 rounded down to a multiple of 8, and a plain
     loop at 128 terms or fewer); the bit-exactness tests fail loudly if a
     NumPy upgrade changes it.
+
+    A leaf builds each term as exp(fl(fl(d_i/2 + d_j/2) - h_ij) * -b2), with
+    d halved once, in place of exp(fl(fl(d_i + d_j) - 2 h_ij) * (-b2/2)),
+    which saves the pass that doubles ``half``.  While every step stays
+    normal, each differs from the other's by an exact factor of 2 and the
+    two products are the same real number before rounding, so the
+    exponents are the same double.  A subnormal d_i/2 (which may round)
+    can only move a sum s below about 2^-968, and a subnormal s - h_ij is
+    smaller still: an h_ij large enough to matter beside such an s absorbs
+    it on both sides, and otherwise the exponent is below 2^-54 in
+    magnitude on both sides, where exp is exactly 1.0.  Where 2 h_ij
+    overflows but h_ij * b2 need not, exp is inf or 0 either way, as long
+    as d_i + d_j stays finite, which a sample's Mahalanobis distances (they
+    sum to n * p) always do.
 
     From ``_HZ_SPLIT_MIN_PAIRS`` pairs on, the two top-level nodes run
     through :func:`on_two_threads` (on this thread and a worker, or one
@@ -232,13 +238,14 @@ def _hz_pair_sum(half: np.ndarray, d_diag: np.ndarray, b2: float) -> float:
     n = d_diag.shape[0]
     total = n * n
     tile = max(_HZ_TILE, _NUMPY_PAIRWISE_BLOCK)
-    scale = -0.5 * b2
+    d_half = 0.5 * d_diag
+    scale = -b2
     if total < _HZ_SPLIT_MIN_PAIRS:
-        return _hz_pair_node(half, d_diag, scale, 0, total, tile)
+        return _hz_pair_node(half, d_half, scale, 0, total, tile)
     left = _pairwise_split(total)
     head, tail = on_two_threads(
-        partial(_hz_pair_node, half, d_diag, scale, 0, left, tile),
-        partial(_hz_pair_node, half, d_diag, scale, left, total - left, tile))
+        partial(_hz_pair_node, half, d_half, scale, 0, left, tile),
+        partial(_hz_pair_node, half, d_half, scale, left, total - left, tile))
     return head + tail
 
 
@@ -505,6 +512,18 @@ def run_convergence_battery(
     A degenerate point (e.g. noiseless input with singular covariance) is
     recorded via the `failure` field and the run continues; sizes the tests
     cannot run on raise OutOfRange before any draw.
+
+    Repetition ``rep`` uses draws [rep * hz_draws, (rep + 1) * hz_draws)
+    and the Hoeffding batch the draws after the last repetition.
+    Consecutive batches are drawn in one ``reduced_dft_draws`` call while
+    together they fit one ``draw_chunks`` chunk, and a batch larger than a
+    chunk is drawn alone, so memory grows with the largest batch and not
+    with `repetitions`.  Where Henze-Zirkler splits its pair sum
+    (``hz_draws**2 >= _HZ_SPLIT_MIN_PAIRS``), Hoeffding's D runs through
+    :func:`on_two_threads` beside the repetitions drawn with its batch, so
+    it overlaps their serial BLAS product.  Every draw and every test sees
+    the values it would see one batch at a time, so the report has the same
+    bits, and a SingularCovariance of Henze-Zirkler still makes the row.
     """
     if repetitions < 1:
         raise OutOfRange("repetitions must be >= 1")
@@ -519,20 +538,10 @@ def run_convergence_battery(
     nan = float("nan")
     for params in grid:
         try:
-            stats = []
-            p_raw = []
-            for rep in range(repetitions):
-                d = reduced_dft_draws(
-                    params, master_seed, rep * hz_draws, hz_draws
-                )
-                result = henze_zirkler(np.column_stack((d.real, d.imag)))
-                stats.append(result.statistic)
-                p_raw.append(result.p_value)
+            stats, p_raw, hd = _battery_point(
+                params, master_seed, repetitions, hz_draws, hoeffding_draws)
             adjusted = benjamini_hochberg(p_raw)
             fisher_stat, fisher_p = fisher_combine(adjusted)
-            d_ind = reduced_dft_draws(params, master_seed,
-                                      repetitions * hz_draws, hoeffding_draws)
-            hd = hoeffding_d(d_ind.real, d_ind.imag)
             reports.append(
                 BatteryReport(
                     hz_statistic=float(np.mean(stats)),
@@ -558,3 +567,46 @@ def run_convergence_battery(
                 )
             )
     return reports
+
+
+def _battery_point(params: SignalParams, master_seed: int, repetitions: int,
+                   hz_draws: int, hoeffding_draws: int
+                   ) -> Tuple[List[float], List[float], float]:
+    """One point's Henze-Zirkler statistics and p-values, in repetition
+    order, and its Hoeffding's D, drawn as run_convergence_battery says."""
+    sizes = [hz_draws] * repetitions + [hoeffding_draws]
+    # one chunk, or every batch when they all fit in one
+    chunk = next(draw_chunks(params.n_samples, sum(sizes)))[1]
+    calls: List[Tuple[int, List[int]]] = []  # (first draw, batch sizes)
+    first = 0
+    for size in sizes:
+        if calls and sum(calls[-1][1]) + size <= chunk:
+            calls[-1][1].append(size)
+        else:
+            calls.append((first, [size]))
+        first += size
+
+    stats: List[float] = []
+    p_raw: List[float] = []
+
+    def run_hz(batches: Sequence[np.ndarray]) -> None:
+        for d in batches:
+            result = henze_zirkler(np.column_stack((d.real, d.imag)))
+            stats.append(result.statistic)
+            p_raw.append(result.p_value)
+
+    def draw(first: int, batches: List[int]) -> List[np.ndarray]:
+        d = reduced_dft_draws(params, master_seed, first, sum(batches))
+        return np.split(d, list(accumulate(batches[:-1])))
+
+    for call in calls[:-1]:
+        run_hz(draw(*call))
+    # the last call's last batch is Hoeffding's
+    *hz_batches, d_ind = draw(*calls[-1])
+    hoeffding = partial(hoeffding_d, d_ind.real, d_ind.imag)
+    if hz_batches and hz_draws * hz_draws >= _HZ_SPLIT_MIN_PAIRS:
+        _, hd = on_two_threads(partial(run_hz, hz_batches), hoeffding)
+    else:
+        run_hz(hz_batches)
+        hd = hoeffding()
+    return stats, p_raw, hd

@@ -21,7 +21,7 @@ import syncphase.signal_model as signal_model
 from syncphase import __version__
 from syncphase.cli import main
 from syncphase.errors import OutOfRange, QuadratureNonConvergence
-from syncphase.mc_harness import McConfig, run_mc
+from syncphase.mc_harness import BatteryReport, McConfig, run_mc
 from syncphase.signal_model import make_params, sigma_x_for_snr
 from syncphase.spectral_estimator import theoretical_moments
 
@@ -311,8 +311,8 @@ class TestExitCodes:
         # in a ZeroDivisionError traceback; beta_p itself is 0 at 1e5 deg
         [row] = _json_rows(capsys, [command, "--snr-db", "0", "--sigma-p-deg",
                                     sigma_p_deg, "--n", "20"])
-        for name in columns:
-            assert row[name] == math.inf
+        for name in columns:  # strict JSON writes infinity as "inf"
+            assert row[name] == "inf"
         assert row["rmse_analytic_deg"] == pytest.approx(
             math.degrees(math.pi / math.sqrt(3.0)), rel=1e-12)
 
@@ -1053,6 +1053,44 @@ class TestNormalityCommand:
         assert "SingularCovariance" in text
         _, columns, rows = read_table(table)
         assert cell(columns, rows[0], "verdict_normality") == "false"
+
+    FIGURES = ["hz_statistic", "fisher_statistic", "fisher_p_value",
+               "hoeffding_d"]
+
+    def test_degenerate_point_is_na_and_strict_json(self, tmp_path):
+        # its figures were nan cells in CSV and bare NaN tokens in JSON,
+        # and its SNR a bare Infinity token
+        argv = ["normality", "--snr-db", "inf", "--n", "20",
+                "--sigma-p-deg", "0"]
+        table, doc = tmp_path / "t.csv", tmp_path / "t.json"
+        assert main(argv + ["--out", str(table)]) == 0
+        assert main(argv + ["--json", "--out", str(doc)]) == 0
+        _, columns, rows = read_table(table)
+        assert [cell(columns, rows[0], f) for f in self.FIGURES] == \
+            ["NA"] * 4
+        assert cell(columns, rows[0], "snr_db") == "inf"
+
+        def no_constant(token):
+            raise AssertionError(f"not strict JSON: {token}")
+
+        (row,) = json.loads(doc.read_text(),
+                            parse_constant=no_constant)["rows"]
+        assert [row[f] for f in self.FIGURES] == [None] * 4
+        assert row["snr_db"] == "inf"
+        assert row["verdict_normality"] is False
+        assert row["failure"].startswith("SingularCovariance: ")
+
+    def test_nan_cell_is_an_error_not_a_json_token(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def nan_report(*args, **kwargs):
+            return [BatteryReport(math.nan, (), (), 1.0, 0.5, 0.0, True)]
+
+        monkeypatch.setattr(cli, "run_convergence_battery", nan_report)
+        out = tmp_path / "t.json"
+        assert main(["normality", "--snr-db", "0", "--n", "20", "--json",
+                     "--out", str(out)]) == 2
+        assert "not JSON compliant" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("sizes, message", [
         (["--reps", "0"], "repetitions must be >= 1"),

@@ -1,9 +1,11 @@
 """Tests for the Monte-Carlo engine and the statistical-test battery."""
+import dataclasses
 import gc
 import math
 import multiprocessing
 import threading
 import tracemalloc
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -59,6 +61,46 @@ def no_pool():
 def hz_must_equal(x, want):
     if henze_zirkler(x) != want:
         raise SystemExit(1)
+
+
+def battery_one_batch_at_a_time(params, seed, repetitions, hz_draws,
+                                hoeffding_draws, alpha=0.05):
+    """The battery's report for one point, as it was computed before
+    batches shared a draw call: one reduced_dft_draws call per batch, and
+    the tests one after the other on this thread."""
+    try:
+        stats, p_raw = [], []
+        for rep in range(repetitions):
+            d = reduced_dft_draws(params, seed, rep * hz_draws, hz_draws)
+            result = henze_zirkler(np.column_stack((d.real, d.imag)))
+            stats.append(result.statistic)
+            p_raw.append(result.p_value)
+        adjusted = benjamini_hochberg(p_raw)
+        fisher_stat, fisher_p = fisher_combine(adjusted)
+        d = reduced_dft_draws(params, seed, repetitions * hz_draws,
+                              hoeffding_draws)
+        return BatteryReport(
+            hz_statistic=float(np.mean(stats)), hz_p_values=tuple(p_raw),
+            hz_p_adjusted=tuple(adjusted), fisher_statistic=fisher_stat,
+            fisher_p_value=fisher_p,
+            hoeffding_statistic=hoeffding_d(d.real, d.imag),
+            verdict_normality=bool(fisher_p >= alpha))
+    except SingularCovariance as exc:
+        nan = math.nan
+        return BatteryReport(nan, (), (), nan, nan, nan, False,
+                             failure=f"{type(exc).__name__}: {exc}")
+
+
+def report_bits(report):
+    """Every field of a BatteryReport, each float as its hex string."""
+    def bits(value):
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, tuple):
+            return tuple(bits(v) for v in value)
+        return value
+    return {field.name: bits(getattr(report, field.name))
+            for field in dataclasses.fields(report)}
 
 
 class TestRunMc:
@@ -266,6 +308,46 @@ class TestHenzeZirkler:
             d_pair = d_diag[:, None] + d_diag[None, :] - 2.0 * half
             want = float(np.sum(np.exp(-0.5 * b2 * d_pair)))
             assert _hz_pair_sum(half, d_diag, b2) == want
+
+    @pytest.mark.parametrize("n", [700, 2000, 2001])
+    @pytest.mark.parametrize("edge", ["zero", "subnormal", "huge_negative_h",
+                                      "huge_positive_h"])
+    def test_halved_leaf_matches_allocating_expression_at_edges(self, n,
+                                                                edge):
+        # The leaf adds d_i/2 + d_j/2 and takes half_ij once, where the
+        # expression adds d_i + d_j and takes 2 half_ij: equal bit for bit
+        # while every step stays normal, and at these edges too.
+        gen = np.random.default_rng(59)
+        x = gen.standard_normal((n, 2)) @ gen.standard_normal((2, 2))
+        centered = x - x.mean(axis=0)
+        cov = np.cov(x, rowvar=False, bias=True)
+        if edge == "zero":  # a point at the mean
+            centered[3] = 0.0
+        half = centered @ np.linalg.inv(cov) @ centered.T
+        d_diag = np.diag(half).copy()
+        b2 = ((5 * n / 4.0) ** (1.0 / 6.0) / math.sqrt(2.0)) ** 2
+        if edge == "zero":
+            assert d_diag[3] == 0.0 and not np.any(half[3])
+        elif edge == "subnormal":
+            # odd subnormals, whose halves round, and the smallest normal
+            # with an odd last bit; their pairs' half terms as small
+            tiny = [5e-324, 3 * 5e-324, 2.0**-1021 + 2.0**-1073, 2.0**-990]
+            for i, v in enumerate(tiny):
+                d_diag[i] = v
+                half[i, :4] = half[:4, i] = 7e-324 * (i + 1)
+        else:  # 2 h overflows, h * b2 need not
+            sign = -1.0 if edge == "huge_negative_h" else 1.0
+            half[5, 7], half[7, 5], half[9, 9] = sign * np.array(
+                [1e308, 1.7e308, 8.99e307])
+        with np.errstate(over="ignore"):
+            want = float(np.sum(np.exp(
+                -0.5 * b2 * (d_diag[:, None] + d_diag[None, :] - 2.0 * half))))
+            got = _hz_pair_sum(half, d_diag, b2)
+        assert got.hex() == want.hex()
+        if edge == "huge_positive_h":
+            assert want == math.inf
+        else:
+            assert math.isfinite(want)
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("tile", [64, None])
@@ -651,6 +733,85 @@ class TestConvergenceBattery:
             tracemalloc.stop()
         assert report.failure is None
         assert peak < 6 * 2**20
+
+    # perfbench's battery points: (0 dB, 0.1 deg) and (20 dB, 5 deg) at N=20
+    BENCH_POINTS = [params_for(20, snr_db=0.0, sigma_p=math.radians(0.1)),
+                    params_for(20, snr_db=20.0, sigma_p=math.radians(5.0))]
+
+    @pytest.mark.parametrize("point", [0, 1])
+    @pytest.mark.parametrize("repetitions", [1, 3])
+    @pytest.mark.parametrize("hz_draws", [600, 2000])
+    def test_report_has_the_bits_of_one_batch_at_a_time(
+            self, monkeypatch, point, repetitions, hz_draws):
+        # 600 draws stay below the split and Hoeffding's D runs after the
+        # repetitions; 2000 split and it runs beside them
+        assert 600**2 < mc_harness._HZ_SPLIT_MIN_PAIRS <= 2000**2
+        monkeypatch.setattr(signal_model, "_THREADS", 2)
+        p = self.BENCH_POINTS[point]
+        (got,) = run_convergence_battery([p], SEED, repetitions=repetitions,
+                                         hz_draws=hz_draws,
+                                         hoeffding_draws=2000)
+        assert got.failure is None
+        assert report_bits(got) == report_bits(battery_one_batch_at_a_time(
+            p, SEED, repetitions, hz_draws, 2000))
+
+    @pytest.mark.parametrize("chunk", [2500, 4500])
+    def test_report_has_the_same_bits_over_several_calls(self, monkeypatch,
+                                                         chunk):
+        # 2500 draws a chunk: each batch alone, Hoeffding's D after the
+        # repetitions; 4500: two batches a call, the last repetition
+        # beside Hoeffding's D
+        monkeypatch.setattr(signal_model, "_THREADS", 2)
+        monkeypatch.setattr(spectral_estimator, "_CHUNK_BUDGET", chunk * 20)
+        p = self.BENCH_POINTS[1]
+        (got,) = run_convergence_battery([p], SEED, repetitions=3,
+                                         hz_draws=2000, hoeffding_draws=2000)
+        assert report_bits(got) == report_bits(
+            battery_one_batch_at_a_time(p, SEED, 3, 2000, 2000))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("hoeffding_fails", [False, True])
+    def test_singular_covariance_still_makes_the_row(
+            self, monkeypatch, threads, hoeffding_fails):
+        # Hoeffding's D may run beside the repetition that raises; the row
+        # is still that repetition's failure, also when D raises too
+        monkeypatch.setattr(signal_model, "_THREADS", threads)
+        p = params_for(20)  # noiseless: every draw is the same statistic
+        want = battery_one_batch_at_a_time(p, SEED, 3, 2000, 2000)
+        if hoeffding_fails:
+            def failing_hoeffding(x, y):
+                raise RuntimeError("Hoeffding's D must not make this row")
+
+            monkeypatch.setattr(mc_harness, "hoeffding_d", failing_hoeffding)
+        (got,) = run_convergence_battery([p], SEED, repetitions=3,
+                                         hz_draws=2000, hoeffding_draws=2000)
+        assert got.failure.startswith("SingularCovariance: ")
+        assert report_bits(got) == report_bits(want)
+
+    @pytest.mark.parametrize("hz_draws, hoeffding_draws", [
+        (30, 50), (30, 250), (150, 40)])
+    def test_no_draw_call_exceeds_a_chunk_or_the_largest_batch(
+            self, monkeypatch, hz_draws, hoeffding_draws):
+        # 100 draws a chunk at N=20: many repetitions make more calls, not
+        # larger ones
+        monkeypatch.setattr(spectral_estimator, "_CHUNK_BUDGET", 100 * 20)
+        calls = []
+
+        def recording_draws(params, seed, first_draw, n_draws):
+            calls.append((first_draw, n_draws))
+            return reduced_dft_draws(params, seed, first_draw, n_draws)
+
+        monkeypatch.setattr(mc_harness, "reduced_dft_draws", recording_draws)
+        p = params_for(20, snr_db=0.0, sigma_p=math.radians(1.0))
+        (report,) = run_convergence_battery(
+            [p], SEED, repetitions=25, hz_draws=hz_draws,
+            hoeffding_draws=hoeffding_draws)
+        assert report.failure is None
+        assert max(n for _, n in calls) <= max(100, hz_draws, hoeffding_draws)
+        # in order, each call after the one before, every draw once
+        assert [first for first, _ in calls] == list(
+            accumulate((n for _, n in calls[:-1]), initial=0))
+        assert sum(n for _, n in calls) == 25 * hz_draws + hoeffding_draws
 
     def test_numpy_integer_seed_gives_the_python_int_report(self):
         p = params_for(20, snr_db=0.0, sigma_p=math.radians(1.0))
