@@ -49,7 +49,7 @@ from .errors import EmptyInput, OutOfRange, SupportMismatch, SyncPhaseError
 from .mc_harness import McConfig, run_convergence_battery, run_mc
 from .phase_pdf import (
     PolarPdf,
-    error_report,
+    error_reports,
     pdf_value,
     rmse_floor_approx,
     rmse_linear_approx,
@@ -298,6 +298,27 @@ def _params_from(o, snr_db, sigma_p_deg, n, phi_deg=0.0):
     )
 
 
+def _reported(o, points):
+    """(point, params, moments, report) per grid point (snr_db, sigma_p_deg,
+    n) in the given order, every report from one error_reports call: an
+    ErrorReport or the error that cell raises.  The grid's parameters are
+    built first; a point whose parameters raise ends the table, and its
+    error is raised after the points before it have been yielded, where a
+    cell-by-cell loop would have met it."""
+    cells, stop = [], None
+    try:
+        for point in points:
+            params = _params_from(o, *point)
+            cells.append((point, params, theoretical_moments(params)))
+    except (ValueError, ArithmeticError) as exc:  # raised below, in order
+        stop = exc
+    reports = error_reports([moments for _, _, moments in cells])
+    for cell, report in zip(cells, reports):
+        yield (*cell, report)
+    if stop is not None:
+        raise stop
+
+
 # --- commands -------------------------------------------------------------------
 
 @_command("gen", "generate one noisy record as CSV",
@@ -350,21 +371,20 @@ def _cmd_rmse(o) -> int:
         "efficiency", "regime", "diagnostics",
     ]
     rows = []
-    for snr_db, sigma_p, n in sorted(product(o.snr_db, o.sigma_p_deg, o.n)):
-        params = _params_from(o, snr_db, sigma_p, n)
-        moments = theoretical_moments(params)
-        # ahead of the report: the NA row needs them
+    points = sorted(product(o.snr_db, o.sigma_p_deg, o.n))
+    for (snr_db, sigma_p, n), params, moments, report in _reported(o, points):
+        # the NA row's own figures
         linear = rmse_linear_approx(n, moments.snr)
         floor = rmse_floor_approx(moments)
-        try:
-            report = error_report(moments)
-        except SyncPhaseError as exc:
+        if isinstance(report, SyncPhaseError):
             rows.append([
                 snr_db, sigma_p, n, None, math.degrees(linear),
                 math.degrees(floor), None, None, None,
-                f"{type(exc).__name__}: {exc}",
+                f"{type(report).__name__}: {report}",
             ])
             continue
+        if isinstance(report, Exception):
+            raise report
         # sqrt(CRLB) is the generic floor sqrt((1-b^2+1/SNR)/(b^2 N))
         generic = math.degrees(math.sqrt(report.crlb))
         diagnostics = (f"floor_generic_deg={generic!r}" if params.sigma_phase > 0
@@ -519,9 +539,10 @@ def _cmd_divergence(o) -> int:
           **_OUTPUT)
 def _cmd_efficiency(o) -> int:
     rows = []
-    for n in sorted(o.n):
-        params = _params_from(o, o.snr_db, o.sigma_p_deg, n)
-        report = error_report(theoretical_moments(params))
+    points = [(o.snr_db, o.sigma_p_deg, n) for n in sorted(o.n)]
+    for (_, _, n), _, _, report in _reported(o, points):
+        if isinstance(report, Exception):
+            raise report
         rows.append([
             o.snr_db, o.sigma_p_deg, n,
             math.degrees(report.rmse_analytic),

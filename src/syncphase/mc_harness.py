@@ -183,9 +183,13 @@ def _hz_pair_node(half: np.ndarray, d_half: np.ndarray, scale: float,
     stop = start + count
     first, col = divmod(start, n)
     last = (stop - 1) // n
-    # d_i/2 + d_j/2 over the whole rows the leaf spans; the leaf starts at col
-    np.add(d_half[first:last + 1, None], d_half,
-           out=scratch[:(last - first + 1) * n].reshape(-1, n))
+    # d_j/2 + d_i/2 over the whole rows the leaf spans; the leaf starts at
+    # col.  The row vector is copied in and the column added in place, which
+    # is faster than the broadcast add and, as IEEE addition commutes, the
+    # same bits.
+    rows = scratch[:(last - first + 1) * n].reshape(-1, n)
+    np.copyto(rows, d_half)
+    rows += d_half[first:last + 1, None]
     buf = scratch[col:col + count]
     buf -= half.reshape(-1)[start:stop]
     buf *= scale
@@ -577,10 +581,15 @@ def _battery_point(params: SignalParams, master_seed: int, repetitions: int,
     sizes = [hz_draws] * repetitions + [hoeffding_draws]
     # one chunk, or every batch when they all fit in one
     chunk = next(draw_chunks(params.n_samples, sum(sizes)))[1]
+    # Without noise every record is the same, so the first batch's
+    # covariance is exactly 0 and Henze-Zirkler raises SingularCovariance on
+    # it: that batch is drawn alone, and nothing after it.
+    noiseless = params.sigma_additive == 0.0 and params.sigma_phase == 0.0
     calls: List[Tuple[int, List[int]]] = []  # (first draw, batch sizes)
     first = 0
     for size in sizes:
-        if calls and sum(calls[-1][1]) + size <= chunk:
+        if calls and sum(calls[-1][1]) + size <= chunk and not (
+                noiseless and len(calls) == 1):
             calls[-1][1].append(size)
         else:
             calls.append((first, [size]))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import erfc, erfcx
@@ -105,83 +105,132 @@ class PolarPdf:
         )
 
 
-def pdf_value(pdf: PolarPdf, theta) -> Union[float, np.ndarray]:
-    """Density of the phase estimate at theta (radians); vectorized."""
-    t = np.asarray(theta, dtype=float) - pdf.phi
-    beta = pdf.beta_p
+def _cell_scalars(pdf: PolarPdf):
+    """The density's per-cell scalars, in the order _density takes them:
+    beta, sigma, the ambient floor ambient/(2 pi), ambient,
+    2 sqrt(2 pi) sigma and sqrt(2) sigma."""
     sigma = pdf.sigma
+    return (pdf.beta_p, sigma, pdf.ambient / math.tau, pdf.ambient,
+            2.0 * math.sqrt(math.tau) * sigma, sigma * _SQRT2)
 
-    pref_scale = 2.0 * math.sqrt(math.tau) * sigma
-    root2_sigma = sigma * _SQRT2
 
+def _take(mask, values):
+    """Each value at the nodes of `mask`: a per-node array is indexed, a
+    scalar is shared by every node."""
+    return [v[mask] if isinstance(v, np.ndarray) else v for v in values]
+
+
+def _density(t, beta, sigma, floor, ambient, pref_scale, root2_sigma):
+    """g at the centred angles t.  Each scalar of _cell_scalars is a
+    float shared by every angle, or an array of one value per angle."""
     c = np.cos(t)
-    out = np.full(t.shape, pdf.ambient / math.tau, dtype=float)
+    out = np.full(t.shape, floor, dtype=float)
     # each branch evaluates its factors on its own nodes only
     pos = c >= 0.0
     if np.any(pos):
         cp = c[pos]
-        lobe = (np.exp(-0.5 * (beta * np.sin(t[pos]) / sigma) ** 2)
-                * erfc(-beta * cp / root2_sigma))
-        out[pos] += beta * cp / pref_scale * lobe
+        b, s, p, r = _take(pos, (beta, sigma, pref_scale, root2_sigma))
+        lobe = np.exp(-0.5 * (b * np.sin(t[pos]) / s) ** 2) * erfc(-b * cp / r)
+        out[pos] += b * cp / p * lobe
     neg = ~pos
     if np.any(neg):
         # erfc(z)*e^{-b^2 s^2/2sig^2} == erfcx(z)*e^{-b^2/2sig^2}: combining
         # the exponents analytically avoids underflow-times-overflow
         cn = c[neg]
-        out[neg] += (beta * cn / pref_scale * erfcx(-beta * cn / root2_sigma)
-                     * pdf.ambient)
+        b, p, r, a = _take(neg, (beta, pref_scale, root2_sigma, ambient))
+        out[neg] += b * cn / p * erfcx(-b * cn / r) * a
+    return out
+
+
+def pdf_value(pdf: PolarPdf, theta) -> Union[float, np.ndarray]:
+    """Density of the phase estimate at theta (radians); vectorized."""
+    t = np.asarray(theta, dtype=float) - pdf.phi
+    out = _density(t, *_cell_scalars(pdf))
     if np.ndim(theta) == 0:
         return float(out)
     return out
 
 
-def _moment_integral(pdf: PolarPdf, power: int, *, rel_tol: float) -> float:
-    """integral of (theta - phi)^power * g(theta) over the principal circle,
-    for power 1 or 2."""
-    centered = PolarPdf(beta_p=pdf.beta_p, sigma=pdf.sigma, phi=0.0)
-    spread = centered.spread
+# Cells whose moment integrals run in one lockstep: bounds the panels and
+# integrand arrays held at once (a round evaluates at most 2 * _LOOKAHEAD
+# panels of 22 points per cell) while keeping perfbench's 12-cell rmse and
+# 4-cell efficiency tables in one group.
+_CELLS_PER_LOCKSTEP = 64
 
-    if spread >= NARROW_SPREAD:
-        marks = [m * spread for m in (-4.0, -1.0, 1.0, 4.0)]
-        return integrate(
-            lambda th: th**power * pdf_value(centered, th),
-            -math.pi,
-            math.pi,
-            rel_tol=rel_tol,
-            breakpoints=[m for m in marks if -math.pi < m < math.pi],
-        )
 
-    # Narrow lobe: integrate theta = u*spread over |u| <= U_LIMIT, then add
-    # the ambient component's exact contribution over the remaining arc.
-    limit = U_LIMIT * spread
+def _moment_integrals(pdfs, power: int, *, rel_tol: float) -> list:
+    """Per density of `pdfs`: the integral of (theta - phi)^power * g(theta)
+    over the principal circle (power 1 or 2), or the
+    QuadratureNonConvergence it ran into.  The integrals of each group of
+    _CELLS_PER_LOCKSTEP cells are refined in lockstep, one integrand call
+    per round.
 
-    def integrand(u):
-        th = u * spread
-        return th**power * pdf_value(centered, th) * spread
+    A wide lobe (spread >= NARROW_SPREAD) integrates over theta in
+    [-pi, pi] with breakpoints at +-1 and +-4 spreads.  A narrow lobe
+    integrates theta = u*spread over |u| <= U_LIMIT, and the ambient
+    component's exact contribution over the remaining arc is added.  One
+    integrand serves both: th = x*s, th^power * g(th) * s, with s the
+    spread for a narrow lobe and 1.0 for a wide one, where both products
+    are exact."""
+    results = []
+    for first in range(0, len(pdfs), _CELLS_PER_LOCKSTEP):
+        group = pdfs[first:first + _CELLS_PER_LOCKSTEP]
+        lows, highs, marks, scales, remainders = [], [], [], [], []
+        for pdf in group:
+            spread = pdf.spread
+            if spread >= NARROW_SPREAD:
+                bounds = [m * spread for m in (-4.0, -1.0, 1.0, 4.0)]
+                lows.append(-math.pi)
+                highs.append(math.pi)
+                marks.append([m for m in bounds if -math.pi < m < math.pi])
+                scales.append(1.0)
+                remainders.append(None)
+                continue
+            lows.append(-U_LIMIT)
+            highs.append(U_LIMIT)
+            marks.append([-5.0, -1.0, 1.0, 5.0])
+            scales.append(spread)
+            remainder = 0.0  # the ambient floor is even: it adds no odd moment
+            if power == 2:
+                limit = U_LIMIT * spread
+                ambient = pdf.ambient / math.tau
+                remainder = ambient * (2.0 / 3.0) * (math.pi**3 - limit**3)
+            remainders.append(remainder)
+        per_cell = np.array([_cell_scalars(pdf) + (s,)
+                             for pdf, s in zip(group, scales)]).T.copy()
 
-    lobe = integrate(
-        integrand,
-        -U_LIMIT,
-        U_LIMIT,
-        rel_tol=rel_tol,
-        breakpoints=[-5.0, -1.0, 1.0, 5.0],
-    )
-    remainder = 0.0  # the ambient floor is even: it adds no odd moment
-    if power == 2:
-        ambient = pdf.ambient / math.tau
-        remainder = ambient * (2.0 / 3.0) * (math.pi**3 - limit**3)
-    return lobe + remainder
+        def integrand(points):
+            x, owner = points
+            *cell, scale = per_cell[:, owner]
+            th = x * scale
+            return th**power * _density(th, *cell) * scale
+
+        values = integrate(integrand, lows, highs, rel_tol=rel_tol,
+                           breakpoints=marks)
+        results += [value if remainder is None or isinstance(value, Exception)
+                    else value + remainder
+                    for value, remainder in zip(values, remainders)]
+    return results
+
+
+def _one(result):
+    """A batch-of-one result: the value, or the cell's exception raised."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def rmse_polar(pdf: PolarPdf, *, rel_tol: float = 1e-10) -> float:
     """Root-mean-square error of the estimate about the lobe center phi,
     from the closed-form density (no sampling)."""
-    return math.sqrt(_moment_integral(pdf, 2, rel_tol=rel_tol))
+    (integral,) = _moment_integrals([pdf], 2, rel_tol=rel_tol)
+    return math.sqrt(_one(integral))
 
 
 def bias_polar(pdf: PolarPdf) -> float:
     """Mean signed error; zero by symmetry, evaluated as a sanity channel."""
-    return _moment_integral(pdf, 1, rel_tol=1e-10)
+    (integral,) = _moment_integrals([pdf], 1, rel_tol=1e-10)
+    return _one(integral)
 
 
 def rmse_cartesian_oracle(moments: TheoreticalMoments) -> float:
@@ -325,14 +374,18 @@ class ErrorReport:
     regime: Regime
 
 
-def error_report(moments: TheoreticalMoments) -> ErrorReport:
-    """Assemble the analytic error summary for one configuration.
+def _attempt(fn, *args):
+    """fn(*args), or the error it raises, returned in its place.  Every
+    SyncPhaseError is a ValueError or an ArithmeticError, and so are the
+    math domain and overflow errors a cell's arithmetic can raise."""
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return exc
 
-    Note the efficiency field is CRLB/rmse^2 verbatim; outside the
-    concentrated regime the bound is not attainable and the ratio may exceed
-    one — interpret it together with `regime`.
-    """
-    rmse = rmse_polar(PolarPdf.from_moments(moments))
+
+def _report(moments: TheoreticalMoments, integral) -> ErrorReport:
+    rmse = math.sqrt(_one(integral))
     return ErrorReport(
         rmse_analytic=rmse,
         crlb=crlb(moments),
@@ -341,3 +394,30 @@ def error_report(moments: TheoreticalMoments) -> ErrorReport:
         rmse_floor_approx=rmse_floor_approx(moments),
         regime=classify_regime(moments, rmse=rmse),
     )
+
+
+def error_reports(table: Sequence[TheoreticalMoments]
+                  ) -> List[Union[ErrorReport, Exception]]:
+    """:func:`error_report` of every configuration of `table`, with their
+    RMSE integrals refined in lockstep (one integrand call per round for a
+    group of cells).  Per configuration the result is its ErrorReport or
+    the error error_report raises for it, returned instead of raised,
+    so a failing cell leaves every other cell its report and its bits."""
+    cells = [_attempt(PolarPdf.from_moments, moments) for moments in table]
+    integrals = iter(_moment_integrals(
+        [cell for cell in cells if isinstance(cell, PolarPdf)], 2,
+        rel_tol=1e-10))
+    return [cell if isinstance(cell, Exception)
+            else _attempt(_report, moments, next(integrals))
+            for moments, cell in zip(table, cells)]
+
+
+def error_report(moments: TheoreticalMoments) -> ErrorReport:
+    """Assemble the analytic error summary for one configuration.
+
+    Note the efficiency field is CRLB/rmse^2 verbatim; outside the
+    concentrated regime the bound is not attainable and the ratio may exceed
+    one — interpret it together with `regime`.
+    """
+    (report,) = error_reports([moments])
+    return _one(report)

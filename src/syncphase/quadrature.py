@@ -6,11 +6,23 @@ Gauss-Legendre rule, and the worst panel is bisected until the summed panel
 errors meet tolerance or the panel budget runs out
 (:class:`QuadratureNonConvergence`).
 
-Integrands must accept a 1-D numpy array of abscissae and return values of
-the same shape, element-wise and without side effects: panels are evaluated
-in batches, one integrand call for all the seed panels and one for the
-halves of the worst panel together with those of the next few worst, so
-some evaluations are speculative and never enter the sum.
+:func:`integrate` runs one integral, or many in lockstep (cf. Shampine's
+vectorized ``quadgk``, J. Comput. Appl. Math. 211, 2008).  Panels are
+evaluated in batches: one integrand call for all the seed panels of every
+integral, then one call per refinement round, holding the halves of each
+unfinished integral's worst panel together with those of its next few
+worst.  Each integral keeps its own panels, cache of evaluated halves and
+stopping test, so it ends with the bits it has alone.
+
+Integrands must be element-wise and pure: the value at a point must not
+depend on the other points of the call or on earlier calls, since a call
+mixes the panels of several integrals and some of its evaluations are
+speculative and never enter a sum.  For one integral the integrand takes
+the 1-D array of abscissae, ``f(x)``.  For integrals in lockstep it takes
+one argument, the pair ``(x, owner)``: ``owner`` is an int array as long
+as ``x`` giving the index of the integral each abscissa belongs to.  One
+argument, not two, so that a wrapper that counts or times integrand calls
+passes it on unchanged.  Either way f returns an array shaped like ``x``.
 
 The Gauss sums of all the panels of one call are one stacked product,
 ``np.matmul(y[:, None, :15], w[:, None])``: a stack of 1x15 by 15x1
@@ -26,7 +38,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, Sequence
+from typing import Callable, List, Sequence, Union
 
 import numpy as np
 
@@ -70,14 +82,15 @@ _MAX_PANELS = 2000   # panel budget (QuadratureNonConvergence past it)
 _X = np.concatenate((_X15, _X7))
 
 
-def _panels(f, bounds):
+def _panels(f, bounds, owners):
     """Gauss 7/15 panels (a, b, integral, error) on every (a, b) of
-    `bounds`, from one call of f on all their abscissae."""
+    `bounds`, the k-th belonging to integral owners[k], from one call of f
+    on all their abscissae."""
     ends = np.array(bounds, dtype=float)
     half = 0.5 * (ends[:, 1] - ends[:, 0])
     mid = 0.5 * (ends[:, 0] + ends[:, 1])
     x = (mid[:, None] + half[:, None] * _X).ravel()
-    y = np.asarray(f(x), dtype=float)
+    y = np.asarray(f((x, np.repeat(owners, _X.size))), dtype=float)
     if y.shape != x.shape:
         raise OutOfRange("integrand must be vectorized (same output shape)")
     y = y.reshape(len(bounds), _X.size)
@@ -87,42 +100,19 @@ def _panels(f, bounds):
             zip(bounds, i15.tolist(), np.abs(i15 - i7).tolist())]
 
 
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    *,
-    rel_tol: float = 1e-10,
-    breakpoints: Sequence[float] = (),
-) -> float:
-    """Integrate f over [a, b] to the requested tolerance.
+def _refine(panels, children, rel_tol):
+    """Refine one integral until it ends or needs new panels evaluated.
 
-    `breakpoints` seeds the initial panel boundaries (useful to bracket a
-    narrow feature so the first error estimates already see it).  The
-    tolerance test is  sum(panel errors) <= max(_ABS_TOL, rel_tol*|integral|).
-
-    f must be element-wise and pure: each call gets the abscissae of several
-    panels at once, some of which the refinement may never use, and the
-    value at a point must not depend on the other points or on earlier
-    calls.  The result is then the same, bit for bit, as evaluating one
-    panel per call.
-    """
-    if not (b > a):
-        if a == b:
-            return 0.0
-        raise OutOfRange(f"need b > a, got [{a}, {b}]")
-
-    edges = sorted({float(a), float(b), *(float(p) for p in breakpoints if a < p < b)})
-    panels = _panels(f, list(zip(edges[:-1], edges[1:])))
-    children = {}  # (lo, hi) of a panel -> its two halves, once evaluated
-
+    Returns its value, the QuadratureNonConvergence it ran into, or the
+    list of (lo, hi) panels to split: the worst, already popped from
+    `panels`, and the next worst that have no halves in `children` yet."""
     while True:
         total = math.fsum(p[2] for p in panels)
         err = math.fsum(p[3] for p in panels)
         if err <= max(_ABS_TOL, rel_tol * abs(total)):
             return total
         if len(panels) >= _MAX_PANELS:
-            raise QuadratureNonConvergence(
+            return QuadratureNonConvergence(
                 f"panel budget {_MAX_PANELS} exhausted: estimated error "
                 f"{err:.3e} on integral {total:.6e}",
                 best_estimate=total,
@@ -130,16 +120,92 @@ def integrate(
             )
         worst = max(range(len(panels)), key=lambda i: panels[i][3])
         lo, hi, _, _ = panels.pop(worst)
-        if (lo, hi) not in children:
-            ahead = heapq.nlargest(
-                _LOOKAHEAD - 1, (p for p in panels if p[:2] not in children),
-                key=lambda p: p[3])
-            split = [(lo, hi)] + [p[:2] for p in ahead]
-            bounds = []
-            for p_lo, p_hi in split:
-                mid = 0.5 * (p_lo + p_hi)
-                bounds += [(p_lo, mid), (mid, p_hi)]
-            halves = _panels(f, bounds)
-            for k, key in enumerate(split):
-                children[key] = halves[2 * k:2 * k + 2]
-        panels.extend(children.pop((lo, hi)))
+        if (lo, hi) in children:
+            panels.extend(children.pop((lo, hi)))
+            continue
+        ahead = heapq.nlargest(
+            _LOOKAHEAD - 1, (p for p in panels if p[:2] not in children),
+            key=lambda p: p[3])
+        return [(lo, hi)] + [p[:2] for p in ahead]
+
+
+def _lockstep(f, problems, rel_tol):
+    """Value or QuadratureNonConvergence of each (a, b, breakpoints) of
+    `problems`, all refined in lockstep; f takes (x, owner)."""
+    results = [None] * len(problems)
+    seeds, owners = [], []
+    for k, (a, b, breakpoints) in enumerate(problems):
+        if not (b > a):
+            if a != b:
+                raise OutOfRange(f"need b > a, got [{a}, {b}]")
+            results[k] = 0.0
+            continue
+        edges = sorted({float(a), float(b),
+                        *(float(p) for p in breakpoints if a < p < b)})
+        seeds += zip(edges[:-1], edges[1:])
+        owners += [k] * (len(edges) - 1)
+    panels = {k: [] for k in dict.fromkeys(owners)}
+    children = {k: {} for k in panels}  # (lo, hi) -> its halves, once evaluated
+    if seeds:
+        for k, panel in zip(owners, _panels(f, seeds, owners)):
+            panels[k].append(panel)
+    while panels:
+        splits = {}
+        for k in list(panels):
+            step = _refine(panels[k], children[k], rel_tol)
+            if isinstance(step, list):
+                splits[k] = step
+            else:
+                results[k] = step
+                del panels[k], children[k]
+        if not splits:
+            break
+        bounds, owners = [], []
+        for k, split in splits.items():
+            for lo, hi in split:
+                mid = 0.5 * (lo + hi)
+                bounds += [(lo, mid), (mid, hi)]
+            owners += [k] * (2 * len(split))
+        halves = iter(_panels(f, bounds, owners))
+        for k, split in splits.items():
+            for key in split:
+                children[k][key] = [next(halves), next(halves)]
+            panels[k].extend(children[k].pop(split[0]))
+    return results
+
+
+def integrate(
+    f: Callable,
+    a: Union[float, Sequence[float]],
+    b: Union[float, Sequence[float]],
+    *,
+    rel_tol: float = 1e-10,
+    breakpoints: Sequence = (),
+) -> Union[float, List[Union[float, QuadratureNonConvergence]]]:
+    """Integrate f over [a, b] to the requested tolerance.
+
+    `breakpoints` seeds the initial panel boundaries (useful to bracket a
+    narrow feature so the first error estimates already see it).  The
+    tolerance test is  sum(panel errors) <= max(_ABS_TOL, rel_tol*|integral|).
+    With numbers a and b, f is f(x), the result is a float and a budget
+    overrun raises QuadratureNonConvergence.
+
+    With equal-length sequences a and b, it runs one integral per (a[k],
+    b[k]) in lockstep, `breakpoints` (if given) holds one sequence per
+    integral, f is f((x, owner)) (see the module docstring), and the result
+    is a list holding, per integral, its value or the
+    QuadratureNonConvergence it ran into.
+
+    Either way each integral has the bits that evaluating one panel per
+    integrand call would give it.
+    """
+    if np.ndim(a) == 0:
+        (result,) = _lockstep(lambda points: f(points[0]),
+                              [(a, b, breakpoints)], rel_tol)
+        if isinstance(result, QuadratureNonConvergence):
+            raise result
+        return result
+    breakpoints = breakpoints or [()] * len(a)
+    if not (len(a) == len(b) == len(breakpoints)):
+        raise OutOfRange("need as many b and breakpoints as a")
+    return _lockstep(f, list(zip(a, b, breakpoints)), rel_tol)

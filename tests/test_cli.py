@@ -16,14 +16,15 @@ import numpy as np
 import pytest
 
 import syncphase.cli as cli
+import syncphase.mc_harness as mc_harness
 import syncphase.phase_pdf as phase_pdf
 import syncphase.signal_model as signal_model
-from syncphase import __version__
+from syncphase import __version__, quadrature
 from syncphase.cli import main
 from syncphase.errors import OutOfRange, QuadratureNonConvergence
 from syncphase.mc_harness import BatteryReport, McConfig, run_mc
 from syncphase.signal_model import make_params, sigma_x_for_snr
-from syncphase.spectral_estimator import theoretical_moments
+from syncphase.spectral_estimator import reduced_dft_draws, theoretical_moments
 
 SEED = 12
 
@@ -443,13 +444,8 @@ class TestExitCodes:
                                                                20.0]
 
     def test_numeric_failure_maps_to_exit_3(self, monkeypatch, capsys):
-        def explode(pdf):
-            raise QuadratureNonConvergence("panel budget exhausted",
-                                           best_estimate=0.1,
-                                           error_estimate=1e-3)
-
-        # the CLI reaches the quadrature through phase_pdf.error_report
-        monkeypatch.setattr(phase_pdf, "rmse_polar", explode)
+        # a panel budget no integral meets: the quadrature itself raises
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 2)
         assert main(["efficiency", "--snr-db", "0", "--sigma-p-deg", "1",
                      "--n", "20"]) == 3
         assert "QuadratureNonConvergence" in capsys.readouterr().err
@@ -759,6 +755,98 @@ def test_report_cells_cover_both_quadrature_branches():
     spreads = [math.sqrt(_report_for(*c).crlb) for c in REPORT_CELLS]
     assert any(s >= phase_pdf.NARROW_SPREAD for s in spreads)
     assert any(s < phase_pdf.NARROW_SPREAD for s in spreads)
+
+
+def _rmse_rows(argv, tmp_path, name="t.csv"):
+    out = tmp_path / name
+    assert main(argv + ["--out", str(out)]) == 0
+    _, columns, rows = read_table(out)
+    return columns, rows
+
+
+def _cell_alone(tmp_path, snr_db, sigma_p_deg, n):
+    _, [row] = _rmse_rows(["rmse", "--snr-db", snr_db, "--sigma-p-deg",
+                           sigma_p_deg, "--n", n], tmp_path, "one.csv")
+    return row
+
+
+class TestRmseTableInLockstep:
+    @pytest.mark.parametrize("budget", [None, 16])
+    def test_na_rows_leave_the_other_rows_their_bytes(self, tmp_path,
+                                                      monkeypatch, budget):
+        # SNR = inf with sigma_p = 0 is DegenerateSigma; a panel budget of 16
+        # stops the (30 dB, 1 deg, N = 20) cell alone (its final panel
+        # count is 17, the others' at most 15)
+        grid = [(snr, sp, n) for snr in ("-10", "0", "30", "inf")
+                for sp in ("0", "1") for n in ("20", "100")]
+        alone = {(float(snr), float(sp), int(n)): _cell_alone(tmp_path, snr,
+                                                              sp, n)
+                 for snr, sp, n in grid}
+        if budget is not None:
+            monkeypatch.setattr(quadrature, "_MAX_PANELS", budget)
+        columns, rows = _rmse_rows(
+            ["rmse", "--snr-db", "-10,0,30,inf", "--sigma-p-deg", "0,1",
+             "--n", "20,100"], tmp_path)
+        assert len(rows) == len(grid)
+        na = {}
+        for row in rows:
+            key = (fcell(columns, row, "snr_db"),
+                   fcell(columns, row, "sigma_p_deg"),
+                   int(cell(columns, row, "n")))
+            if cell(columns, row, "rmse_analytic_deg") == "NA":
+                na[key] = cell(columns, row, "diagnostics").split(":")[0]
+            else:
+                assert row == alone[key], key
+        want = {(math.inf, 0.0, 20): "DegenerateSigma",
+                (math.inf, 0.0, 100): "DegenerateSigma"}
+        if budget is not None:
+            want[30.0, 1.0, 20] = "QuadratureNonConvergence"
+            assert alone[30.0, 1.0, 20][3] != "NA"
+        assert na == want
+
+    def test_efficiency_raises_the_first_failing_cell_in_sorted_order(
+            self, capsys, monkeypatch):
+        # final panel counts 12, 14, 18, 18 at 0 dB, 1 deg: a budget of 13
+        # fails N = 100, 1000 and 10000, and N = 100 names the error
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 13)
+        with pytest.raises(QuadratureNonConvergence) as first:
+            _report_for(0.0, 1.0, 100)
+        capsys.readouterr()
+        assert main(["efficiency", "--snr-db", "0", "--sigma-p-deg", "1",
+                     "--n", "10000,1000,100,20"]) == 3
+        assert capsys.readouterr().err == \
+            f"syncphase: QuadratureNonConvergence: {first.value}\n"
+
+    def test_a_cell_error_comes_before_a_later_parameter_error(self, capsys):
+        # N = 25 is not synchronous at fs = 10 f0; the N = 20 cell's
+        # DegenerateSigma comes first in sorted order, as cell by cell
+        assert main(["efficiency", "--snr-db", "inf", "--sigma-p-deg", "0",
+                     "--n", "25,20"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "syncphase: DegenerateSigma: ")
+        assert main(["efficiency", "--snr-db", "0", "--sigma-p-deg", "0",
+                     "--n", "25,20"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "syncphase: NonSynchronous: ")
+
+    def test_a_grid_of_several_groups_has_the_bytes_of_one(self, tmp_path,
+                                                           monkeypatch):
+        argv = ["rmse", "--snr-db", "-50,-10,20,60", "--sigma-p-deg",
+                "0,2,20", "--n", "20,10000"]
+        one = tmp_path / "one.csv"
+        assert main(argv + ["--out", str(one)]) == 0
+        calls = []
+
+        def counting(f, a, b, **kwargs):
+            calls.append(len(a))
+            return quadrature.integrate(f, a, b, **kwargs)
+
+        monkeypatch.setattr(phase_pdf, "integrate", counting)
+        monkeypatch.setattr(phase_pdf, "_CELLS_PER_LOCKSTEP", 5)
+        grouped = tmp_path / "grouped.csv"
+        assert main(argv + ["--out", str(grouped)]) == 0
+        assert calls == [5, 5, 5, 5, 4]
+        assert grouped.read_bytes() == one.read_bytes()
 
 
 class TestPdfCommand:
@@ -1079,6 +1167,29 @@ class TestNormalityCommand:
         assert row["snr_db"] == "inf"
         assert row["verdict_normality"] is False
         assert row["failure"].startswith("SingularCovariance: ")
+
+    def test_noiseless_point_draws_only_its_first_batch(self, tmp_path,
+                                                        monkeypatch):
+        # Without noise every record is the same: the first Henze-Zirkler
+        # batch is singular, and nothing after it is drawn.  The point drew
+        # all 120k draws of its batches first, with these same bytes.
+        calls = []
+
+        def recording_draws(params, seed, first_draw, n_draws):
+            calls.append((first_draw, n_draws))
+            return reduced_dft_draws(params, seed, first_draw, n_draws)
+
+        monkeypatch.setattr(mc_harness, "reduced_dft_draws", recording_draws)
+        argv = ["normality", "--snr-db", "inf", "--n", "20",
+                "--sigma-p-deg", "0"]
+        table, doc = tmp_path / "t.csv", tmp_path / "t.json"
+        assert main(argv + ["--out", str(table)]) == 0
+        assert main(argv + ["--json", "--out", str(doc)]) == 0
+        assert calls == [(0, 2000), (0, 2000)]
+        assert hashlib.sha256(table.read_bytes()).hexdigest() == (
+            "5d49dfe453694875eac1e8bfcaebbb917c41d9d16ef32937b0f6350430085a45")
+        assert hashlib.sha256(doc.read_bytes()).hexdigest() == (
+            "61fbe1d1016f68a9a6e14379284f5d7b13a63f5813e28a5f730ddaa98eee26e2")
 
     def test_nan_cell_is_an_error_not_a_json_token(self, tmp_path, capsys,
                                                   monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import syncphase.phase_pdf as phase_pdf
-from syncphase.errors import DegenerateSigma, OutOfRange
+from syncphase.errors import DegenerateSigma, OutOfRange, QuadratureNonConvergence
 from syncphase.phase_pdf import (
     NARROW_SPREAD,
     ErrorReport,
@@ -25,6 +25,7 @@ from syncphase.phase_pdf import (
     rmse_uniform_limit,
     wrap_angle,
 )
+from syncphase import quadrature
 from syncphase.quadrature import integrate
 from syncphase.signal_model import make_params, sigma_x_for_snr
 from syncphase.spectral_estimator import theoretical_moments
@@ -510,3 +511,98 @@ class TestErrorReport:
     def test_noiseless_configuration_rejected(self):
         with pytest.raises(DegenerateSigma):
             error_report(moments_for(100))
+
+
+# --- tables in lockstep ------------------------------------------------------
+
+# perfbench's analytic pool (SNR -50..60 dB, sigma_p 0..20 deg, N 20..1e4) at
+# the CLI's fs = 10 f0, plus noiseless rows: wide and narrow lobes, the
+# uniform plateau, and the DegenerateSigma cells at SNR = inf, sigma_p = 0
+POOL = [(snr_db, sigma_p_deg, n)
+        for snr_db in [float(v) for v in range(-50, 61, 10)] + [math.inf]
+        for sigma_p_deg in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
+        for n in (20, 100, 1000, 10000)]
+
+
+def cli_moments(snr_db, sigma_p_deg, n):
+    params = make_params(1.0, "1.0", "10.0",
+                         sigma_additive=sigma_x_for_snr(1.0, 10.0 ** (snr_db / 10.0)),
+                         sigma_phase=math.radians(sigma_p_deg), n_samples=n)
+    return theoretical_moments(params)
+
+
+def report_bits(report):
+    """Every field of an ErrorReport by .hex(), or an error's type and text."""
+    if isinstance(report, Exception):
+        return type(report).__name__, str(report)
+    return tuple(v.hex() if isinstance(v, float) else v
+                 for v in dataclasses.astuple(report))
+
+
+def one_at_a_time(table):
+    reports = []
+    for moments in table:
+        try:
+            reports.append(error_report(moments))
+        except Exception as exc:
+            reports.append(exc)
+    return [report_bits(r) for r in reports]
+
+
+class TestErrorReports:
+    def test_table_gives_each_cell_the_bits_it_has_alone(self):
+        table = [cli_moments(*cell) for cell in POOL]
+        spreads = [PolarPdf.from_moments(m).spread for m in table
+                   if m.sigma2 > 0.0]
+        assert min(spreads) < NARROW_SPREAD <= max(spreads)
+        got = [report_bits(r) for r in phase_pdf.error_reports(table)]
+        want = one_at_a_time(table)
+        assert got == want
+        assert sum(bits[0] == "DegenerateSigma" for bits in got) == 4
+
+    def test_a_failing_cell_leaves_the_others_their_bits(self, monkeypatch):
+        # final panel counts 8, 12, 17 at N = 20 and 10, 14, 15 at N = 100:
+        # a budget of 16 stops the (30 dB, N = 20) cell, a narrow lobe, alone
+        cells = [(snr_db, 1.0, n) for n in (20, 100)
+                 for snr_db in (-10.0, 0.0, 30.0)] + [(math.inf, 0.0, 100)]
+        table = [cli_moments(*cell) for cell in cells]
+        want = one_at_a_time(table)
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 16)
+        got = [report_bits(r) for r in phase_pdf.error_reports(table)]
+        failing = one_at_a_time([table[2]])[0]
+        assert failing[0] == "QuadratureNonConvergence"
+        assert got == want[:2] + [failing] + want[3:]
+        assert got[-1][0] == "DegenerateSigma"
+        # the error carries the estimates of the cell alone
+        with pytest.raises(QuadratureNonConvergence) as alone:
+            error_report(table[2])
+        err = phase_pdf.error_reports(table)[2]
+        assert err.best_estimate.hex() == alone.value.best_estimate.hex()
+        assert err.error_estimate.hex() == alone.value.error_estimate.hex()
+
+    def test_groups_of_cells_give_the_bits_of_one_lockstep(self,
+                                                           monkeypatch):
+        table = [cli_moments(*cell) for cell in POOL[::5]]
+        whole = [report_bits(r) for r in phase_pdf.error_reports(table)]
+        calls = []
+
+        def counting(f, a, b, **kwargs):
+            calls.append(len(a))
+            return integrate(f, a, b, **kwargs)
+
+        monkeypatch.setattr(phase_pdf, "integrate", counting)
+        monkeypatch.setattr(phase_pdf, "_CELLS_PER_LOCKSTEP", 7)
+        grouped = [report_bits(r) for r in phase_pdf.error_reports(table)]
+        assert grouped == whole
+        valid = sum(m.sigma2 > 0.0 for m in table)
+        assert calls == [7] * (valid // 7) + [valid % 7] * (valid % 7 > 0)
+
+    def test_moment_integrals_are_the_batch_of_one(self):
+        # rmse_polar and bias_polar are one-cell tables
+        pdfs = [PolarPdf.from_moments(cli_moments(*cell))
+                for cell in POOL[::9] if cell[:2] != (math.inf, 0.0)]
+        rmse = phase_pdf._moment_integrals(pdfs, 2, rel_tol=1e-10)
+        bias = phase_pdf._moment_integrals(pdfs, 1, rel_tol=1e-10)
+        assert [math.sqrt(v).hex() for v in rmse] == \
+            [rmse_polar(pdf).hex() for pdf in pdfs]
+        assert [v.hex() for v in bias] == [bias_polar(pdf).hex() for pdf in pdfs]

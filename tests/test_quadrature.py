@@ -155,6 +155,68 @@ def test_batched_panels_give_the_one_panel_bits(f, a, b, kwargs):
     assert integrate(f, a, b, **kwargs).hex() == want.hex()
 
 
+def _lockstep_integrand(fs, calls):
+    """One integrand for integrals in lockstep: integral k's points go to
+    fs[k]."""
+    def f(points):
+        x, owner = points
+        calls.append(x.size)
+        y = np.empty_like(x)
+        for k, fk in enumerate(fs):
+            mine = owner == k
+            if mine.any():
+                y[mine] = fk(x[mine])
+        return y
+    return f
+
+
+def test_integrals_in_lockstep_keep_their_one_panel_bits():
+    calls = []
+    f = _lockstep_integrand([g for g, *_ in TEST_INTEGRALS], calls)
+    got = integrate(f, [a for _, a, _, _ in TEST_INTEGRALS],
+                    [b for _, _, b, _ in TEST_INTEGRALS],
+                    breakpoints=[kw.get("breakpoints", ())
+                                 for *_, kw in TEST_INTEGRALS])
+    alone = 0
+    for (g, a, b, kwargs), value in zip(TEST_INTEGRALS, got):
+        want, _ = reference_integrate(g, a, b, **kwargs)
+        assert value.hex() == want.hex()
+        solo = []
+        integrate(_lockstep_integrand([g], solo), [a], [b],
+                  breakpoints=[kwargs.get("breakpoints", ())])
+        alone += len(solo)
+    # one call per round for all of them, not one per integral's round
+    assert len(calls) < alone / 2
+
+
+def test_a_budget_overrun_in_lockstep_is_that_integral_alone(monkeypatch):
+    monkeypatch.setattr(quadrature, "_ABS_TOL", 1e-300)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 7)
+    table = np.random.default_rng(5).standard_normal(1 << 20)
+
+    def noisy(x):
+        return table[np.clip((x * (1 << 20)).astype(int), 0, (1 << 20) - 1)]
+
+    f = _lockstep_integrand([np.cos, noisy, np.exp], [])
+    cos, overrun, exp = integrate(f, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+    with pytest.raises(QuadratureNonConvergence) as want:
+        reference_integrate(noisy, 0.0, 1.0, abs_tol=1e-300, max_panels=7)
+    assert isinstance(overrun, QuadratureNonConvergence)
+    assert overrun.best_estimate.hex() == want.value.best_estimate.hex()
+    assert overrun.error_estimate.hex() == want.value.error_estimate.hex()
+    assert cos.hex() == integrate(np.cos, 0.0, 1.0).hex()
+    assert exp.hex() == integrate(np.exp, 0.0, 1.0).hex()
+
+
+def test_lockstep_limits_are_checked():
+    f = _lockstep_integrand([np.cos, np.cos], [])
+    assert integrate(f, [0.0, 1.5], [1.0, 1.5])[1] == 0.0
+    with pytest.raises(OutOfRange, match="b > a"):
+        integrate(f, [0.0, 1.0], [1.0, 0.0])
+    with pytest.raises(OutOfRange, match="as many"):
+        integrate(f, [0.0, 0.0], [1.0])
+
+
 # (snr_db, sigma_p_deg, n): spreads sigma/beta_p from 1e-5 to 75 rad, so both
 # branches of the moment integrals (spread >= and < NARROW_SPREAD)
 MOMENT_CELLS = [(-50.0, 20.0, 20), (-10.0, 0.0, 100), (0.0, 5.0, 20),
@@ -169,20 +231,28 @@ def _moment_pdf(snr_db, sigma_p_deg, n):
     return phase_pdf.PolarPdf.from_moments(theoretical_moments(params))
 
 
+def _one_integral(f, k):
+    """The lockstep integrand f as integral k's own one-argument integrand."""
+    return lambda x: f((x, np.full(x.shape, k)))
+
+
 def _recorded_moment_integrals(monkeypatch):
-    """(integrand, a, b, kwargs, result) of every integral rmse_polar and
-    bias_polar ask for over MOMENT_CELLS."""
+    """(integrand, a, b, kwargs, result) of every integral the moment
+    integrals of MOMENT_CELLS ask for, all cells in one table per power, as
+    error_reports asks for them."""
     recorded = []
 
-    def recording(f, a, b, **kwargs):
-        result = integrate(f, a, b, **kwargs)
-        recorded.append((f, a, b, kwargs, result))
-        return result
+    def recording(f, a, b, *, breakpoints, **kwargs):
+        results = integrate(f, a, b, breakpoints=breakpoints, **kwargs)
+        for k, result in enumerate(results):
+            recorded.append((_one_integral(f, k), a[k], b[k],
+                             dict(kwargs, breakpoints=breakpoints[k]),
+                             result))
+        return results
     monkeypatch.setattr(phase_pdf, "integrate", recording)
-    for cell in MOMENT_CELLS:
-        pdf = _moment_pdf(*cell)
-        phase_pdf.rmse_polar(pdf)
-        phase_pdf.bias_polar(pdf)
+    pdfs = [_moment_pdf(*cell) for cell in MOMENT_CELLS]
+    for power in (2, 1):
+        phase_pdf._moment_integrals(pdfs, power, rel_tol=1e-10)
     return recorded
 
 
@@ -224,28 +294,33 @@ def test_exhausted_budget_reports_the_one_panel_estimates(max_panels,
 RMSE_GRID = ["rmse", "--snr-db", "-20,10,50", "--sigma-p-deg", "0.5,10",
              "--n", "100,10000"]
 # One panel per call takes 22.2 calls per integral on this grid (19.7 over
-# the analytic benchmark's cells); batched panels take 4.0.  The bound is a
-# count, not a time, so a return to one panel per call fails on any machine.
-CALLS_PER_INTEGRAL = 6.0
+# the analytic benchmark's cells), 266 for the table; one integral at a time
+# with batched panels took 4.0 per integral, 48 for the table.  In lockstep
+# the whole table takes 5.  The bound is a count, not a time, so a return to
+# either fails on any machine.
+CALLS_PER_TABLE = 6
 
 
 def test_rmse_grid_batches_its_panels(tmp_path, monkeypatch):
-    counts = {"integrals": 0, "calls": 0, "reference_calls": 0}
+    counts = {"tables": 0, "integrals": 0, "calls": 0, "reference_calls": 0}
 
-    def counting(f, a, b, **kwargs):
-        def integrand(x):
+    def counting(f, a, b, *, breakpoints, **kwargs):
+        def integrand(points):
             counts["calls"] += 1
-            return f(x)
-        counts["integrals"] += 1
-        counts["reference_calls"] += reference_integrate(f, a, b, **kwargs)[1]
-        return integrate(integrand, a, b, **kwargs)
+            return f(points)
+        counts["tables"] += 1
+        counts["integrals"] += len(a)
+        for k in range(len(a)):
+            counts["reference_calls"] += reference_integrate(
+                _one_integral(f, k), a[k], b[k], breakpoints=breakpoints[k],
+                **kwargs)[1]
+        return integrate(integrand, a, b, breakpoints=breakpoints, **kwargs)
     monkeypatch.setattr(phase_pdf, "integrate", counting)
     assert main(RMSE_GRID + ["--out", str(tmp_path / "t.csv")]) == 0
-    assert counts["integrals"] == 12
-    assert counts["calls"] / counts["integrals"] <= CALLS_PER_INTEGRAL
+    assert counts["tables"] == 1 and counts["integrals"] == 12
+    assert counts["calls"] <= CALLS_PER_TABLE
     # the bound would catch a return to one panel per call
-    assert counts["reference_calls"] / counts["integrals"] > \
-        2 * CALLS_PER_INTEGRAL
+    assert counts["reference_calls"] / counts["integrals"] > CALLS_PER_TABLE
 
 
 def test_stacked_panel_sums_are_the_row_dots():
@@ -257,7 +332,8 @@ def test_stacked_panel_sums_are_the_row_dots():
         bounds = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
         y = (gen.standard_normal((n_panels, 22))
              * 10.0 ** gen.uniform(-30.0, 30.0, (n_panels, 1)))
-        panels = quadrature._panels(lambda x: y.ravel(), bounds)
+        panels = quadrature._panels(lambda points: y.ravel(), bounds,
+                                   [0] * n_panels)
         for (a, b), row, (pa, pb, i15, err) in zip(bounds, y, panels):
             h = 0.5 * (b - a)
             want15 = h * float(row[:15] @ quadrature._W15)
