@@ -228,10 +228,9 @@ def _hz_pair_sum(half: np.ndarray, d_diag: np.ndarray, b2: float) -> float:
     as d_i + d_j stays finite, which a sample's Mahalanobis distances (they
     sum to n * p) always do.
 
-    From ``_HZ_SPLIT_MIN_PAIRS`` pairs on, the two top-level nodes run
-    through :func:`on_two_threads` (on this thread and a worker, or one
-    after the other on this thread when the process may use one CPU), and
-    are added as NumPy adds them.
+    The two top-level nodes run through :func:`on_two_threads`, split from
+    ``_HZ_SPLIT_MIN_PAIRS`` pairs on, and are added as NumPy adds them, so
+    below that count too the sum has the bits of one node over every pair.
 
     ``half`` stays the whole product centered @ inv @ centered.T, built
     once by the caller.  Row blocks of that product, computed apart, need
@@ -244,12 +243,11 @@ def _hz_pair_sum(half: np.ndarray, d_diag: np.ndarray, b2: float) -> float:
     tile = max(_HZ_TILE, _NUMPY_PAIRWISE_BLOCK)
     d_half = 0.5 * d_diag
     scale = -b2
-    if total < _HZ_SPLIT_MIN_PAIRS:
-        return _hz_pair_node(half, d_half, scale, 0, total, tile)
     left = _pairwise_split(total)
     head, tail = on_two_threads(
         partial(_hz_pair_node, half, d_half, scale, 0, left, tile),
-        partial(_hz_pair_node, half, d_half, scale, left, total - left, tile))
+        partial(_hz_pair_node, half, d_half, scale, left, total - left, tile),
+        split=total >= _HZ_SPLIT_MIN_PAIRS)
     return head + tail
 
 
@@ -613,9 +611,7 @@ def _battery_point(params: SignalParams, master_seed: int, repetitions: int,
     # the last call's last batch is Hoeffding's
     *hz_batches, d_ind = draw(*calls[-1])
     hoeffding = partial(hoeffding_d, d_ind.real, d_ind.imag)
-    if hz_batches and hz_draws * hz_draws >= _HZ_SPLIT_MIN_PAIRS:
-        _, hd = on_two_threads(partial(run_hz, hz_batches), hoeffding)
-    else:
-        run_hz(hz_batches)
-        hd = hoeffding()
+    _, hd = on_two_threads(
+        partial(run_hz, hz_batches), hoeffding,
+        split=bool(hz_batches) and hz_draws * hz_draws >= _HZ_SPLIT_MIN_PAIRS)
     return stats, p_raw, hd

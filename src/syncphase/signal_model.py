@@ -203,16 +203,17 @@ def _worker_pool() -> ThreadPoolExecutor:
                               thread_name_prefix="syncphase-draws")
 
 
-def on_two_threads(head: Callable[[], Any],
-                   tail: Callable[[], Any]) -> Tuple[Any, Any]:
+def on_two_threads(head: Callable[[], Any], tail: Callable[[], Any], *,
+                   split: bool) -> Tuple[Any, Any]:
     """(head(), tail()), with tail run on a worker thread started for this
     call and head on the calling thread.  The worker is joined before this
-    returns or raises, also when head raises.  When the process may use
-    only one CPU (``_THREADS < 2``), head and then tail run on the calling
-    thread and no worker is started, so a caller need not ask how many
-    CPUs there are.  Either way both parts run under the calling thread's
-    NumPy error state, and an exception of head wins over one of tail."""
-    if _THREADS < 2:
+    returns or raises, also when head raises.  When the caller's work is
+    too small to split (``split`` false) or the process may use only one
+    CPU (``_THREADS < 2``), head and then tail run on the calling thread
+    and no worker is started, so a caller need not ask how many CPUs there
+    are.  Either way both parts run under the calling thread's NumPy error
+    state, and an exception of head wins over one of tail."""
+    if not split or _THREADS < 2:
         return head(), tail()
     errors = np.geterr()  # per thread: a worker starts from NumPy's default
 
@@ -289,10 +290,9 @@ class RecordUnits:
         _shape(self.params, channel, rng.to_normals(block), block, self.base)
 
     def build(self) -> np.ndarray:
-        """Draw every unit in two parts, then return :meth:`records`.  A
-        batch of at least ``_PIPELINE_MIN_SAMPLES`` samples in two units or
-        more runs tail on a worker (:func:`on_two_threads`); a smaller one
-        runs head, then tail, on this thread.
+        """Draw every unit in two parts through :func:`on_two_threads`, then
+        return :meth:`records`.  Only a batch of at least
+        ``_PIPELINE_MIN_SAMPLES`` samples in two units or more is split.
 
         head fills every unit but the last, in order, and queues each; draws
         the last unit in one call through ``rng.standard_normals_block``
@@ -322,12 +322,9 @@ class RecordUnits:
                 self.draw(units[-1])
             transform_queued()
 
-        if (len(units) > 1 and self.n_draws * self.params.n_samples
-                >= _PIPELINE_MIN_SAMPLES):
-            on_two_threads(head, transform_queued)
-        else:
-            head()
-            transform_queued()
+        on_two_threads(head, transform_queued, split=(
+            len(units) > 1
+            and self.n_draws * self.params.n_samples >= _PIPELINE_MIN_SAMPLES))
         return self.records()
 
     def records(self) -> np.ndarray:

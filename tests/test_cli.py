@@ -7,6 +7,7 @@ formatting conventions, and exit codes as a user would see them.
 import hashlib
 import json
 import math
+import random
 import re
 import runpy
 import threading
@@ -1266,3 +1267,140 @@ class TestGridDigest:
         assert tables["10"][0]["grid-sha256"] == "90d6886780cb3c5d"
         assert tables["10"][2] != tables["20"][2]
         assert tables["20"][0]["grid-sha256"] != "90d6886780cb3c5d"
+
+
+# --- the output contract, checked by generation ------------------------------
+
+# Values swapped into options: zeros, infinities, nan, the smallest subnormal
+# and a huge float, empty and non-numeric text, stray commas, and negative
+# or fractional counts.
+EDGE_VALUES = ["0", "-0.0", "inf", "-inf", "nan", "5e-324", "1e308", "", "x",
+               "1/3", ",", "1,,2", "0,", "-1", "-3", "0.5", "2.5"]
+# One valid argv per command, by option key.  Only its required options and
+# sizes are set; the default of every other option is used.  N <= 1000,
+# draws <= 100 and hz draws <= 25, and no edge value is a larger count, so
+# no mutated argv can grow memory.
+CONTRACT_BASE = {
+    "gen": {"snr_db": "10", "n": "20"},
+    "estimate": {"in_path": None},  # a generated record, set in the test
+    "rmse": {"snr_db": "0,20", "sigma_p_deg": "0,1", "n": "20,100"},
+    "pdf": {"snr_db": "10", "n": "20", "points": "41"},
+    "mc": {"snr_db": "10", "n": "20", "draws": "100"},
+    "divergence": {"snr_db": "0,20", "n": "20"},
+    "efficiency": {"snr_db": "10", "n": "20,100"},
+    "normality": {"snr_db": "10", "n": "20", "reps": "2", "hz_draws": "25",
+                  "hoeffding_draws": "50"},
+}
+# Seeded argvs with two options mutated, after the walk over every option.
+CONTRACT_PAIRS = 400
+
+
+def _contract_argv(command, options):
+    """argv for ``command`` from {key: value}; a flag's value is True, and
+    an option whose value is None is left out."""
+    table = cli._COMMANDS[command][2]
+    argv = [command]
+    for key, value in options.items():
+        if value is not None:
+            argv += [table[key].flag] + ([] if value is True else [value])
+    return argv
+
+
+def _mutations(table, key):
+    """The values option ``key`` is mutated to: a flag is toggled (None
+    drops it), any other option gets each edge value."""
+    return [True, None] if table[key].cast is cli._cast_flag else EDGE_VALUES
+
+
+def contract_argvs(bases, rand):
+    """Each command's valid argv with one option mutated, for every option
+    of its table and every value, in CSV and in JSON; then CONTRACT_PAIRS
+    argvs with two options mutated, drawn from ``rand``."""
+    def argv(command, json_output, changes):
+        return _contract_argv(command, {**bases[command],
+                                        "json_output": json_output, **changes})
+
+    commands = sorted(bases)
+    for command in commands:
+        table = cli._COMMANDS[command][2]
+        for key in table:
+            for value in _mutations(table, key):
+                for json_output in (None, True):
+                    yield argv(command, json_output, {key: value})
+    for _ in range(CONTRACT_PAIRS):
+        command = rand.choice(commands)
+        table = cli._COMMANDS[command][2]
+        yield argv(command, rand.choice([None, True]),
+                   {key: rand.choice(_mutations(table, key))
+                    for key in rand.sample(sorted(table), 2)})
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def contract_violations(argv, code, out, err, outputs):
+    """What in one run breaks the output contract: an exit code other than
+    0 (done), 1 (usage) or 2 and 3 (one stderr line), a traceback, a nan
+    cell, or JSON output that is not strict JSON."""
+    found = []
+    if code not in (0, 1, 2, 3):
+        found.append(f"exit {code}")
+    if "Traceback" in err:
+        found.append("traceback")
+    if code == 1 and not err.startswith("usage:"):
+        found.append(f"exit 1 without usage: {err!r}")
+    if code in (2, 3) and (err.count("\n") != 1 or not err.endswith("\n")):
+        found.append(f"exit {code} with stderr {err!r}")
+    # stdout is empty where --out names a file
+    texts = [text for text in [out] + outputs if text]
+    if code == 0 and not texts:
+        found.append("exit 0 without output")
+    if code == 0:
+        for text in texts:
+            if "--json" in argv:
+                try:
+                    _strict_json(text)
+                except ValueError as exc:
+                    found.append(f"not strict JSON: {exc}")
+            elif any(cell.strip().lower() == "nan"
+                     for line in text.splitlines() if not line.startswith("#")
+                     for cell in re.split("[,;]", line)):
+                found.append("nan cell")
+    return found
+
+
+def test_generated_argvs_keep_the_output_contract(tmp_path, monkeypatch,
+                                                  capsys):
+    record = tmp_path / "record.csv"
+    assert main(["gen", "--snr-db", "10", "--n", "20", "--seed", "3",
+                 "--out", str(record)]) == 0
+    bases = dict(CONTRACT_BASE, estimate={"in_path": str(record)})
+    # a new command needs a valid argv here; a new option is walked as is
+    assert sorted(bases) == sorted(cli._COMMANDS)
+    work = tmp_path / "work"  # where a mutated --out or --hist-out lands
+    work.mkdir()
+    monkeypatch.chdir(work)
+    for command, base in bases.items():
+        assert main(_contract_argv(command, base)) == 0, command
+    capsys.readouterr()
+
+    violations, codes = [], set()
+    for argv in contract_argvs(bases, random.Random(20240)):
+        try:
+            code = main(argv)
+        except (Exception, SystemExit) as exc:  # reported as its exit
+            code = f"raised {type(exc).__name__}: {exc}"
+        out, err = capsys.readouterr()
+        codes.add(code)
+        outputs = []
+        for path in sorted(work.iterdir()):
+            outputs.append(path.read_text())
+            path.unlink()
+        violations += [(argv, problem) for problem in
+                       contract_violations(argv, code, out, err, outputs)]
+    assert violations == []
+    # the argvs reach both the commands' results and their validation
+    assert {0, 2} <= codes

@@ -3,13 +3,16 @@ and no ``module._name`` read through ``from . import module`` across the
 modules of the package, so every decision stays behind the module that owns
 it.  Only ``signal_model.on_two_threads`` reads the thread count, and no
 other module imports a thread library.  The package exports a pinned
-list of functions, types and errors.
+list of functions, types and errors, and every attribute perfbench's
+tracer wraps.
 Importing the package loads NumPy and ``scipy.special`` only: SciPy's
 heavier subpackages wait for the call that needs them."""
 import ast
+import importlib
 import math
 import os
 import pathlib
+import runpy
 import subprocess
 import sys
 import types
@@ -210,6 +213,23 @@ def test_submodules_are_attributes_not_exports():
     assert isinstance(syncphase.rng, types.ModuleType)
     assert not [name for name in syncphase.__all__
                 if isinstance(getattr(syncphase, name), types.ModuleType)]
+
+
+# --- the benchmark's hooks -------------------------------------------------------
+
+TRACING = PACKAGE.parents[1] / "perfbench" / "tracing.py"
+
+
+def test_every_attribute_the_tracer_wraps_exists():
+    # perfbench's tracer replaces these attributes; a renamed or deleted one
+    # breaks its traced runs, which the tests here do not run
+    patches = runpy.run_path(str(TRACING))["PATCHES"]
+    hooks = [(module, attr) for module, attr, *_ in patches]
+    hooks.append(("syncphase.phase_pdf", "integrate"))
+    missing = [(module, attr) for module, attr in hooks
+               if not callable(getattr(importlib.import_module(module), attr,
+                                       None))]
+    assert len(hooks) > 10 and missing == []
 
 
 # --- what importing the package loads -------------------------------------------

@@ -323,6 +323,18 @@ class TestCrlbEfficiency:
         deficit = 1.0 - efficiency(mom, rmse_polar(PolarPdf.from_moments(mom)))
         assert deficit < 1e-3
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "quadrature._ABS_TOL = 1e-14 floors the rmse^2 integral (about "
+        "1e-10 and below here), so refinement stops near 1e-4 relative; "
+        "mending it moves perfbench's recorded reference cells"))
+    @pytest.mark.parametrize("n, snr_db", [(10000, 60.0), (1000, 60.0),
+                                           (20, 100.0)])
+    def test_narrow_lobe_deficit_is_first_order(self, n, snr_db):
+        # sigma_p = 0: efficiency = 1 - 1/(N*SNR) + O((N*SNR)^-2)
+        mom = moments_for(n, snr_db=snr_db)
+        eff = efficiency(mom, rmse_polar(PolarPdf.from_moments(mom)))
+        assert abs(eff - 1.0 + 1.0 / (n * 10.0 ** (snr_db / 10.0))) <= 1e-11
+
     def test_crlb_lower_bounds_rmse_on_grid(self):
         for n in (20, 100, 1000):
             for snr_db in (-10.0, 0.0, 10.0, 30.0):

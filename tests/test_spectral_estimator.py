@@ -870,7 +870,7 @@ class TestTwoThreadSplit:
             raise ValueError("head failed")
 
         with pytest.raises(ValueError, match="head failed"):
-            signal_model.on_two_threads(head, tail)
+            signal_model.on_two_threads(head, tail, split=True)
         assert len(finished) == 1
         assert finished[0].startswith("syncphase-draws")
         assert syncphase_threads() == []
@@ -880,13 +880,16 @@ class TestTwoThreadSplit:
         main = threading.current_thread()
         head, tail = signal_model.on_two_threads(
             lambda: threading.current_thread(),
-            lambda: threading.current_thread())
+            lambda: threading.current_thread(), split=True)
         assert head is main and tail is not main
         assert not tail.is_alive()
 
+    @pytest.mark.parametrize("threads, split", [(1, True), (2, False)],
+                             ids=["one_cpu", "no_split"])
     def test_one_cpu_runs_head_then_tail_on_the_calling_thread(
-            self, monkeypatch):
-        monkeypatch.setattr(signal_model, "_THREADS", 1)
+            self, monkeypatch, threads, split):
+        # one CPU, or a caller's work too small to split: no worker either way
+        monkeypatch.setattr(signal_model, "_THREADS", threads)
         monkeypatch.setattr(signal_model, "_worker_pool", no_pool)
         calls = []
 
@@ -896,7 +899,8 @@ class TestTwoThreadSplit:
 
         main = threading.current_thread()
         assert signal_model.on_two_threads(
-            lambda: call("head"), lambda: call("tail")) == (main, main)
+            lambda: call("head"), lambda: call("tail"),
+            split=split) == (main, main)
         assert calls == ["head", "tail"]
 
     def test_tail_runs_under_the_callers_error_state(self, monkeypatch):
@@ -909,10 +913,12 @@ class TestTwoThreadSplit:
 
         with np.errstate(divide="raise"):
             with pytest.raises(FloatingPointError):
-                signal_model.on_two_threads(lambda: None, log_zero)
+                signal_model.on_two_threads(lambda: None, log_zero,
+                                            split=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(divide="ignore"):
-                _, tail = signal_model.on_two_threads(lambda: None, log_zero)
+                _, tail = signal_model.on_two_threads(lambda: None, log_zero,
+                                                      split=True)
         assert tail[0] == -np.inf
         assert syncphase_threads() == []
