@@ -10,6 +10,8 @@ Conventions:
     ``--json`` emits the same rows as a strict JSON document instead, a
     cell CSV writes as ``NA`` as null and an infinite one as "inf" or
     "-inf";
+  * a command returns its table and ``main`` writes it; only ``mc``'s
+    ``--hist-out`` table is written by its command, before the main one;
   * each command declares its options once, in its ``_command`` table; a
     JSON config file (``--config``) can supply any of them by table key
     (``snr_db`` for ``--snr-db``, ``in_path`` for ``--in``, ``json_output``
@@ -166,7 +168,8 @@ _SIGNAL = dict(amplitude=_Opt(_cast_float, "1.0"), f0=_Opt(str, "1.0"),
 _OUTPUT = dict(out=_Opt(str, None),
                json_output=_Opt(_cast_flag, False, "--json"))
 
-# Command name -> (help text, function, option table).
+# Command name -> (help text, function, option table); the function returns
+# its table as (columns, rows, provenance).
 _COMMANDS: Dict[str, tuple] = {}
 
 
@@ -325,21 +328,19 @@ def _reported(o, points):
           **_SIGNAL, snr_db=_Opt(_cast_float, "inf"),
           sigma_p_deg=_Opt(_cast_float, "0"), phi_deg=_Opt(_cast_float, "0"),
           n=_Opt(_cast_int), seed=_Opt(_cast_int, "0"), **_OUTPUT)
-def _cmd_gen(o) -> int:
+def _cmd_gen(o) -> tuple:
     params = _params_from(o, o.snr_db, o.sigma_p_deg, o.n, o.phi_deg)
     samples = generate(params, o.seed)
     # the CSV is the format read_samples_csv reads: n,sample rows
-    _write_table(
-        o, "gen", ["n", "sample"], [[i, float(v)] for i, v in enumerate(samples)],
-        {"seed": o.seed, "f0": params.f0, "fs": params.fs, "snr_db": o.snr_db,
-         "sigma_p_deg": o.sigma_p_deg, "phi_deg": o.phi_deg}, o.out,
-    )
-    return 0
+    return (["n", "sample"], [[i, float(v)] for i, v in enumerate(samples)],
+            {"seed": o.seed, "f0": params.f0, "fs": params.fs,
+             "snr_db": o.snr_db, "sigma_p_deg": o.sigma_p_deg,
+             "phi_deg": o.phi_deg})
 
 
 @_command("estimate", "estimate the phase of a record CSV",
           in_path=_Opt(str, flag="--in"), **_SIGNAL, **_OUTPUT)
-def _cmd_estimate(o) -> int:
+def _cmd_estimate(o) -> tuple:
     try:
         with open(o.in_path) as fp:
             samples = read_samples_csv(fp)
@@ -355,16 +356,15 @@ def _cmd_estimate(o) -> int:
         result.d_reduced.real,
         result.d_reduced.imag,
     ]]
-    _write_table(o, "estimate", ["phase_deg", "phase_rad", "d_re", "d_im"],
-                 rows, {"input": o.in_path}, o.out)
-    return 0
+    return (["phase_deg", "phase_rad", "d_re", "d_im"], rows,
+            {"input": o.in_path})
 
 
 @_command("rmse", "analytic error sweep over a parameter grid",
           **_SIGNAL, snr_db=_Opt(_cast_float_list, "0"),
           sigma_p_deg=_Opt(_cast_float_list, "0"), n=_Opt(_cast_int_list),
           **_OUTPUT)
-def _cmd_rmse(o) -> int:
+def _cmd_rmse(o) -> tuple:
     columns = [
         "snr_db", "sigma_p_deg", "n", "rmse_analytic_deg",
         "rmse_linear_approx_deg", "rmse_floor_deg", "crlb_deg2",
@@ -399,10 +399,8 @@ def _cmd_rmse(o) -> int:
             report.regime.value,
             diagnostics,
         ])
-    _write_table(o, "rmse", columns, rows,
-                 {"grid-sha256": _grid_hash(o, "snr_db", "sigma_p_deg", "n")},
-                 o.out)
-    return 0
+    return (columns, rows,
+            {"grid-sha256": _grid_hash(o, "snr_db", "sigma_p_deg", "n")})
 
 
 @_command("pdf", "tabulate the phase-estimate density",
@@ -411,7 +409,7 @@ def _cmd_rmse(o) -> int:
           n=_Opt(_cast_int), theta_start_deg=_Opt(_cast_float, "-180"),
           theta_stop_deg=_Opt(_cast_float, "180"), points=_Opt(_cast_int, "721"),
           **_OUTPUT)
-def _cmd_pdf(o) -> int:
+def _cmd_pdf(o) -> tuple:
     start, stop, points = o.theta_start_deg, o.theta_stop_deg, o.points
     if points < 2:
         raise OutOfRange(f"--points must be >= 2, got {points}")
@@ -426,13 +424,9 @@ def _cmd_pdf(o) -> int:
     thetas = np.linspace(start, stop, points)
     values = pdf_value(pdf, np.radians(thetas))
     rows = [[float(t), float(g)] for t, g in zip(thetas, values)]
-    _write_table(
-        o, "pdf", ["theta_deg", "g_value"], rows,
-        {"grid-sha256": _grid_hash(o, "snr_db", "sigma_p_deg", "phi_deg", "n",
-                                   theta=[start, stop, points])},
-        o.out,
-    )
-    return 0
+    return (["theta_deg", "g_value"], rows,
+            {"grid-sha256": _grid_hash(o, "snr_db", "sigma_p_deg", "phi_deg",
+                                       "n", theta=[start, stop, points])})
 
 
 @_command("mc", "Monte-Carlo estimate of the error statistics",
@@ -440,7 +434,7 @@ def _cmd_pdf(o) -> int:
           sigma_p_deg=_Opt(_cast_float, "0"), phi_deg=_Opt(_cast_float, "0"),
           n=_Opt(_cast_int), seed=_Opt(_cast_int, "0"), draws=_Opt(_cast_int),
           hist_out=_Opt(str, None), **_OUTPUT)
-def _cmd_mc(o) -> int:
+def _cmd_mc(o) -> tuple:
     params = _params_from(o, o.snr_db, o.sigma_p_deg, o.n, o.phi_deg)
     report = run_mc(McConfig(params=params, n_draws=o.draws,
                              master_seed=o.seed))
@@ -455,12 +449,6 @@ def _cmd_mc(o) -> int:
         report.var_d,
         math.degrees(report.mc_standard_error),
     ]]
-    _write_table(
-        o, "mc",
-        ["n_draws", "rmse_empirical_deg", "bias_empirical_deg",
-         "mean_d_re", "mean_d_im", "var_d", "mc_standard_error_deg"],
-        rows, provenance, o.out,
-    )
     if o.hist_out:
         thetas, cells = _hist_thetas(report.hist_edges.tobytes())
         counts = report.hist_counts.tolist()
@@ -470,7 +458,9 @@ def _cmd_mc(o) -> int:
             o, "mc-hist", ["theta_deg", "count"], list(zip(thetas, counts)),
             provenance, o.hist_out, csv_body,
         )
-    return 0
+    return (["n_draws", "rmse_empirical_deg", "bias_empirical_deg",
+             "mean_d_re", "mean_d_im", "var_d", "mc_standard_error_deg"],
+            rows, provenance)
 
 
 @functools.lru_cache(maxsize=1)
@@ -488,7 +478,7 @@ def _hist_thetas(edges: bytes) -> Tuple[Tuple[float, ...], Tuple[str, ...]]:
                         "and Gaussian approximations",
           **_SIGNAL, snr_db=_Opt(_cast_float_list),
           sigma_p_deg=_Opt(_cast_float, "0"), n=_Opt(_cast_int), **_OUTPUT)
-def _cmd_divergence(o) -> int:
+def _cmd_divergence(o) -> tuple:
     """One row per SNR, in sorted order.  The cells are independent: with
     two or more, the calling thread computes the first half (rounded up)
     and a worker the rest (:func:`on_two_threads`), so the first failing
@@ -498,14 +488,16 @@ def _cmd_divergence(o) -> int:
     def cell(snr_db) -> list:
         params = _params_from(o, snr_db, o.sigma_p_deg, o.n)
         moments = theoretical_moments(params)
-        # beta_p depends on --sigma-p-deg alone, so every cell fails alike
-        # and the first names it, after its own input errors
-        if moments.beta_p == 0.0:
+        pdf = PolarPdf.from_moments(moments)
+        # the spread sigma/beta_p is infinite at beta_p = 0 and overflows
+        # at a subnormal beta_p; the first failing cell names the flag,
+        # after its own input errors
+        if math.isinf(pdf.spread):
             raise OutOfRange(
                 f"--sigma-p-deg {o.sigma_p_deg!r} leaves no lobe: "
                 "exp(-sigma_p^2/2) underflows to 0, so the density is "
                 "uniform and its Gaussian approximation does not exist")
-        p = density_from_pdf(PolarPdf.from_moments(moments))
+        p = density_from_pdf(pdf)
         # the other two grids share p's node set, checked once
         q_gauss = gaussian_approximation(moments, p)
         kl_uniform = kl_divergence(p, uniform_density_on(p))
@@ -520,21 +512,16 @@ def _cmd_divergence(o) -> int:
     head, tail = on_two_threads(lambda: list(map(cell, snrs[:half])),
                                 lambda: list(map(cell, snrs[half:])),
                                 split=len(snrs) > 1)
-    rows = head + tail
-    _write_table(
-        o, "divergence",
-        ["snr_db", "kl_to_uniform", "bhat_to_gauss", "kl_to_gauss_or_NA"],
-        rows, {"grid-sha256": _grid_hash(o, "snr_db", "sigma_p_deg", "n")},
-        o.out,
-    )
-    return 0
+    return (["snr_db", "kl_to_uniform", "bhat_to_gauss", "kl_to_gauss_or_NA"],
+            head + tail,
+            {"grid-sha256": _grid_hash(o, "snr_db", "sigma_p_deg", "n")})
 
 
 @_command("efficiency", "CRLB efficiency across record lengths",
           **_SIGNAL, snr_db=_Opt(_cast_float),
           sigma_p_deg=_Opt(_cast_float, "0"), n=_Opt(_cast_int_list),
           **_OUTPUT)
-def _cmd_efficiency(o) -> int:
+def _cmd_efficiency(o) -> tuple:
     rows = []
     points = [(o.snr_db, o.sigma_p_deg, n) for n in sorted(o.n)]
     for (_, _, n), _, _, report in _reported(o, points):
@@ -546,14 +533,9 @@ def _cmd_efficiency(o) -> int:
             report.crlb * math.degrees(1.0) ** 2,
             report.efficiency,
         ])
-    _write_table(
-        o, "efficiency",
-        ["snr_db", "sigma_p_deg", "n", "rmse_analytic_deg", "crlb_deg2",
-         "efficiency"],
-        rows, {"grid-sha256": _grid_hash(o, "snr_db", "sigma_p_deg", "n")},
-        o.out,
-    )
-    return 0
+    return (["snr_db", "sigma_p_deg", "n", "rmse_analytic_deg", "crlb_deg2",
+             "efficiency"],
+            rows, {"grid-sha256": _grid_hash(o, "snr_db", "sigma_p_deg", "n")})
 
 
 @_command("normality", "normality/independence battery on the bin statistic",
@@ -563,7 +545,7 @@ def _cmd_efficiency(o) -> int:
           reps=_Opt(_cast_int, "10"), hz_draws=_Opt(_cast_int, "2000"),
           hoeffding_draws=_Opt(_cast_int, "100000"),
           alpha=_Opt(_cast_float, "0.05"), **_OUTPUT)
-def _cmd_normality(o) -> int:
+def _cmd_normality(o) -> tuple:
     grid_points = sorted(product(o.snr_db, o.sigma_p_deg, o.n))
     params_list = [_params_from(o, *point) for point in grid_points]
     reports = run_convergence_battery(
@@ -587,17 +569,12 @@ def _cmd_normality(o) -> int:
             rep.verdict_normality,
             rep.failure if rep.failure else "",
         ])
-    _write_table(
-        o, "normality",
-        ["snr_db", "sigma_p_deg", "n", "hz_statistic", "hz_p_values",
-         "hz_p_adjusted", "fisher_statistic", "fisher_p_value",
-         "hoeffding_d", "verdict_normality", "failure"],
-        rows, {"seed": o.seed, "grid-sha256": _grid_hash(
-            o, "snr_db", "sigma_p_deg", "n", "reps", "hz_draws",
-            "hoeffding_draws")},
-        o.out,
-    )
-    return 0
+    return (["snr_db", "sigma_p_deg", "n", "hz_statistic", "hz_p_values",
+             "hz_p_adjusted", "fisher_statistic", "fisher_p_value",
+             "hoeffding_d", "verdict_normality", "failure"],
+            rows, {"seed": o.seed, "grid-sha256": _grid_hash(
+                o, "snr_db", "sigma_p_deg", "n", "reps", "hz_draws",
+                "hoeffding_draws")})
 
 
 # --- parser ----------------------------------------------------------------------
@@ -659,7 +636,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
     _, func, table = _COMMANDS[args.command]
     try:
-        return func(_resolve(table, args, config))
+        o = _resolve(table, args, config)
+        _write_table(o, args.command, *func(o), o.out)
+        return 0
     except SyncPhaseError as exc:
         print(f"syncphase: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 3

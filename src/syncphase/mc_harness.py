@@ -256,8 +256,8 @@ def henze_zirkler(samples: np.ndarray) -> HzResult:
 
     samples: (n, p) array of observations.  The null distribution of the
     statistic is approximated lognormal with the standard moment matching.
-    Raises SingularCovariance when the sample covariance is rank deficient
-    and TooFewPoints below 20 observations.
+    Raises SingularCovariance when the sample covariance is rank deficient,
+    OutOfRange when it overflows, and TooFewPoints below 20 observations.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2:
@@ -268,8 +268,10 @@ def henze_zirkler(samples: np.ndarray) -> HzResult:
     if not np.all(np.isfinite(x)):
         raise OutOfRange("samples must be finite")
 
-    cov = np.cov(x, rowvar=False, bias=True)
-    cov = np.atleast_2d(cov)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        cov = np.atleast_2d(np.cov(x, rowvar=False, bias=True))
+    if not np.all(np.isfinite(cov)):
+        raise OutOfRange("the sample covariance overflows a float")
     eigval, eigvec = np.linalg.eigh(cov)
     if eigval[0] <= 1e-12 * max(eigval[-1], 1e-300):
         raise SingularCovariance(

@@ -338,12 +338,16 @@ class TestExitCodes:
             # the other cells of a grid keep their rows
             assert rows("1,1e5")[:2] == rows("1")
 
-    def test_underflowing_beta_p_divergence_names_the_flag(self, capsys):
-        assert main(["divergence", "--snr-db", "0,20", "--sigma-p-deg", "1e5",
-                     "--n", "20"]) == 2
+    # beta_p is 0 at 1e5 deg; at 2190 deg it is subnormal and sigma/beta_p
+    # overflows, which used to exit with the node builder's message
+    @pytest.mark.parametrize("sigma_p_deg", ["1e5", "2190"])
+    def test_underflowing_beta_p_divergence_names_the_flag(self, capsys,
+                                                           sigma_p_deg):
+        assert main(["divergence", "--snr-db", "0,20", "--sigma-p-deg",
+                     sigma_p_deg, "--n", "20"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--sigma-p-deg 100000.0" in captured.err
+        assert f"--sigma-p-deg {float(sigma_p_deg)!r}" in captured.err
         assert "beta_p" not in captured.err
 
     def test_tiny_amplitude_is_a_pure_scale(self, tmp_path):
@@ -601,6 +605,17 @@ class TestOutputConventions:
         assert err.startswith("syncphase: cannot write output")
         assert str(out) in err
         assert len(err.splitlines()) == 1
+
+    def test_unwritable_hist_out_fails_before_the_table(self, tmp_path,
+                                                        capsys):
+        # the histogram is written first, so nothing reaches stdout
+        hist = tmp_path / "no" / "hist.csv"
+        assert main(["mc", "--snr-db", "10", "--n", "20", "--draws", "100",
+                     "--hist-out", str(hist)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("syncphase: cannot write output")
+        assert str(hist) in err
 
     def test_non_object_config_is_validation_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -983,8 +998,8 @@ class TestMcCommand:
                     "20", "--draws", str(300 + i), "--seed", str(i),
                     "--out", str(tmp_path / "t"), "--hist-out", str(hist)]
             assert main(argv + ["--json"] * (fmt == "json")) == 0
-            o, command, columns, _, provenance = calls[-1][:5]
-            assert command == "mc-hist"
+            [hist_call] = [c for c in calls[-2:] if c[1] == "mc-hist"]
+            o, command, columns, _, provenance = hist_call[:5]
             edges = reports[-1].hist_edges
             centers = 0.5 * (edges[:-1] + edges[1:])
             rows = list(zip(np.degrees(centers).tolist(),
@@ -1370,6 +1385,20 @@ def contract_violations(argv, code, out, err, outputs):
                      for cell in re.split("[,;]", line)):
                 found.append("nan cell")
     return found
+
+
+def test_every_row_has_a_cell_per_column(tmp_path):
+    # --json pairs cells with columns by zip, which would cut a long row
+    record = tmp_path / "record.csv"
+    assert main(["gen", "--snr-db", "10", "--n", "20", "--seed", "3",
+                 "--out", str(record)]) == 0
+    bases = dict(CONTRACT_BASE, estimate={"in_path": str(record)})
+    for command, base in bases.items():
+        _, func, table = cli._COMMANDS[command]
+        args = cli._PARSER.parse_args(_contract_argv(command, base))
+        columns, rows, _ = func(cli._resolve(table, args, {}))
+        assert rows, command
+        assert {len(row) for row in rows} == {len(columns)}, command
 
 
 def test_generated_argvs_keep_the_output_contract(tmp_path, monkeypatch,

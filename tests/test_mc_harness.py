@@ -464,6 +464,18 @@ class TestHenzeZirkler:
         with pytest.raises(OutOfRange):
             henze_zirkler(bad)
 
+    @pytest.mark.parametrize("scale", [1e154, 1e300])
+    def test_overflowing_covariance_raises(self, scale):
+        # np.cov overflows and used to give a nan statistic and p-value
+        x = np.random.default_rng(0).standard_normal((50, 2))
+        with pytest.raises(OutOfRange):
+            henze_zirkler(x * scale)
+
+    def test_large_finite_covariance_keeps_the_statistic(self):
+        x = np.random.default_rng(0).standard_normal((50, 2))
+        assert henze_zirkler(x * 1e150).statistic == pytest.approx(
+            henze_zirkler(x).statistic, rel=1e-12)
+
 
 def brute_hoeffding(x, y):
     """Definitional O(n^2) evaluation with the u = (1, 1/2, 0) convention."""

@@ -306,6 +306,33 @@ class TestShiftCovariance:
         assert np.angle(turn) == pytest.approx(delta, abs=2e-3)
 
 
+class TestBinScatter:
+    @pytest.mark.parametrize("sigma_p_deg", [1.0, 5.0])
+    def test_scatter_is_anisotropic_about_the_mean(self, sigma_p_deg):
+        # Rotated onto the mean's axis, the bin statistic's variance differs
+        # per axis: phase noise puts (1-b^4)/2 + (1-b^2)/2 across the mean
+        # and (1-b^2)^2/2 + (1-b^2)/2 along it, each plus 1/SNR, over N.
+        # The isotropic (1-b^2+1/SNR)/N is their mean and fits neither axis;
+        # this is why the floor's RMSE sits above the isotropic model.
+        n, snr, phi, m = 1000, 1e6, math.radians(60.0), 10**4
+        sigma_p = math.radians(sigma_p_deg)
+        p = make_params(1.0, 1.0, 10.0, phase=phi,
+                        sigma_additive=sigma_x_for_snr(1.0, snr),
+                        sigma_phase=sigma_p, n_samples=n)
+        d = reduced_dft_draws(p, SEED, 0, m) * cmath.exp(-1j * phi)
+        one_minus_b2 = -math.expm1(-sigma_p**2)
+        b2 = 1.0 - one_minus_b2
+        isotropic = (one_minus_b2 + 1.0 / snr) / n
+        for var, model in [
+            (np.var(d.imag),
+             ((1.0 - b2 * b2) / 2 + one_minus_b2 / 2 + 1.0 / snr) / n),
+            (np.var(d.real),
+             (one_minus_b2**2 / 2 + one_minus_b2 / 2 + 1.0 / snr) / n),
+        ]:
+            assert abs(var - model) < 4 * model * math.sqrt(2.0 / m)
+            assert abs(var - isotropic) > 20 * isotropic * math.sqrt(2.0 / m)
+
+
 class TestReducedDraws:
     def test_matches_single_draw_pipeline(self):
         p = params_for(30, snr_db=5.0, sigma_p=0.05, phase=0.8)
