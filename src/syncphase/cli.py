@@ -12,6 +12,8 @@ Conventions:
     "-inf";
   * a command returns its table and ``main`` writes it; only ``mc``'s
     ``--hist-out`` table is written by its command, before the main one;
+  * a grid command checks every point's parameters before it computes
+    any cell;
   * each command declares its options once, in its ``_command`` table; a
     JSON config file (``--config``) can supply any of them by table key
     (``snr_db`` for ``--snr-db``, ``in_path`` for ``--in``, ``json_output``
@@ -301,25 +303,15 @@ def _params_from(o, snr_db, sigma_p_deg, n, phi_deg=0.0):
     )
 
 
-def _reported(o, points):
+def _reported(o, points) -> list:
     """(point, params, moments, report) per grid point (snr_db, sigma_p_deg,
     n) in the given order, every report from one error_reports call: an
-    ErrorReport or the error that cell raises.  The grid's parameters are
-    built first; a point whose parameters raise ends the table, and its
-    error is raised after the points before it have been yielded, where a
-    cell-by-cell loop would have met it."""
-    cells, stop = [], None
-    try:
-        for point in points:
-            params = _params_from(o, *point)
-            cells.append((point, params, theoretical_moments(params)))
-    except (ValueError, ArithmeticError) as exc:  # raised below, in order
-        stop = exc
-    reports = error_reports([moments for _, _, moments in cells])
-    for cell, report in zip(cells, reports):
-        yield (*cell, report)
-    if stop is not None:
-        raise stop
+    ErrorReport or the error that cell raises.  Every point's parameters
+    and moments are built first, so a bad point raises before any cell
+    runs."""
+    params = [_params_from(o, *point) for point in points]
+    moments = [theoretical_moments(p) for p in params]
+    return list(zip(points, params, moments, error_reports(moments)))
 
 
 # --- commands -------------------------------------------------------------------
@@ -479,19 +471,21 @@ def _hist_thetas(edges: bytes) -> Tuple[Tuple[float, ...], Tuple[str, ...]]:
           **_SIGNAL, snr_db=_Opt(_cast_float_list),
           sigma_p_deg=_Opt(_cast_float, "0"), n=_Opt(_cast_int), **_OUTPUT)
 def _cmd_divergence(o) -> tuple:
-    """One row per SNR, in sorted order.  The cells are independent: with
-    two or more, the calling thread computes the first half (rounded up)
-    and a worker the rest (:func:`on_two_threads`), so the first failing
-    cell in sorted order still names the error."""
-    snrs = sorted(o.snr_db)
+    """One row per SNR, in sorted order.  Every point's parameters are
+    built first, on the calling thread, so a bad point raises before any
+    cell runs.  The cells are independent: with two or more, the calling
+    thread computes the first half (rounded up) and a worker the rest
+    (:func:`on_two_threads`), so the first failing cell in sorted order
+    still names the error."""
+    points = [(snr_db, _params_from(o, snr_db, o.sigma_p_deg, o.n))
+              for snr_db in sorted(o.snr_db)]
 
-    def cell(snr_db) -> list:
-        params = _params_from(o, snr_db, o.sigma_p_deg, o.n)
+    def cell(point) -> list:
+        snr_db, params = point
         moments = theoretical_moments(params)
         pdf = PolarPdf.from_moments(moments)
         # the spread sigma/beta_p is infinite at beta_p = 0 and overflows
-        # at a subnormal beta_p; the first failing cell names the flag,
-        # after its own input errors
+        # at a subnormal beta_p; the first failing cell names the flag
         if math.isinf(pdf.spread):
             raise OutOfRange(
                 f"--sigma-p-deg {o.sigma_p_deg!r} leaves no lobe: "
@@ -508,10 +502,10 @@ def _cmd_divergence(o) -> tuple:
             kl_gauss = None
         return [snr_db, kl_uniform, bhat, kl_gauss]
 
-    half = (len(snrs) + 1) // 2
-    head, tail = on_two_threads(lambda: list(map(cell, snrs[:half])),
-                                lambda: list(map(cell, snrs[half:])),
-                                split=len(snrs) > 1)
+    half = (len(points) + 1) // 2
+    head, tail = on_two_threads(lambda: list(map(cell, points[:half])),
+                                lambda: list(map(cell, points[half:])),
+                                split=len(points) > 1)
     return (["snr_db", "kl_to_uniform", "bhat_to_gauss", "kl_to_gauss_or_NA"],
             head + tail,
             {"grid-sha256": _grid_hash(o, "snr_db", "sigma_p_deg", "n")})

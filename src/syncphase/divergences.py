@@ -151,8 +151,8 @@ _MIN_SPREAD_STEPS = math.sqrt(math.log(2.0 / NORMALIZATION_TOL)
 
 
 def density_from_pdf(pdf: PolarPdf) -> DensityGrid:
-    """Sample the closed-form phase density on its adapted node set; at
-    beta_p = 0 (no lobe) the uniform density on the wide node set.
+    """Sample the closed-form phase density on its adapted node set; with no
+    lobe (an infinite spread) the uniform density on the wide node set.
 
     wrap_angle computes a window node as (x + pi) - pi, so the nodes near
     the centre c fall on doubles about ulp(|c| + pi) apart (4.4e-16 rad at
@@ -161,7 +161,7 @@ def density_from_pdf(pdf: PolarPdf) -> DensityGrid:
     the seam.  A lobe whose grid fails its mass check raises OutOfRange
     naming the limit it hit: a spread below ``_MIN_SPREAD_STEPS`` of that
     step, or a window that reaches the seam."""
-    if pdf.beta_p == 0.0:
+    if math.isinf(pdf.spread):
         return uniform_density_on(phase_nodes(NARROW_SPREAD))
     nodes = phase_nodes(pdf.spread, pdf.phi)
     values = pdf_value(pdf, nodes)
@@ -208,10 +208,10 @@ def gaussian_approximation(moments: TheoreticalMoments,
     truncated Gaussian a valid density.
     """
     pdf = PolarPdf.from_moments(moments)
-    if pdf.beta_p == 0.0:
+    spread = pdf.spread
+    if math.isinf(spread):
         raise OutOfRange("beta_p = 0 leaves no lobe: the density is uniform "
                          "and has no Gaussian approximation")
-    spread = pdf.spread
     if nodes is None:
         nodes = phase_nodes(spread, pdf.phi)
     nodes, spacing = _node_set(nodes)

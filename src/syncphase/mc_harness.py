@@ -257,7 +257,7 @@ def henze_zirkler(samples: np.ndarray) -> HzResult:
     samples: (n, p) array of observations.  The null distribution of the
     statistic is approximated lognormal with the standard moment matching.
     Raises SingularCovariance when the sample covariance is rank deficient,
-    OutOfRange when it overflows, and TooFewPoints below 20 observations.
+    OutOfRange when it or its inverse overflows, TooFewPoints below 20 rows.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2:
@@ -273,11 +273,14 @@ def henze_zirkler(samples: np.ndarray) -> HzResult:
     if not np.all(np.isfinite(cov)):
         raise OutOfRange("the sample covariance overflows a float")
     eigval, eigvec = np.linalg.eigh(cov)
-    if eigval[0] <= 1e-12 * max(eigval[-1], 1e-300):
+    if eigval[0] <= 1e-12 * eigval[-1]:
         raise SingularCovariance(
             f"sample covariance is rank deficient (eigenvalues {eigval})"
         )
-    inv = (eigvec / eigval) @ eigvec.T
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        inv = (eigvec / eigval) @ eigvec.T
+    if not np.all(np.isfinite(inv)):
+        raise OutOfRange("the inverse sample covariance overflows a float")
 
     centered = x - x.mean(axis=0)
     half = centered @ inv @ centered.T

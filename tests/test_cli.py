@@ -833,17 +833,34 @@ class TestRmseTableInLockstep:
         assert capsys.readouterr().err == \
             f"syncphase: QuadratureNonConvergence: {first.value}\n"
 
-    def test_a_cell_error_comes_before_a_later_parameter_error(self, capsys):
-        # N = 25 is not synchronous at fs = 10 f0; the N = 20 cell's
-        # DegenerateSigma comes first in sorted order, as cell by cell
-        assert main(["efficiency", "--snr-db", "inf", "--sigma-p-deg", "0",
-                     "--n", "25,20"]) == 2
-        assert capsys.readouterr().err.startswith(
-            "syncphase: DegenerateSigma: ")
-        assert main(["efficiency", "--snr-db", "0", "--sigma-p-deg", "0",
-                     "--n", "25,20"]) == 2
-        assert capsys.readouterr().err.startswith(
-            "syncphase: NonSynchronous: ")
+    # a grid command builds every point's parameters before any cell:
+    # N = 25 is not synchronous at fs = 10 f0, and 4000 dB overflows a float
+    @pytest.mark.parametrize("argv, err", [
+        (["rmse", "--snr-db", "0", "--n", "20,25"], "NonSynchronous: "),
+        (["efficiency", "--snr-db", "0", "--n", "20,25"], "NonSynchronous: "),
+        # the N = 20 cell's DegenerateSigma is never reached
+        (["efficiency", "--snr-db", "inf", "--sigma-p-deg", "0",
+          "--n", "25,20"], "NonSynchronous: "),
+        (["divergence", "--snr-db", "0,4000", "--n", "20"],
+         "OutOfRange: --snr-db 4000.0 is too large"),
+    ], ids=["rmse", "efficiency", "efficiency-noiseless", "divergence"])
+    def test_a_parameter_error_comes_before_any_cell(self, capsys,
+                                                     monkeypatch, argv, err):
+        calls = []
+
+        def recorder(func):
+            def recorded(*args, **kwargs):
+                calls.append(func.__name__)
+                return func(*args, **kwargs)
+            return recorded
+
+        for name in ("error_reports", "density_from_pdf"):
+            monkeypatch.setattr(cli, name, recorder(getattr(cli, name)))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("syncphase: " + err)
+        assert calls == []
 
     def test_a_grid_of_several_groups_has_the_bytes_of_one(self, tmp_path,
                                                            monkeypatch):

@@ -21,7 +21,7 @@ from syncphase.divergences import (
     uniform_density_on,
 )
 from syncphase.errors import LengthMismatch, OutOfRange, SupportMismatch
-from syncphase.phase_pdf import PolarPdf, wrap_angle
+from syncphase.phase_pdf import NARROW_SPREAD, PolarPdf, wrap_angle
 from syncphase.signal_model import make_params, sigma_x_for_snr
 from syncphase.spectral_estimator import TheoreticalMoments, theoretical_moments
 
@@ -120,24 +120,31 @@ class TestDensityGrid:
 
 
 class TestUniformLimit:
-    # sigma_p = 50 rad: exp(-sigma_p^2/2) underflows, so beta_p = 0
-    MOMENTS = moments_for(20, 0.0, sigma_p=50.0)
+    # beta_p = exp(-sigma_p^2/2) is 0 at 1e5 deg; at 2190 deg it is
+    # subnormal (5.7e-318) and sigma/beta_p overflows: no lobe either way
+    @pytest.fixture(params=[2190.0, 1e5])
+    def moments(self, request):
+        moments = moments_for(20, 0.0, sigma_p=math.radians(request.param))
+        assert moments.beta_p < 1e-300
+        assert math.isinf(PolarPdf.from_moments(moments).spread)
+        return moments
 
-    def test_density_is_the_uniform_grid_on_the_wide_nodes(self):
-        assert self.MOMENTS.beta_p == 0.0
+    def test_density_is_the_uniform_grid_on_the_wide_nodes(self, moments):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            grid = density_from_pdf(PolarPdf.from_moments(self.MOMENTS))
-        assert grid.nodes.tobytes() == phase_nodes(0.25).tobytes()
-        assert grid.values.tobytes() == \
-            uniform_density_on(grid).values.tobytes()
+            grid = density_from_pdf(PolarPdf.from_moments(moments))
+        uniform = uniform_density_on(phase_nodes(NARROW_SPREAD))
+        assert grid.nodes.shape == (32769,)
+        assert grid.nodes.tobytes() == uniform.nodes.tobytes()
+        assert grid.values.tobytes() == uniform.values.tobytes()
 
     @pytest.mark.parametrize("nodes", [None, WIDE])
-    def test_gaussian_approximation_names_the_missing_lobe(self, nodes):
+    def test_gaussian_approximation_names_the_missing_lobe(self, moments,
+                                                           nodes):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OutOfRange, match="no lobe"):
-                gaussian_approximation(self.MOMENTS, nodes)
+            with pytest.raises(OutOfRange, match="leaves no lobe"):
+                gaussian_approximation(moments, nodes)
 
 
 class TestPhaseNodes:

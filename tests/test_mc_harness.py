@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import threading
 import tracemalloc
+import warnings
 from itertools import accumulate
 
 import numpy as np
@@ -471,10 +472,26 @@ class TestHenzeZirkler:
         with pytest.raises(OutOfRange):
             henze_zirkler(x * scale)
 
-    def test_large_finite_covariance_keeps_the_statistic(self):
+    @pytest.mark.parametrize("scale", [1e150, 1e-153])
+    def test_large_or_tiny_finite_covariance_keeps_the_statistic(self, scale):
         x = np.random.default_rng(0).standard_normal((50, 2))
-        assert henze_zirkler(x * 1e150).statistic == pytest.approx(
+        assert henze_zirkler(x * scale).statistic == pytest.approx(
             henze_zirkler(x).statistic, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-155, 1e-158])
+    def test_overflowing_inverse_covariance_raises(self, scale):
+        # a subnormal covariance of full rank: 1e-155 used to give a nan
+        # statistic and p-value, 1e-158 a SingularCovariance
+        x = np.random.default_rng(0).standard_normal((50, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange, match="inverse"):
+                henze_zirkler(x * scale)
+
+    def test_covariance_that_underflows_to_zero_is_singular(self):
+        x = np.random.default_rng(0).standard_normal((50, 2))
+        with pytest.raises(SingularCovariance):
+            henze_zirkler(x * 1e-162)
 
 
 def brute_hoeffding(x, y):
