@@ -42,14 +42,17 @@ from typing import (
 import numpy as np
 
 from . import __version__
+# divergence cells call divergence_row; the other names are the hooks
+# perfbench's tracer wraps
 from .divergences import (
     bhattacharyya_distance,
     density_from_pdf,
+    divergence_row,
     gaussian_approximation,
     kl_divergence,
     uniform_density_on,
 )
-from .errors import EmptyInput, OutOfRange, SupportMismatch, SyncPhaseError
+from .errors import EmptyInput, OutOfRange, SyncPhaseError
 from .mc_harness import McConfig, run_convergence_battery, run_mc
 from .phase_pdf import (
     PolarPdf,
@@ -483,24 +486,14 @@ def _cmd_divergence(o) -> tuple:
     def cell(point) -> list:
         snr_db, params = point
         moments = theoretical_moments(params)
-        pdf = PolarPdf.from_moments(moments)
         # the spread sigma/beta_p is infinite at beta_p = 0 and overflows
         # at a subnormal beta_p; the first failing cell names the flag
-        if math.isinf(pdf.spread):
+        if math.isinf(PolarPdf.from_moments(moments).spread):
             raise OutOfRange(
                 f"--sigma-p-deg {o.sigma_p_deg!r} leaves no lobe: "
                 "exp(-sigma_p^2/2) underflows to 0, so the density is "
                 "uniform and its Gaussian approximation does not exist")
-        p = density_from_pdf(pdf)
-        # the other two grids share p's node set, checked once
-        q_gauss = gaussian_approximation(moments, p)
-        kl_uniform = kl_divergence(p, uniform_density_on(p))
-        bhat = bhattacharyya_distance(p, q_gauss)
-        try:
-            kl_gauss = kl_divergence(p, q_gauss)
-        except SupportMismatch:
-            kl_gauss = None
-        return [snr_db, kl_uniform, bhat, kl_gauss]
+        return [snr_db, *divergence_row(moments)]
 
     half = (len(points) + 1) // 2
     head, tail = on_two_threads(lambda: list(map(cell, points[:half])),

@@ -40,19 +40,21 @@ NARROW_SPREAD = 0.05
 U_LIMIT = 40.0
 
 
-def wrap_angle(angle):
-    """Wrap to the principal interval (-pi, pi] (vectorized)."""
+def wrap_angle(angle, out=None):
+    """Wrap to the principal interval (-pi, pi] (vectorized).  With `out`,
+    an array of angle's shape (angle itself is fine), the wrapped angles
+    are written there and returned."""
     a = np.asarray(angle, dtype=float)
-    shifted = a + math.pi
+    wrapped = np.add(a, math.pi, out=np.empty(a.shape) if out is None else out)
     # np.mod(x, tau) is x itself on [0, tau), and both send tau (and -0.0)
-    # to an end that the np.where below maps to +pi: skip its cost where
+    # to an end that the copyto below maps to +pi: skip its cost where
     # every angle is already in range
-    if shifted.size and shifted.min() >= 0.0 and shifted.max() <= math.tau:
-        wrapped = shifted - math.pi
-    else:
-        wrapped = np.mod(shifted, math.tau) - math.pi
-    wrapped = np.where(wrapped == -math.pi, math.pi, wrapped)
-    if np.ndim(angle) == 0:
+    if not (wrapped.size and wrapped.min() >= 0.0
+            and wrapped.max() <= math.tau):
+        np.mod(wrapped, math.tau, out=wrapped)
+    np.subtract(wrapped, math.pi, out=wrapped)
+    np.copyto(wrapped, math.pi, where=wrapped == -math.pi)
+    if out is None and np.ndim(angle) == 0:
         return float(wrapped)
     return wrapped
 
@@ -114,41 +116,85 @@ def _cell_scalars(pdf: PolarPdf):
             2.0 * math.sqrt(math.tau) * sigma, sigma * _SQRT2)
 
 
-def _take(mask, values):
-    """Each value at the nodes of `mask`: a per-node array is indexed, a
-    scalar is shared by every node."""
-    return [v[mask] if isinstance(v, np.ndarray) else v for v in values]
+def _apply_at(fn, x, mask, scratch) -> None:
+    """x[mask] = fn(x[mask]), gathered through `scratch`: a SciPy ufunc
+    called with where= can skip an element it should write."""
+    count = int(np.count_nonzero(mask))
+    if count:
+        part = np.compress(mask, x, out=scratch[:count])
+        fn(part, out=part)
+        np.place(x, mask, part)
 
 
-def _density(t, beta, sigma, floor, ambient, pref_scale, root2_sigma):
-    """g at the centred angles t.  Each scalar of _cell_scalars is a
-    float shared by every angle, or an array of one value per angle."""
-    c = np.cos(t)
-    out = np.full(t.shape, floor, dtype=float)
-    # each branch evaluates its factors on its own nodes only
-    pos = c >= 0.0
-    if np.any(pos):
-        cp = c[pos]
-        b, s, p, r = _take(pos, (beta, sigma, pref_scale, root2_sigma))
-        lobe = np.exp(-0.5 * (b * np.sin(t[pos]) / s) ** 2) * erfc(-b * cp / r)
-        out[pos] += b * cp / p * lobe
-    neg = ~pos
-    if np.any(neg):
-        # erfc(z)*e^{-b^2 s^2/2sig^2} == erfcx(z)*e^{-b^2/2sig^2}: combining
-        # the exponents analytically avoids underflow-times-overflow
-        cn = c[neg]
-        b, p, r, a = _take(neg, (beta, pref_scale, root2_sigma, ambient))
-        out[neg] += b * cn / p * erfcx(-b * cn / r) * a
-    return out
+# erfc(z) is exactly 2.0 for every z <= _ERFC_TWO (tested), so _density
+# evaluates it only above
+_ERFC_TWO = -6.0
+
+
+def _density(t, beta, sigma, floor, ambient, pref_scale, root2_sigma,
+             out=None, work=None):
+    """g at the centred angles t (1-D), written to `out` and returned.
+    Each scalar of _cell_scalars is a float shared by every angle, or an
+    array of one value per angle.  `work` holds three float and three bool
+    arrays of t's shape; without it (or `out`) they are allocated."""
+    if out is None:
+        out = np.empty(t.shape)
+    if work is None:
+        work = ([np.empty(t.shape) for _ in range(3)],
+                [np.empty(t.shape, dtype=bool) for _ in range(3)])
+    (c, lobe, z), (pos, sel, rest) = work
+    np.cos(t, out=c)
+    np.greater_equal(c, 0.0, out=pos)
+    # z = -b cos(t) / (sqrt(2) sigma): the erfc argument where cos(t) >= 0,
+    # the erfcx argument elsewhere
+    np.multiply(beta, c, out=z)
+    np.negative(z, out=z)
+    np.divide(z, root2_sigma, out=z)
+    # where cos(t) >= 0: lobe = exp(-(b sin(t) / sigma)^2 / 2) * erfc(z)
+    np.sin(t, out=lobe, where=pos)
+    np.multiply(beta, lobe, out=lobe, where=pos)
+    np.divide(lobe, sigma, out=lobe, where=pos)
+    np.square(lobe, out=lobe, where=pos)
+    np.multiply(lobe, -0.5, out=lobe, where=pos)
+    np.exp(lobe, out=lobe, where=pos)
+    # erfc(z) at the cos(t) >= 0 nodes above _ERFC_TWO, 2.0 at the rest
+    np.greater(z, _ERFC_TWO, out=sel)
+    np.logical_and(sel, pos, out=sel)
+    np.logical_xor(pos, sel, out=rest)
+    _apply_at(erfc, z, sel, out)
+    np.copyto(z, 2.0, where=rest)
+    np.multiply(lobe, z, out=lobe, where=pos)
+    # elsewhere erfc(z) e^{-b^2 sin^2(t)/2sig^2} == erfcx(z) e^{-b^2/2sig^2}:
+    # combining the exponents analytically avoids underflow-times-overflow
+    neg = np.logical_not(pos, out=rest)
+    _apply_at(erfcx, z, neg, out)
+    # floor + b cos(t) / (2 sqrt(2 pi) sigma) * (lobe, or erfcx(z) ambient)
+    np.multiply(beta, c, out=c)
+    np.divide(c, pref_scale, out=c)
+    np.multiply(c, lobe, out=c, where=pos)
+    np.multiply(c, z, out=c, where=neg)
+    np.multiply(c, ambient, out=c, where=neg)
+    return np.add(c, floor, out=out)
+
+
+def pdf_value_into(pdf: PolarPdf, theta: np.ndarray, out: np.ndarray,
+                   work) -> np.ndarray:
+    """:func:`pdf_value` of the 1-D `theta`, written to `out` and returned,
+    computed in `work`: four float arrays and three bool arrays of theta's
+    shape, none of them theta or out."""
+    floats, bools = work
+    t = np.subtract(theta, pdf.phi, out=floats[0])
+    return _density(t, *_cell_scalars(pdf), out=out,
+                    work=(floats[1:4], bools))
 
 
 def pdf_value(pdf: PolarPdf, theta) -> Union[float, np.ndarray]:
     """Density of the phase estimate at theta (radians); vectorized."""
-    t = np.asarray(theta, dtype=float) - pdf.phi
-    out = _density(t, *_cell_scalars(pdf))
-    if np.ndim(theta) == 0:
-        return float(out)
-    return out
+    theta = np.asarray(theta, dtype=float)
+    out = _density(theta.reshape(-1) - pdf.phi, *_cell_scalars(pdf))
+    if theta.ndim == 0:
+        return float(out[0])
+    return out.reshape(theta.shape)
 
 
 # Cells whose moment integrals run in one lockstep: bounds the panels and

@@ -14,6 +14,7 @@ floating-point remainder test.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -36,6 +37,14 @@ from .errors import (
 Real = Union[int, float, str, Fraction]
 
 
+@functools.lru_cache(maxsize=64)
+def _decimal(value: Union[float, str]) -> Fraction:
+    """Fraction(str(value)), memoized: a table's cells share their --f0 and
+    --fs, which are then parsed once.  A str that is not a number raises
+    ValueError or ZeroDivisionError, which the cache does not keep."""
+    return Fraction(str(value))
+
+
 def _as_fraction(value: Real, name: str) -> Fraction:
     """Exact rational view of a frequency-like parameter.
 
@@ -49,10 +58,10 @@ def _as_fraction(value: Real, name: str) -> Fraction:
     if isinstance(value, float):
         if not math.isfinite(value):
             raise OutOfRange(f"{name} must be finite, got {value!r}")
-        return Fraction(str(value))
+        return _decimal(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return _decimal(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise OutOfRange(f"{name} is not a number: {value!r}") from exc
     raise OutOfRange(f"{name} has unsupported type {type(value).__name__}")

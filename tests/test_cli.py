@@ -854,7 +854,7 @@ class TestRmseTableInLockstep:
                 return func(*args, **kwargs)
             return recorded
 
-        for name in ("error_reports", "density_from_pdf"):
+        for name in ("error_reports", "divergence_row"):
             monkeypatch.setattr(cli, name, recorder(getattr(cli, name)))
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -1094,9 +1094,9 @@ class TestDivergenceCommand:
         # first in time; the head's failure is still the one reported.
         monkeypatch.setattr(signal_model, "_THREADS", threads)
         tail_failed = threading.Event()
-        approximation = cli.gaussian_approximation
+        row = cli.divergence_row
 
-        def failing(moments, nodes):
+        def failing(moments):
             if math.isclose(moments.snr, 100.0):
                 tail_failed.set()
                 raise OutOfRange("cell at 20 dB failed")
@@ -1104,9 +1104,9 @@ class TestDivergenceCommand:
                 if threads == 2:
                     tail_failed.wait(timeout=10)
                 raise OutOfRange("cell at 0 dB failed")
-            return approximation(moments, nodes)
+            return row(moments)
 
-        monkeypatch.setattr(cli, "gaussian_approximation", failing)
+        monkeypatch.setattr(cli, "divergence_row", failing)
         assert main(["divergence", "--snr-db", "20,10,0,-10",
                      "--n", "20"]) == 2
         captured = capsys.readouterr()

@@ -158,6 +158,25 @@ class TestPdfValue:
         assert pdf_value(pdf, math.pi) == 0.0
         assert pdf_value(pdf, 2.0) == 0.0
 
+    def test_erfc_is_two_where_the_density_skips_it(self):
+        # _density takes erfc(z) as 2.0 at z <= _ERFC_TWO without calling
+        # it; a SciPy whose erfc reads below 2.0 there would move bits
+        from scipy.special import erfc
+
+        z = np.concatenate((
+            np.linspace(phase_pdf._ERFC_TWO, -60.0, 200_001),
+            -np.geomspace(60.0, 1e300, 100_001), [-np.inf]))
+        assert z[0] == phase_pdf._ERFC_TWO
+        assert np.all(erfc(z) == 2.0)
+
+    def test_shaped_input_keeps_its_shape_and_bits(self):
+        pdf = PolarPdf(beta_p=0.9, sigma=0.3, phi=2.5)
+        theta = np.linspace(-4.0, 4.0, 12)
+        flat = pdf_value(pdf, theta)
+        assert pdf_value(pdf, theta.reshape(3, 4)).tobytes() == flat.tobytes()
+        assert pdf_value(pdf, theta.reshape(3, 4)).shape == (3, 4)
+        assert pdf_value(pdf, list(theta)).tobytes() == flat.tobytes()
+
 
 class TestCircularError:
     """The circular error |wrap_angle(theta - phase)|, the shortest angular
@@ -229,6 +248,15 @@ class TestWrapAngle:
         grid = np.linspace(-7.0, 7.0, 12).reshape(3, 4)
         assert wrap_angle(grid).tobytes() == self.mod_formula(grid).tobytes()
         assert wrap_angle(grid).shape == (3, 4)
+
+    def test_out_takes_the_wrapped_angles(self):
+        angles = np.concatenate((np.linspace(-9.0, 9.0, 101), self.EDGES))
+        want = self.mod_formula(angles).tobytes()
+        out = np.empty_like(angles)
+        assert wrap_angle(angles, out=out) is out
+        assert out.tobytes() == want
+        assert wrap_angle(angles, out=angles) is angles
+        assert angles.tobytes() == want
 
 
 class TestRmsePolar:

@@ -20,10 +20,12 @@ from syncphase.cli import main
 from syncphase.divergences import (
     bhattacharyya_distance,
     density_from_pdf,
+    divergence_row,
     gaussian_approximation,
     kl_divergence,
     uniform_density_on,
 )
+from syncphase.errors import SupportMismatch
 from syncphase.phase_pdf import NARROW_SPREAD, PolarPdf, pdf_value
 from syncphase.signal_model import make_params, sigma_x_for_snr
 from syncphase.spectral_estimator import theoretical_moments
@@ -142,11 +144,15 @@ def _sha(array):
                           ).hexdigest()
 
 
-def _library_outputs(snr_db, sigma_p_deg, n, phi):
-    moments = theoretical_moments(make_params(
+def _moments(snr_db, sigma_p_deg, n, phi):
+    return theoretical_moments(make_params(
         1.0, "1.0", "10.0", phase=phi,
         sigma_additive=sigma_x_for_snr(1.0, 10.0 ** (snr_db / 10.0)),
         sigma_phase=math.radians(sigma_p_deg), n_samples=n))
+
+
+def _library_outputs(snr_db, sigma_p_deg, n, phi):
+    moments = _moments(snr_db, sigma_p_deg, n, phi)
     pdf = PolarPdf.from_moments(moments)
     p = density_from_pdf(pdf)
     q = gaussian_approximation(moments, p.nodes)
@@ -179,3 +185,32 @@ def test_library_bits_are_pinned(name):
         assert np.count_nonzero(p.nodes < -math.pi + edge) > 1000
     else:
         assert pdf.spread >= NARROW_SPREAD and pdf.phi != 0.0
+
+
+# The divergence row on the pinned cells, on a narrow lobe at phi = 0 (the
+# CLI's), and on a wide lobe whose Gaussian approximation vanishes on nodes
+# carrying p-mass, where KL to it is None.
+ROW_CELLS = {**{name: cell for name, (cell, _) in LIBRARY_PINS.items()},
+             "narrow": (60.0, 0.0, 10000, 0.0),
+             "unsupported": (0.0, 2.0, 1000, 0.0)}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_CELLS))
+def test_divergence_row_is_the_three_grid_divergences(name):
+    moments = _moments(*ROW_CELLS[name])
+    p = density_from_pdf(PolarPdf.from_moments(moments))
+    q = gaussian_approximation(moments, p)
+    try:
+        kl_gauss = kl_divergence(p, q).hex()
+    except SupportMismatch:
+        kl_gauss = None
+    want = (kl_divergence(p, uniform_density_on(p)).hex(),
+            bhattacharyya_distance(p, q).hex(), kl_gauss)
+    got = tuple(None if v is None else v.hex()
+                for v in divergence_row(moments))
+    assert got == want
+    assert (kl_gauss is None) == (name == "unsupported")
+    if name in LIBRARY_PINS:
+        pinned = LIBRARY_PINS[name][1]
+        assert got == (pinned["kl_uniform"], pinned["bhat"],
+                       pinned["kl_gauss"])

@@ -24,7 +24,7 @@ from syncphase.signal_model import (
     snr_linear,
     tone_phases,
 )
-from syncphase import rng
+from syncphase import rng, signal_model
 from syncphase.cli import main
 
 
@@ -96,6 +96,17 @@ class TestMakeParams:
     def test_frequency_validation(self, f0, fs, message):
         with pytest.raises(OutOfRange, match=message):
             make_params(amplitude=1.0, f0=f0, fs=fs, n_samples=4)
+
+    def test_a_table_parses_its_frequencies_once(self):
+        signal_model._decimal.cache_clear()
+        for n in (10, 20, 30):
+            make_params(amplitude=1.0, f0="0.1", fs="1.0", n_samples=n)
+        assert signal_model._decimal.cache_info().misses == 2
+        # the message keeps the caller's spelling on every call
+        for _ in range(2):
+            with pytest.raises(NyquistViolation, match=r"fs=' 4e0 ' <= 2\*f0="
+                                                       r"'2\.0'\*2"):
+                make_params(amplitude=1.0, f0="2.0", fs=" 4e0 ", n_samples=4)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_phase_rejected(self, bad):
