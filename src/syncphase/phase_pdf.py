@@ -247,7 +247,7 @@ def _moment_integrals(pdfs, power: int, *, rel_tol: float) -> list:
 
         def integrand(points):
             x, owner = points
-            *cell, scale = per_cell[:, owner]
+            *cell, scale = np.take(per_cell, owner, axis=1)
             th = x * scale
             return th**power * _density(th, *cell) * scale
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from operator import itemgetter
 from typing import Callable, List, Sequence, Union
 
 import numpy as np
@@ -86,9 +87,10 @@ def _panels(f, bounds, owners):
     """Gauss 7/15 panels (a, b, integral, error) on every (a, b) of
     `bounds`, the k-th belonging to integral owners[k], from one call of f
     on all their abscissae."""
-    ends = np.array(bounds, dtype=float)
-    half = 0.5 * (ends[:, 1] - ends[:, 0])
-    mid = 0.5 * (ends[:, 0] + ends[:, 1])
+    lo, hi = zip(*bounds)
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
     x = (mid[:, None] + half[:, None] * _X).ravel()
     y = np.asarray(f((x, np.repeat(owners, _X.size))), dtype=float)
     if y.shape != x.shape:
@@ -96,8 +98,7 @@ def _panels(f, bounds, owners):
     y = y.reshape(len(bounds), _X.size)
     i15 = half * np.matmul(y[:, None, :15], _W15[:, None]).ravel()
     i7 = half * np.matmul(y[:, None, 15:], _W7[:, None]).ravel()
-    return [(a, b, i, e) for (a, b), i, e in
-            zip(bounds, i15.tolist(), np.abs(i15 - i7).tolist())]
+    return list(zip(lo, hi, i15.tolist(), np.abs(i15 - i7).tolist()))
 
 
 def _refine(panels, children, rel_tol):
@@ -105,10 +106,14 @@ def _refine(panels, children, rel_tol):
 
     Returns its value, the QuadratureNonConvergence it ran into, or the
     list of (lo, hi) panels to split: the worst, already popped from
-    `panels`, and the next worst that have no halves in `children` yet."""
+    `panels`, and the next worst that have no halves in `children` yet.
+    The sums and the worst pick are builtin scans over the whole list;
+    the worst is the first of equal errors."""
+    value, error = itemgetter(2), itemgetter(3)
     while True:
-        total = math.fsum(p[2] for p in panels)
-        err = math.fsum(p[3] for p in panels)
+        total = math.fsum(map(value, panels))
+        errs = list(map(error, panels))
+        err = math.fsum(errs)
         if err <= max(_ABS_TOL, rel_tol * abs(total)):
             return total
         if len(panels) >= _MAX_PANELS:
@@ -118,14 +123,13 @@ def _refine(panels, children, rel_tol):
                 best_estimate=total,
                 error_estimate=err,
             )
-        worst = max(range(len(panels)), key=lambda i: panels[i][3])
-        lo, hi, _, _ = panels.pop(worst)
+        lo, hi, _, _ = panels.pop(errs.index(max(errs)))
         if (lo, hi) in children:
             panels.extend(children.pop((lo, hi)))
             continue
         ahead = heapq.nlargest(
             _LOOKAHEAD - 1, (p for p in panels if p[:2] not in children),
-            key=lambda p: p[3])
+            key=error)
         return [(lo, hi)] + [p[:2] for p in ahead]
 
 
@@ -164,12 +168,12 @@ def _lockstep(f, problems, rel_tol):
         for k, split in splits.items():
             for lo, hi in split:
                 mid = 0.5 * (lo + hi)
-                bounds += [(lo, mid), (mid, hi)]
+                bounds += ((lo, mid), (mid, hi))
             owners += [k] * (2 * len(split))
         halves = iter(_panels(f, bounds, owners))
+        pairs = zip(halves, halves)
         for k, split in splits.items():
-            for key in split:
-                children[k][key] = [next(halves), next(halves)]
+            children[k].update(zip(split, pairs))
             panels[k].extend(children[k].pop(split[0]))
     return results
 

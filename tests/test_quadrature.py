@@ -1,5 +1,7 @@
 """Tests for the adaptive embedded-rule integrator."""
+import heapq
 import math
+import random
 
 import numpy as np
 import pytest
@@ -217,6 +219,90 @@ def test_lockstep_limits_are_checked():
         integrate(f, [0.0, 0.0], [1.0])
 
 
+# --- refinement scans against the generator scans ----------------------------
+
+def reference_refine(panels, children, rel_tol):
+    """quadrature._refine as it scanned its panels with generators, a lambda
+    key and heapq.nlargest; _refine must choose what it chose."""
+    while True:
+        total = math.fsum(p[2] for p in panels)
+        err = math.fsum(p[3] for p in panels)
+        if err <= max(quadrature._ABS_TOL, rel_tol * abs(total)):
+            return total
+        if len(panels) >= quadrature._MAX_PANELS:
+            return QuadratureNonConvergence("budget", best_estimate=total,
+                                            error_estimate=err)
+        worst = max(range(len(panels)), key=lambda i: panels[i][3])
+        lo, hi, _, _ = panels.pop(worst)
+        if (lo, hi) in children:
+            panels.extend(children.pop((lo, hi)))
+            continue
+        ahead = heapq.nlargest(
+            quadrature._LOOKAHEAD - 1,
+            (p for p in panels if p[:2] not in children), key=lambda p: p[3])
+        return [(lo, hi)] + [p[:2] for p in ahead]
+
+
+# Panel errors of the synthetic states and their weights: three values, so
+# that ties are common, then 0.0, inf and NaN.
+STATE_ERRORS = (1e-3, 2e-3, 5e-3, 0.0, math.inf, math.nan)
+STATE_ERROR_WEIGHTS = (10, 10, 10, 2, 1, 1)
+
+
+def _synthetic_state(r):
+    """(panels, children, rel_tol) for _refine, drawn with random.Random r:
+    1-40 panels on [i, i + 1], cached halves for some panels and for some
+    of those halves."""
+    def panel(lo, hi):
+        return (lo, hi, r.uniform(-1.0, 1.0),
+                r.choices(STATE_ERRORS, STATE_ERROR_WEIGHTS)[0])
+
+    def halves(lo, hi):
+        mid = 0.5 * (lo + hi)
+        return panel(lo, mid), panel(mid, hi)
+
+    panels = [panel(float(i), float(i + 1)) for i in range(r.randint(1, 40))]
+    children = {}
+    for lo, hi, _, _ in panels:
+        if r.random() < 0.3:
+            children[lo, hi] = halves(lo, hi)
+            for half in children[lo, hi]:
+                if r.random() < 0.2:
+                    children[half[:2]] = halves(*half[:2])
+    return panels, children, r.choice((1e-10, 1e-2, 1.0))
+
+
+def _outcome(step):
+    """A _refine return as comparable bits: the split list, the value's
+    hex, or the exception's estimates."""
+    if isinstance(step, QuadratureNonConvergence):
+        return "budget", step.best_estimate.hex(), step.error_estimate.hex()
+    if isinstance(step, list):
+        return "split", repr(step)
+    return "value", step.hex()
+
+
+def test_refine_scans_choose_what_the_generator_scans_chose(monkeypatch):
+    kinds = {"budget": 0, "split": 0, "value": 0}
+    nan_splits = 0
+    for state in range(1000):
+        r = random.Random(state)
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", r.choice((3, 10, 2000)))
+        monkeypatch.setattr(quadrature, "_LOOKAHEAD", r.choice((1, 2, 8, 8)))
+        panels, children, rel_tol = _synthetic_state(r)
+        has_nan = any(math.isnan(p[3]) for p in panels)
+        want_panels, want_children = list(panels), dict(children)
+        want = _outcome(reference_refine(want_panels, want_children, rel_tol))
+        got = _outcome(quadrature._refine(panels, children, rel_tol))
+        assert got == want, state
+        assert repr(panels) == repr(want_panels), state
+        assert repr(children) == repr(want_children), state
+        kinds[got[0]] += 1
+        nan_splits += has_nan and got[0] == "split"
+    # every way out of _refine, and look-aheads among NaN errors
+    assert min(kinds.values()) >= 50 and nan_splits >= 50, (kinds, nan_splits)
+
+
 # (snr_db, sigma_p_deg, n): spreads sigma/beta_p from 1e-5 to 75 rad, so both
 # branches of the moment integrals (spread >= and < NARROW_SPREAD)
 MOMENT_CELLS = [(-50.0, 20.0, 20), (-10.0, 0.0, 100), (0.0, 5.0, 20),
@@ -321,6 +407,31 @@ def test_rmse_grid_batches_its_panels(tmp_path, monkeypatch):
     assert counts["calls"] <= CALLS_PER_TABLE
     # the bound would catch a return to one panel per call
     assert counts["reference_calls"] / counts["integrals"] > CALLS_PER_TABLE
+
+
+EFFICIENCY_TABLE = ["efficiency", "--snr-db", "0", "--sigma-p-deg", "1",
+                    "--n", "20,100,1000,10000"]
+
+
+# Abscissae per integrand call, as the generator scans of _refine made them:
+# 22 per panel, every seed panel of the table in the first call.  Another
+# choice of worst or look-ahead panels changes the rounds or their sizes.
+@pytest.mark.parametrize("argv, points", [
+    (RMSE_GRID, [1232, 2464, 1760, 2816, 1408]),
+    (EFFICIENCY_TABLE, [440, 880, 880, 880, 528]),
+])
+def test_tables_make_the_pinned_integrand_calls(argv, points, tmp_path,
+                                                monkeypatch):
+    calls = []
+
+    def recording(f, a, b, **kwargs):
+        def integrand(points):
+            calls.append(points[0].size)
+            return f(points)
+        return integrate(integrand, a, b, **kwargs)
+    monkeypatch.setattr(phase_pdf, "integrate", recording)
+    assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 0
+    assert calls == points
 
 
 def test_stacked_panel_sums_are_the_row_dots():
