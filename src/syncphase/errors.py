@@ -36,7 +36,8 @@ class DegenerateSigma(SyncPhaseError, ValueError):
 
 
 class QuadratureNonConvergence(SyncPhaseError, ArithmeticError):
-    """Adaptive quadrature exhausted its panel budget before meeting tolerance."""
+    """Adaptive quadrature exhausted its panel budget before meeting
+    tolerance, or bisecting a panel with a NaN error left a NaN half."""
 
     def __init__(self, message, best_estimate=None, error_estimate=None):
         super().__init__(message)

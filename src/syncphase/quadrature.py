@@ -4,7 +4,11 @@ The integration strategy mirrors the classic embedded-rule adaptive scheme:
 each panel is scored by the disagreement between a 7-point and a 15-point
 Gauss-Legendre rule, and the worst panel is bisected until the summed panel
 errors meet tolerance or the panel budget runs out
-(:class:`QuadratureNonConvergence`).
+(:class:`QuadratureNonConvergence`).  A panel with a NaN error counts as
+the worst and is bisected first: a removable 0/0 at its midpoint node
+becomes an endpoint of both halves, which no node touches.  A half that
+is NaN again ends the integral with a QuadratureNonConvergence that names
+the NaN.
 
 :func:`integrate` runs one integral, or many in lockstep (cf. Shampine's
 vectorized ``quadgk``, J. Comput. Appl. Math. 211, 2008).  Panels are
@@ -101,14 +105,16 @@ def _panels(f, bounds, owners):
     return list(zip(lo, hi, i15.tolist(), np.abs(i15 - i7).tolist()))
 
 
-def _refine(panels, children, rel_tol):
+def _refine(panels, children, nan_halves, rel_tol):
     """Refine one integral until it ends or needs new panels evaluated.
 
     Returns its value, the QuadratureNonConvergence it ran into, or the
     list of (lo, hi) panels to split: the worst, already popped from
     `panels`, and the next worst that have no halves in `children` yet.
     The sums and the worst pick are builtin scans over the whole list;
-    the worst is the first of equal errors."""
+    the worst is the first NaN error, else the first of equal errors.  The
+    halves of a NaN panel go in the set `nan_halves`; picking one of them
+    ends the integral."""
     value, error = itemgetter(2), itemgetter(3)
     while True:
         total = math.fsum(map(value, panels))
@@ -123,7 +129,20 @@ def _refine(panels, children, rel_tol):
                 best_estimate=total,
                 error_estimate=err,
             )
-        lo, hi, _, _ = panels.pop(errs.index(max(errs)))
+        if math.isnan(err):
+            lo, hi, _, _ = panels.pop(next(
+                i for i, e in enumerate(errs) if math.isnan(e)))
+            if (lo, hi) in nan_halves:
+                return QuadratureNonConvergence(
+                    f"NaN error on [{lo!r}, {hi!r}] and on the panel it "
+                    f"halves: the integrand returns NaN or inf there",
+                    best_estimate=total,
+                    error_estimate=err,
+                )
+            mid = 0.5 * (lo + hi)
+            nan_halves.update(((lo, mid), (mid, hi)))
+        else:
+            lo, hi, _, _ = panels.pop(errs.index(max(errs)))
         if (lo, hi) in children:
             panels.extend(children.pop((lo, hi)))
             continue
@@ -150,18 +169,19 @@ def _lockstep(f, problems, rel_tol):
         owners += [k] * (len(edges) - 1)
     panels = {k: [] for k in dict.fromkeys(owners)}
     children = {k: {} for k in panels}  # (lo, hi) -> its halves, once evaluated
+    nan_halves = {k: set() for k in panels}
     if seeds:
         for k, panel in zip(owners, _panels(f, seeds, owners)):
             panels[k].append(panel)
     while panels:
         splits = {}
         for k in list(panels):
-            step = _refine(panels[k], children[k], rel_tol)
+            step = _refine(panels[k], children[k], nan_halves[k], rel_tol)
             if isinstance(step, list):
                 splits[k] = step
             else:
                 results[k] = step
-                del panels[k], children[k]
+                del panels[k], children[k], nan_halves[k]
         if not splits:
             break
         bounds, owners = [], []

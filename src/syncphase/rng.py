@@ -70,9 +70,14 @@ sub-blocked, 0.14 s and 1.8 MB.  A fill takes an arena from the free list
 raises, so concurrent fills never share one.  The arenas are kept for the
 process.  Buffers allocated per filler went back to the OS at the end of
 each ``mc`` call and were faulted in again by the next: an ``mc`` call at
-N = 20 and 4000 draws took about 1050 minor page faults, and takes about
-280 with the pool.  A fill writes every arena word before it reads it, so
-the words another fill left there change no bit.
+N = 20 and 4000 draws took about 1050 minor page faults, and about 280
+with the pool.  The rest came from the second noise channel's
+(n_draws, N) array, which glibc also gave back between calls; since
+``signal_model.RecordUnits`` adds that channel unit by unit from pooled
+unit buffers, such a call takes about 1 fault, and an ``mc`` call at
+N = 1000 and 1000 draws about 1 instead of about 860.  A fill writes
+every arena word before it reads it, so the words another fill left
+there change no bit.
 
 Channels:
     CH_PHASE    multiplicative phase-noise samples
@@ -161,6 +166,12 @@ def unit_rows(count: int) -> int:
     """Draws per unit of work at ``count`` samples per substream: the draws
     whose Philox blocks make one kernel sub-block, at least one."""
     return max(1, _SUB_BLOCK // max(1, -(-count // 4)))
+
+
+def unit_samples() -> int:
+    """4 * ``_SUB_BLOCK``: a unit of ``unit_rows(count)`` draws holds at
+    most this many samples for every count up to it."""
+    return 4 * _SUB_BLOCK
 
 
 def _philox_filler(key0: int, channel: int,

@@ -17,10 +17,11 @@ import csv
 import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from queue import SimpleQueue
+from queue import Empty, SimpleQueue
 from typing import Any, Callable, TextIO, Tuple, Union
 
 import numpy as np
@@ -207,6 +208,45 @@ _THREADS = min(2, len(os.sched_getaffinity(0))
                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
+# Unit buffers (0.5 MB each) a batch holds at once: while it holds this
+# many, RecordUnits.build transforms queued units before its next fill.
+# Measured on 2 cores (NumPy 2.4), reduced_dft_draws at this bound over
+# the parent's build, which held a whole second channel, lowest and
+# highest median of three sets of 31 interleaved runs:
+#
+#     bound            1          2          4          8          16
+#     N = 20, 4000     1.00-1.06  0.87-0.91  0.89-0.93  0.89-0.95  0.93-0.96
+#     N = 1000, 1000   1.12-1.26  1.02-1.05  0.97-1.10  0.95-1.06  0.97-1.05
+#     N = 1000, 4000   1.09-1.18  0.98-1.05  0.90-0.97  0.91-0.98  0.92-0.97
+#
+# At 1 the fills wait for the transforms; from 4 up no size was slower
+# beyond the sets' spread.  The peak over the records array (tracemalloc,
+# N = 1000, 1000 draws) was 0.8, 1.3, 2.3 and 3.8 MB at 1, 2, 4 and 8.
+_UNITS_IN_FLIGHT = 4
+# Free unit buffers of rng.unit_samples() words, which hold one unit of
+# any record of up to that many samples, kept for the process like
+# rng._ARENAS, about _UNITS_IN_FLIGHT of them.  A batch takes one for the
+# second unit of a row block and gives it back once the unit is added
+# into the records, so calls do not page fresh buffers in.
+_UNIT_BUFFERS: list = []
+
+
+def _take_buffer(size: int) -> np.ndarray:
+    try:
+        flat = _UNIT_BUFFERS.pop()
+    except IndexError:
+        flat = None
+    if flat is None or flat.size < size:
+        flat = np.empty(max(size, rng.unit_samples()))
+    return flat
+
+
+def _give_buffer(flat) -> None:
+    if (flat is not None and flat.size == rng.unit_samples()
+            and len(_UNIT_BUFFERS) < _UNITS_IN_FLIGHT):
+        _UNIT_BUFFERS.append(flat)
+
+
 def _worker_pool() -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=1,
                               thread_name_prefix="syncphase-draws")
@@ -237,7 +277,7 @@ def on_two_threads(head: Callable[[], Any], tail: Callable[[], Any], *,
 
 class RecordUnits:
     """The records of draws [first_draw, first_draw + n_draws), built in
-    units of work.
+    units of work into one (n_draws, N) records array.
 
     A unit ``(channel, start, stop)`` is one noise channel over batch rows
     start..stop, a block of at most ``rng.unit_rows(N)`` rows.  ``units``
@@ -252,10 +292,15 @@ class RecordUnits:
     * :meth:`transform` turns a filled unit's uniforms into normals and
       them into its share of the synthesis, on any thread.
 
-    Both ways a row passes through the same operations in the same order,
-    and units share no rows, so neither the order nor the thread of the
-    units changes a bit.  :meth:`build` is the package's one schedule of a
-    batch's units and decides whether a batch uses a second thread.
+    The first channel of a row block is drawn in the records rows
+    themselves; the second, when there is one, in a unit buffer.  Whichever
+    of the block's two units finishes second adds the buffer into the rows
+    (``rows += values``), on its own thread, so the rows get the one sum
+    phase + additive in either order.  Both ways a row passes through the
+    same operations in the same order, and units share no rows, so neither
+    the order nor the thread of the units changes a bit.  :meth:`build` is
+    the package's one schedule of a batch's units and decides whether a
+    batch uses a second thread.
     """
 
     def __init__(self, params: SignalParams, seed: int, first_draw: int,
@@ -267,17 +312,47 @@ class RecordUnits:
         self.seed = rng.as_int(seed, "seed")
         self.first_draw = rng.as_int(first_draw, "draw index")
         self.base = tone_phases(params)
-        self._rows = {}
-        if params.sigma_phase > 0.0:
-            self._rows[rng.CH_PHASE] = np.empty((n_draws, n))
-        if params.sigma_additive > 0.0:
-            self._rows[rng.CH_ADDITIVE] = np.empty((n_draws, n))
+        self._channels = [channel for channel, sigma in (
+            (rng.CH_PHASE, params.sigma_phase),
+            (rng.CH_ADDITIVE, params.sigma_additive)) if sigma > 0.0]
+        self._records = np.empty((n_draws, n))
+        self._buffers = {}  # row block start -> its second unit's buffer
+        self._done = {}     # row block start -> its first finished values
+        self._lock = threading.Lock()
         step = rng.unit_rows(n)
         self.units = [(channel, start, min(start + step, n_draws))
                       for start in range(0, n_draws, step)
-                      for channel in self._rows]
+                      for channel in self._channels]
         self._fills = {channel: rng.uniform_filler(self.seed, channel, n)
                        for channel in {unit[0] for unit in self.units[:-1]}}
+
+    def _unit_rows(self, unit) -> np.ndarray:
+        """Where a unit is drawn: its records rows for the block's first
+        channel, else a unit buffer, taken at the unit's first use."""
+        channel, start, stop = unit
+        if channel == self._channels[0]:
+            return self._records[start:stop]
+        size = (stop - start) * self.params.n_samples
+        flat = self._buffers.get(start)
+        if flat is None:
+            flat = self._buffers[start] = _take_buffer(size)
+        return flat[:size].reshape(stop - start, self.params.n_samples)
+
+    def _merge(self, unit, values: np.ndarray) -> None:
+        """Record that a unit's values are done.  The second unit of a row
+        block to finish adds the block's buffered values into its rows and
+        gives the buffer back; the lock makes exactly one unit second."""
+        channel, start, stop = unit
+        if len(self._channels) < 2:
+            return
+        with self._lock:
+            if start not in self._done:
+                self._done[start] = values
+                return
+            first = self._done.pop(start)
+        self._records[start:stop] += (
+            first if channel == self._channels[0] else values)
+        _give_buffer(self._buffers.pop(start, None))
 
     def draw(self, unit) -> None:
         """Fill and transform a unit through ``rng.standard_normals_block``."""
@@ -285,18 +360,20 @@ class RecordUnits:
         normals = rng.standard_normals_block(
             self.seed, self.first_draw + start, stop - start, channel,
             self.params.n_samples)
-        _shape(self.params, channel, normals,
-               self._rows[channel][start:stop], self.base)
+        values = (self._records[start:stop]
+                  if channel == self._channels[0] else normals)
+        _shape(self.params, channel, normals, values, self.base)
+        self._merge(unit, values)
 
     def fill(self, unit) -> None:
-        channel, start, stop = unit
-        self._fills[channel](self._rows[channel][start:stop],
-                             self.first_draw + start)
+        channel, start, _ = unit
+        self._fills[channel](self._unit_rows(unit), self.first_draw + start)
 
     def transform(self, unit) -> None:
-        channel, start, stop = unit
-        block = self._rows[channel][start:stop]
-        _shape(self.params, channel, rng.to_normals(block), block, self.base)
+        values = self._unit_rows(unit)
+        _shape(self.params, unit[0], rng.to_normals(values), values,
+               self.base)
+        self._merge(unit, values)
 
     def build(self) -> np.ndarray:
         """Draw every unit in two parts through :func:`on_two_threads`, then
@@ -306,10 +383,13 @@ class RecordUnits:
         head fills every unit but the last, in order, and queues each; draws
         the last unit in one call through ``rng.standard_normals_block``
         (perfbench's tracer times the RNG layer there); then transforms
-        queued units.  tail transforms queued units.  After its fills, also
-        when one raises, head queues one stop for each part, and each part
-        ends at the first stop it takes, so neither waits for a unit that
-        will not come."""
+        queued units.  tail transforms queued units.  While a batch holds
+        ``_UNITS_IN_FLIGHT`` unit buffers, head transforms queued units
+        before its next fill instead of waiting, so a batch holds one
+        records array and a bounded number of buffers at any size.  After
+        its fills, also when one raises, head queues one stop for each
+        part, and each part ends at the first stop it takes, so neither
+        waits for a unit that will not come."""
         units = self.units
         queued: SimpleQueue = SimpleQueue()
 
@@ -322,6 +402,12 @@ class RecordUnits:
         def head() -> None:
             try:
                 for unit in units[:-1]:
+                    while len(self._buffers) >= _UNITS_IN_FLIGHT:
+                        try:
+                            ahead = queued.get_nowait()
+                        except Empty:  # tail took the last queued unit
+                            break
+                        self.transform(ahead)
                     self.fill(unit)
                     queued.put(unit)
             finally:
@@ -337,21 +423,16 @@ class RecordUnits:
         return self.records()
 
     def records(self) -> np.ndarray:
-        """The (n_draws, N) records, once every unit is drawn."""
-        records = self._rows.get(rng.CH_PHASE)
-        noise = self._rows.get(rng.CH_ADDITIVE)
-        if records is None:
-            # the tone plus the noise: IEEE addition commutes, so adding
-            # the tone into the noise gives the bits of tone + noise
+        """The (n_draws, N) records, once every unit is drawn.  Without a
+        phase channel the tone is added last: IEEE addition commutes, so
+        adding it into the noise gives the bits of tone + noise."""
+        if rng.CH_PHASE not in self._channels:
             tone = self.params.amplitude * np.cos(self.base)
-            if noise is None:
-                return np.broadcast_to(
-                    tone, (self.n_draws, self.params.n_samples)).copy()
-            noise += tone
-            return noise
-        if noise is not None:
-            records += noise
-        return records
+            if self._channels:
+                self._records += tone
+            else:
+                self._records[...] = tone
+        return self._records
 
 
 def noisy_records(

@@ -69,10 +69,13 @@ def dft_bin_batch(matrix: np.ndarray, k: int) -> np.ndarray:
     coeff = 2.0 * math.cos(w)
     v1 = np.zeros(m)
     v2 = np.zeros(m)
+    v0 = np.empty(m)
     for n in range(n_samples):
-        v0 = s[:, n] + coeff * v1 - v2
-        v2 = v1
-        v1 = v0
+        # (s[n] + coeff*v1) - v2, in place: IEEE addition commutes
+        np.multiply(v1, coeff, out=v0)
+        v0 += s[:, n]
+        v0 -= v2
+        v0, v1, v2 = v2, v0, v1
     return v1 * cmath.exp(1j * w) - v2
 
 

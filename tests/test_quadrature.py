@@ -221,9 +221,10 @@ def test_lockstep_limits_are_checked():
 
 # --- refinement scans against the generator scans ----------------------------
 
-def reference_refine(panels, children, rel_tol):
+def reference_refine(panels, children, nan_halves, rel_tol):
     """quadrature._refine as it scanned its panels with generators, a lambda
-    key and heapq.nlargest; _refine must choose what it chose."""
+    key and heapq.nlargest, with the first NaN error as the worst; _refine
+    must choose what it chose."""
     while True:
         total = math.fsum(p[2] for p in panels)
         err = math.fsum(p[3] for p in panels)
@@ -232,8 +233,18 @@ def reference_refine(panels, children, rel_tol):
         if len(panels) >= quadrature._MAX_PANELS:
             return QuadratureNonConvergence("budget", best_estimate=total,
                                             error_estimate=err)
-        worst = max(range(len(panels)), key=lambda i: panels[i][3])
+        nans = [i for i, p in enumerate(panels) if math.isnan(p[3])]
+        if nans:
+            worst = nans[0]
+        else:
+            worst = max(range(len(panels)), key=lambda i: panels[i][3])
         lo, hi, _, _ = panels.pop(worst)
+        if nans:
+            if (lo, hi) in nan_halves:
+                return QuadratureNonConvergence("nan", best_estimate=total,
+                                                error_estimate=err)
+            mid = 0.5 * (lo + hi)
+            nan_halves.update(((lo, mid), (mid, hi)))
         if (lo, hi) in children:
             panels.extend(children.pop((lo, hi)))
             continue
@@ -250,9 +261,10 @@ STATE_ERROR_WEIGHTS = (10, 10, 10, 2, 1, 1)
 
 
 def _synthetic_state(r):
-    """(panels, children, rel_tol) for _refine, drawn with random.Random r:
-    1-40 panels on [i, i + 1], cached halves for some panels and for some
-    of those halves."""
+    """(panels, children, nan_halves, rel_tol) for _refine, drawn with
+    random.Random r: 1-40 panels on [i, i + 1], cached halves for some
+    panels and for some of those halves, and some of all these bounds in
+    nan_halves."""
     def panel(lo, hi):
         return (lo, hi, r.uniform(-1.0, 1.0),
                 r.choices(STATE_ERRORS, STATE_ERROR_WEIGHTS)[0])
@@ -269,38 +281,96 @@ def _synthetic_state(r):
             for half in children[lo, hi]:
                 if r.random() < 0.2:
                     children[half[:2]] = halves(*half[:2])
-    return panels, children, r.choice((1e-10, 1e-2, 1.0))
+    bounds = [p[:2] for p in panels]
+    bounds += [h[:2] for pair in children.values() for h in pair]
+    nan_halves = {b for b in bounds if r.random() < 0.3}
+    return panels, children, nan_halves, r.choice((1e-10, 1e-2, 1.0))
 
 
 def _outcome(step):
     """A _refine return as comparable bits: the split list, the value's
-    hex, or the exception's estimates."""
+    hex, or the exception's estimates, a NaN error sum's apart."""
     if isinstance(step, QuadratureNonConvergence):
-        return "budget", step.best_estimate.hex(), step.error_estimate.hex()
+        kind = "nan" if math.isnan(step.error_estimate) else "budget"
+        return kind, step.best_estimate.hex(), step.error_estimate.hex()
     if isinstance(step, list):
         return "split", repr(step)
     return "value", step.hex()
 
 
 def test_refine_scans_choose_what_the_generator_scans_chose(monkeypatch):
-    kinds = {"budget": 0, "split": 0, "value": 0}
+    kinds = {"budget": 0, "nan": 0, "split": 0, "value": 0}
     nan_splits = 0
     for state in range(1000):
         r = random.Random(state)
         monkeypatch.setattr(quadrature, "_MAX_PANELS", r.choice((3, 10, 2000)))
         monkeypatch.setattr(quadrature, "_LOOKAHEAD", r.choice((1, 2, 8, 8)))
-        panels, children, rel_tol = _synthetic_state(r)
+        panels, children, nan_halves, rel_tol = _synthetic_state(r)
         has_nan = any(math.isnan(p[3]) for p in panels)
         want_panels, want_children = list(panels), dict(children)
-        want = _outcome(reference_refine(want_panels, want_children, rel_tol))
-        got = _outcome(quadrature._refine(panels, children, rel_tol))
+        want_nan_halves = set(nan_halves)
+        want = _outcome(reference_refine(want_panels, want_children,
+                                         want_nan_halves, rel_tol))
+        got = _outcome(quadrature._refine(panels, children, nan_halves,
+                                          rel_tol))
         assert got == want, state
         assert repr(panels) == repr(want_panels), state
         assert repr(children) == repr(want_children), state
+        assert nan_halves == want_nan_halves, state
         kinds[got[0]] += 1
         nan_splits += has_nan and got[0] == "split"
     # every way out of _refine, and look-aheads among NaN errors
     assert min(kinds.values()) >= 50 and nan_splits >= 50, (kinds, nan_splits)
+
+
+def _nan_above(x):
+    """cos, but NaN above 0.7."""
+    y = np.cos(x)
+    y[x > 0.7] = math.nan
+    return y
+
+
+def test_a_nan_integrand_ends_when_a_half_is_nan_again():
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return _nan_above(x)
+
+    with pytest.raises(QuadratureNonConvergence, match="NaN") as err:
+        integrate(f, 0.0, 1.0)
+    assert len(calls) <= 2
+    assert math.isnan(err.value.error_estimate)
+
+
+def _sinc_at(c):
+    """sin(x - c) / (x - c): NaN at x = c, a removable 0/0."""
+    def f(x):
+        with np.errstate(invalid="ignore"):
+            return np.sin(x - c) / (x - c)
+    return f
+
+
+@pytest.mark.parametrize("c, a, b, breakpoints, want", [
+    # 2*Si(1): the NaN is at the seed panel's midpoint node
+    (0.0, -1.0, 1.0, (), "0x1.e465000d0d79ap+0"),
+    # the NaN panel is second in the list
+    (0.75, 0.0, 1.0, (0.5,), "0x1.f3c1c84c1d2eep-1"),
+])
+def test_a_removable_nan_at_a_node_is_bisected_away(c, a, b, breakpoints,
+                                                    want):
+    # the values integrate gave before NaN errors were picked first
+    assert integrate(_sinc_at(c), a, b,
+                     breakpoints=breakpoints).hex() == want
+
+
+def test_a_nan_cell_in_lockstep_leaves_its_neighbours_bits():
+    f = _lockstep_integrand([np.cos, _nan_above, np.exp], [])
+    cos, nan, exp = integrate(f, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+    assert isinstance(nan, QuadratureNonConvergence)
+    assert "NaN" in str(nan)
+    assert cos.hex() == integrate(np.cos, 0.0, 1.0).hex()
+    assert exp.hex() == integrate(np.exp, 0.0, 1.0).hex()
 
 
 # (snr_db, sigma_p_deg, n): spreads sigma/beta_p from 1e-5 to 75 rad, so both

@@ -2,6 +2,9 @@
 import hashlib
 import io
 import math
+import threading
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -236,6 +239,87 @@ class TestRecordUnits:
         assert staged.records().tobytes() == want.tobytes()
         for j in (0, 7, 29):
             assert want[j].tobytes() == generate(p, 9, first + j).tobytes()
+
+    @staticmethod
+    def reference(p, seed, first, n_draws):
+        """A*cos(sigma_p*z_p + tone phase) + sigma_x*z_x from whole-batch
+        normals, the tone alone for a zero sigma_p."""
+        def normals(channel):
+            return rng.standard_normals_block(seed, first, n_draws, channel,
+                                              p.n_samples)
+        base = np.broadcast_to(tone_phases(p), (n_draws, p.n_samples))
+        z_p = normals(rng.CH_PHASE) if p.sigma_phase > 0.0 else 0.0
+        records = p.amplitude * np.cos(p.sigma_phase * z_p + base)
+        if p.sigma_additive > 0.0:
+            records = records + p.sigma_additive * normals(rng.CH_ADDITIVE)
+        return records
+
+    @pytest.mark.parametrize("sigma_x, sigma_p", [
+        (0.3, 0.1), (0.0, 0.1), (0.3, 0.0), (0.0, 0.0)])
+    @pytest.mark.parametrize("first", [rng.CH_PHASE, rng.CH_ADDITIVE])
+    def test_either_channel_may_finish_a_row_block_first(
+            self, monkeypatch, sigma_x, sigma_p, first):
+        # whichever unit of a row block finishes second adds the buffered
+        # channel into the rows: phase + additive has the same bits either
+        # way, the last unit drawn in one call as build draws it
+        monkeypatch.setattr(rng, "_SUB_BLOCK", 64)
+        p = self.params(sigma_x, sigma_p)
+        staged = RecordUnits(p, 9, 5, 30)
+        units = staged.units
+        for unit in units[:-1]:
+            staged.fill(unit)
+        for unit in sorted(units, key=lambda u: (u[1], u[0] != first)):
+            if unit == units[-1]:
+                staged.draw(unit)
+            else:
+                staged.transform(unit)
+        got = staged.records()
+        assert got.tobytes() == noisy_records(p, 9, 5, 30).tobytes()
+        assert got.tobytes() == self.reference(p, 9, 5, 30).tobytes()
+
+    def test_two_units_finishing_at_once_add_once(self):
+        # which unit of a row block finishes second is one check-then-act
+        # under the lock: slowed down here, the block's two units finishing
+        # together on two threads still leave exactly one of them to add
+        class SlowDone(dict):
+            def __contains__(self, key):
+                found = super().__contains__(key)
+                time.sleep(0.05)
+                return found
+
+        p = self.params(0.3, 0.1)
+        staged = RecordUnits(p, 9, 5, 30)
+        phase, additive = staged.units  # one row block
+        staged.fill(phase)
+        staged._done = SlowDone()
+        threads = [threading.Thread(target=staged.transform, args=(phase,)),
+                   threading.Thread(target=staged.draw, args=(additive,))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        want = noisy_records(p, 9, 5, 30)
+        assert staged.records().tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_draws", [500, 2000])
+    def test_a_batch_holds_its_records_and_a_few_unit_buffers(
+            self, monkeypatch, n_draws):
+        # two channels at N = 1000: the phase units are drawn in the
+        # records rows, the additive ones in at most _UNITS_IN_FLIGHT unit
+        # buffers (one more while the worker holds the last queued unit)
+        # and the last in a block of its own, whatever the draw count
+        monkeypatch.setattr(signal_model, "_UNIT_BUFFERS", [])
+        p = self.params(0.3, 0.1, n=1000)
+        tracemalloc.start()
+        try:
+            records = noisy_records(p, 9, 5, n_draws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        unit_bytes = rng.unit_samples() * records.itemsize
+        held = (signal_model._UNITS_IN_FLIGHT + 2) * unit_bytes
+        assert records.nbytes < peak <= records.nbytes + held + 2**16
 
     # sha256 of noisy_records(params(0.3, 0.1), 9, 5, n_draws), recorded
     # while every noisy channel still got a filler of its own

@@ -719,16 +719,16 @@ class TestTwoThreadSplit:
         # thread, so the worker must set its own or warn.
         monkeypatch.setattr(signal_model, "_PIPELINE_MIN_SAMPLES", 0)
         monkeypatch.setattr(rng, "_SUB_BLOCK", 64)
-        transform = RecordUnits.transform
+        merge = RecordUnits._merge
 
-        def overflowing_on_the_worker(self, unit):
-            transform(self, unit)
+        def overflowing_on_the_worker(self, unit, values):
+            # values: the unit's records rows or its unit buffer, done
+            # and not yet added into the records
             if on_worker():
-                channel, start, stop = unit
-                self._rows[channel][start:stop] *= 1e308
+                values *= 1e308
+            merge(self, unit, values)
 
-        monkeypatch.setattr(RecordUnits, "transform",
-                            overflowing_on_the_worker)
+        monkeypatch.setattr(RecordUnits, "_merge", overflowing_on_the_worker)
         worker_goes_first(monkeypatch)
         p = params_for(100, snr_db=0.0, sigma_p=0.1)
         with warnings.catch_warnings():
