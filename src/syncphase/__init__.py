@@ -11,6 +11,14 @@ Library layout:
 - ``mc_harness``         deterministic Monte-Carlo runner and the
                          normality/independence test battery
 - ``cli``                the ``syncphase`` command-line front end
+
+Scratch memory lives for one call: a call allocates its work memory fresh,
+one block per stage (a Philox arena, a unit buffer, a divergence
+workspace), and frees it when it returns, so no module keeps a free list.
+Freeing a block it mapped raises glibc's mmap threshold to the block's
+size and its trim threshold to twice that, so later blocks up to that
+size come from its heap, which it keeps, and repeated calls page no
+fresh memory in.
 """
 
 __version__ = "0.1.0"

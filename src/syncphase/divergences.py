@@ -7,22 +7,16 @@ accurate, so 2^15+1 nodes put grid error far below the divergence tolerances;
 narrow lobes get a dedicated dense window merged into a coarse ambient grid
 (the ambient component is constant, where the trapezoid rule is exact).
 
-Node-length scratch arrays come from a workspace of six float and three
-bool arrays of ``DENSE_NODES + AMBIENT_NODES`` entries (1.7 MB), taken from
-the free list ``_WORKSPACES`` for one call and put back when the call ends,
-also when it raises, so concurrent calls never share one.  The workspaces
-are kept for the process.  A divergence cell (:func:`divergence_row`)
-computes its spacing, densities and divergences in one workspace; built
-from fresh arrays, about ten per cell, their pages went back to the OS
-after each cell and were faulted in again by the next, about 2,100 minor
-page faults per three-cell ``divergence`` call.  A call writes every
-workspace entry it reads, so what another call left there changes no bit.
+Node-length scratch arrays are the rows of a workspace: one block of six
+float rows and one of three bool rows, allocated for one call
+(:func:`_workspace`, package docstring).  A divergence cell
+(:func:`divergence_row`) computes its spacing, densities and divergences
+in one workspace.  A call writes every workspace entry it reads, so what
+``np.empty`` leaves there changes no bit.
 """
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
@@ -38,41 +32,15 @@ DENSE_NODES = 2**15 + 1   # lobe / uniform-grid resolution
 AMBIENT_NODES = 2**10 + 1 # coarse carrier for the constant ambient region
 NORMALIZATION_TOL = 1e-6
 
-# Entries of a workspace array: the most nodes a phase node set holds.
-_WORKSPACE_NODES = DENSE_NODES + AMBIENT_NODES
-# Free workspaces, kept for the process.  A call pops one (or allocates one
-# if none is free) and appends it back when it ends; both are atomic under
-# the GIL, so the list never holds more workspaces than calls ran at once.
-_WORKSPACES: list = []
 _AMBIENT = np.linspace(-math.pi, math.pi, AMBIENT_NODES)
 _NO_LOBE = ("beta_p = 0 leaves no lobe: the density is uniform and has no "
             "Gaussian approximation")
 
 
-def _new_workspace(size: int):
-    return ([np.empty(size) for _ in range(6)],
-            [np.empty(size, dtype=bool) for _ in range(3)])
-
-
-@contextlib.contextmanager
 def _workspace(n: int):
-    """(floats, bools): six float and three bool scratch arrays of n
-    entries, views of a pooled workspace where n fits one (module
-    docstring), else allocated."""
-    pooled = n <= _WORKSPACE_NODES
-    if pooled:
-        try:
-            workspace = _WORKSPACES.pop()
-        except IndexError:
-            workspace = _new_workspace(_WORKSPACE_NODES)
-    else:
-        workspace = _new_workspace(n)
-    try:
-        floats, bools = workspace
-        yield [a[:n] for a in floats], [a[:n] for a in bools]
-    finally:
-        if pooled:
-            _WORKSPACES.append(workspace)
+    """(floats, bools): the six float and three bool scratch rows of n
+    entries of a fresh workspace (module docstring)."""
+    return np.empty((6, n)), np.empty((3, n), dtype=bool)
 
 
 def _trapezoid(y: np.ndarray, spacing: np.ndarray, work=None) -> float:
@@ -156,8 +124,8 @@ class DensityGrid:
             )
         if self._spacing is None:
             object.__setattr__(self, "_spacing", _node_spacing(nodes))
-        with _workspace(values.shape[0]) as (floats, bools):
-            _check_density(values, self._spacing, floats[0], bools[0])
+        floats, bools = _workspace(values.shape[0])
+        _check_density(values, self._spacing, floats[0], bools[0])
         nodes.setflags(write=False)
         values.setflags(write=False)
 
@@ -176,42 +144,16 @@ def _node_set(nodes: Union[np.ndarray, DensityGrid]
     return nodes, _node_spacing(nodes)
 
 
-def _sorted_distinct(a: np.ndarray, b: np.ndarray, out=None,
-                     keep=None) -> np.ndarray:
+def _sorted_distinct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.unique(np.concatenate((a, b))) for two arrays made of a few sorted
     runs, which NumPy's stable sort (timsort, for floats) merges in linear
-    time where np.unique's quicksort sorts from scratch.  The concatenation
-    goes to `out` and the mask to `keep` (float and bool arrays of
-    a.size + b.size entries), or to fresh arrays."""
-    both = np.concatenate((a, b), out=out)
+    time where np.unique's quicksort sorts from scratch."""
+    both = np.concatenate((a, b))
     both.sort(kind="stable")
-    if keep is None:
-        keep = np.empty(both.shape, dtype=bool)
+    keep = np.empty(both.shape, dtype=bool)
     keep[0] = True
     np.not_equal(both[1:], both[:-1], out=keep[1:])
     return both[keep]
-
-
-@functools.lru_cache(maxsize=1)
-def _ramp() -> np.ndarray:
-    """np.linspace's ramp for DENSE_NODES points, made on first use: a
-    process that builds no window (an MC run) does not hold it."""
-    return np.arange(DENSE_NODES, dtype=float)
-
-
-def _linspace(start: float, stop: float, out: np.ndarray) -> np.ndarray:
-    """np.linspace(start, stop, out.size), with its bits, written to `out`
-    (2 to DENSE_NODES entries)."""
-    div = out.shape[0] - 1
-    ramp = _ramp()[:div + 1]
-    step = (stop - start) / div
-    if step == 0.0:  # np.linspace's order for a step that underflows
-        np.multiply(np.divide(ramp, div, out=out), stop - start, out=out)
-    else:
-        np.multiply(ramp, step, out=out)
-    out += start
-    out[-1] = stop
-    return out
 
 
 def phase_nodes(spread: float, center: float = 0.0) -> np.ndarray:
@@ -229,12 +171,9 @@ def phase_nodes(spread: float, center: float = 0.0) -> np.ndarray:
         return np.linspace(-math.pi, math.pi, DENSE_NODES)
     c = wrap_angle(center)
     half_width = U_LIMIT * spread
-    with _workspace(_WORKSPACE_NODES) as (floats, bools):
-        window = _linspace(c - half_width, c + half_width,
-                           floats[1][:DENSE_NODES])
-        # one sorted run, or two where the wrap moves the part past the seam
-        wrap_angle(window, out=window)
-        return _sorted_distinct(_AMBIENT, window, floats[0], bools[0])
+    window = np.linspace(c - half_width, c + half_width, DENSE_NODES)
+    # one sorted run, or two where the wrap moves the part past the seam
+    return _sorted_distinct(_AMBIENT, wrap_angle(window, out=window))
 
 
 # A Gaussian lobe of std s sampled on a lattice of step h has trapezoid
@@ -329,8 +268,7 @@ def gaussian_approximation(moments: TheoreticalMoments,
         nodes = phase_nodes(pdf.spread, pdf.phi)
     nodes, spacing = _node_set(nodes)
     values = np.empty(nodes.shape)
-    with _workspace(nodes.shape[0]) as (floats, _):
-        _gaussian(pdf, nodes, spacing, values, floats[0])
+    _gaussian(pdf, nodes, spacing, values, np.empty(nodes.shape))
     return DensityGrid(nodes=nodes, values=values, _spacing=spacing)
 
 
@@ -372,8 +310,8 @@ def kl_divergence(p: DensityGrid, q: DensityGrid) -> float:
     the exception records the offending fraction of p's mass.
     """
     _require_shared_nodes(p, q)
-    with _workspace(p.nodes.shape[0]) as (floats, bools):
-        return _kl(p.values, q.values, p._spacing, (floats[:2], bools[:2]))
+    floats, bools = _workspace(p.nodes.shape[0])
+    return _kl(p.values, q.values, p._spacing, (floats[:2], bools[:2]))
 
 
 def _bhattacharyya(pv: np.ndarray, qv: np.ndarray, spacing: np.ndarray,
@@ -391,8 +329,8 @@ def _bhattacharyya(pv: np.ndarray, qv: np.ndarray, spacing: np.ndarray,
 def bhattacharyya_distance(p: DensityGrid, q: DensityGrid) -> float:
     """Bhattacharyya distance -log integral sqrt(p q) on the shared grid."""
     _require_shared_nodes(p, q)
-    with _workspace(p.nodes.shape[0]) as (floats, _):
-        return _bhattacharyya(p.values, q.values, p._spacing, floats[:2])
+    floats, _ = _workspace(p.nodes.shape[0])
+    return _bhattacharyya(p.values, q.values, p._spacing, floats[:2])
 
 
 def divergence_row(moments: TheoreticalMoments
@@ -404,31 +342,32 @@ def divergence_row(moments: TheoreticalMoments
     q = gaussian_approximation(moments, p), these are
     kl_divergence(p, uniform_density_on(p)), bhattacharyya_distance(p, q)
     and kl_divergence(p, q), with their bits and their checks in their
-    order, computed in one workspace (module docstring): the node set and
-    np.compress's index arrays are all a cell allocates.  A density with no
-    lobe (beta_p = 0) raises OutOfRange, as gaussian_approximation does."""
+    order, computed in one workspace (module docstring): the node set, the
+    workspace and np.compress's index arrays are all a cell allocates.  A
+    density with no lobe (beta_p = 0) raises OutOfRange, as
+    gaussian_approximation does."""
     pdf = PolarPdf.from_moments(moments)
     if math.isinf(pdf.spread):
         raise OutOfRange(_NO_LOBE)
     nodes = phase_nodes(pdf.spread, pdf.phi)
     n = nodes.shape[0]
-    with _workspace(n) as (floats, bools):
-        steps, p, q, u, a, b = floats
-        pdf_value_into(pdf, nodes, p, ((q, u, a, b), bools))
-        try:
-            spacing = _node_spacing(nodes, steps[:n - 1], bools[0][:n - 1])
-            _check_density(p, spacing, a, bools[0])
-        except OutOfRange as exc:
-            raise _lobe_error(pdf, exc) from None
-        _check_density(_gaussian(pdf, nodes, spacing, q, a), spacing, a,
-                       bools[0])
-        u.fill(1.0 / math.tau)
-        _check_density(u, spacing, a, bools[0])
-        work = ((a, b), bools[:2])
-        kl_uniform = _kl(p, u, spacing, work)
-        bhat = _bhattacharyya(p, q, spacing, (a, b))
-        try:
-            kl_gauss = _kl(p, q, spacing, work)
-        except SupportMismatch:
-            kl_gauss = None
+    floats, bools = _workspace(n)
+    steps, p, q, u, a, b = floats
+    pdf_value_into(pdf, nodes, p, ((q, u, a, b), bools))
+    try:
+        spacing = _node_spacing(nodes, steps[:n - 1], bools[0][:n - 1])
+        _check_density(p, spacing, a, bools[0])
+    except OutOfRange as exc:
+        raise _lobe_error(pdf, exc) from None
+    _check_density(_gaussian(pdf, nodes, spacing, q, a), spacing, a,
+                   bools[0])
+    u.fill(1.0 / math.tau)
+    _check_density(u, spacing, a, bools[0])
+    work = ((a, b), bools[:2])
+    kl_uniform = _kl(p, u, spacing, work)
+    bhat = _bhattacharyya(p, q, spacing, (a, b))
+    try:
+        kl_gauss = _kl(p, q, spacing, work)
+    except SupportMismatch:
+        kl_gauss = None
     return kl_uniform, bhat, kl_gauss

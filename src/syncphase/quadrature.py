@@ -117,7 +117,10 @@ def _refine(panels, children, nan_halves, rel_tol):
     ends the integral."""
     value, error = itemgetter(2), itemgetter(3)
     while True:
-        total = math.fsum(map(value, panels))
+        try:
+            total = math.fsum(map(value, panels))
+        except ValueError:  # inf - inf: the NaN test below ends it
+            total = math.nan
         errs = list(map(error, panels))
         err = math.fsum(errs)
         if err <= max(_ABS_TOL, rel_tol * abs(total)):

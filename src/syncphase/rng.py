@@ -61,23 +61,14 @@ native loop in every set at both sizes (104 reached 1.035 in one set), so
 the kernel fills counts up to 100 and the native loop longer records.
 
 The kernel works in sub-blocks of ``_SUB_BLOCK`` Philox blocks (3276 draws
-at count 20), updated in place in one fixed-size arena of work memory
-(``_ARENA_WORDS``, about 2.4 MB), so its memory does not grow with
-``n_draws`` and the arena stays in cache.  For a 200k-draw chunk at count
-20, one pass over the whole chunk took 0.29 s and 106 MB of work buffers;
-sub-blocked, 0.14 s and 1.8 MB.  A fill takes an arena from the free list
-``_ARENAS`` for one call and puts it back when the call ends, also when it
-raises, so concurrent fills never share one.  The arenas are kept for the
-process.  Buffers allocated per filler went back to the OS at the end of
-each ``mc`` call and were faulted in again by the next: an ``mc`` call at
-N = 20 and 4000 draws took about 1050 minor page faults, and about 280
-with the pool.  The rest came from the second noise channel's
-(n_draws, N) array, which glibc also gave back between calls; since
-``signal_model.RecordUnits`` adds that channel unit by unit from pooled
-unit buffers, such a call takes about 1 fault, and an ``mc`` call at
-N = 1000 and 1000 draws about 1 instead of about 860.  A fill writes
-every arena word before it reads it, so the words another fill left
-there change no bit.
+at count 20), updated in place in one arena of work memory
+(``_ARENA_WORDS``, about 2.4 MB) that each fill allocates for the call
+(package docstring), so its memory does not grow with ``n_draws``, the
+arena stays in cache and concurrent fills never share one.  For a
+200k-draw chunk at count 20, one pass over the whole chunk took 0.29 s
+and 106 MB of work buffers; sub-blocked, 0.14 s and 1.8 MB.  A fill
+writes every arena word before it reads it, so what ``np.empty`` leaves
+there changes no bit.
 
 Channels:
     CH_PHASE    multiplicative phase-noise samples
@@ -121,10 +112,6 @@ _SUB_BLOCK = 16384
 # Philox block of a sub-block, and 5 draw-column words per draw, of which a
 # sub-block holds at most _SUB_BLOCK.
 _ARENA_WORDS = 18 * _SUB_BLOCK
-# Free kernel arenas, kept for the process.  A fill pops one (or allocates
-# one if none is free) and appends it back when it ends; both are atomic
-# under the GIL, so the list never holds more arenas than fills ran at once.
-_ARENAS: list = []
 
 _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
@@ -168,19 +155,13 @@ def unit_rows(count: int) -> int:
     return max(1, _SUB_BLOCK // max(1, -(-count // 4)))
 
 
-def unit_samples() -> int:
-    """4 * ``_SUB_BLOCK``: a unit of ``unit_rows(count)`` draws holds at
-    most this many samples for every count up to it."""
-    return 4 * _SUB_BLOCK
-
-
 def _philox_filler(key0: int, channel: int,
                    count: int) -> Callable[[np.ndarray, int], None]:
     """fill(u, first_draw) for the NumPy kernel: row j of u (n_draws,
     count) gets the ``random()`` values, (w >> 11) * 2^-53, of the first
     ``count`` words of the Philox blocks [b, first_draw + j, channel, 0],
     b = 1, 2, ...  Each call works in sub-blocks of ``unit_rows(count)``
-    draws, in an arena taken from ``_ARENAS`` for the call.
+    draws, in an arena allocated for the call.
 
     Rounds 1 to 3 are factored by what their words depend on (module
     docstring); rounds 4 to 10 run on full (draws, blocks) arrays."""
@@ -223,16 +204,7 @@ def _philox_filler(key0: int, channel: int,
     def fill(u: np.ndarray, first_draw: int) -> None:
         if n_blocks == 0:
             return
-        try:
-            arena = _ARENAS.pop()
-        except IndexError:
-            arena = np.empty(_ARENA_WORDS, dtype=np.uint64)
-        try:
-            fill_in(arena, u, first_draw)
-        finally:
-            _ARENAS.append(arena)
-
-    def fill_in(arena: np.ndarray, u: np.ndarray, first_draw: int) -> None:
+        arena = np.empty(_ARENA_WORDS, dtype=np.uint64)
         # full-size counter words x0..x3, high products h0, h1, work s0..s2
         bufs = arena[:9 * size].reshape(9, rows, n_blocks)
         words = arena[9 * size:13 * size].reshape(rows, n_blocks, 4)
@@ -309,7 +281,7 @@ def uniform_filler(seed: int, channel: int,
     first_draw + j of ``channel``, written into the rows of u, an
     (n_draws, count) float array.  The fill stage.  A native filler keeps
     its generator from call to call, so one thread makes every call of one
-    filler; a kernel call works in a process-wide arena of its own."""
+    filler; a kernel call works in an arena of its own."""
     key0 = as_int(seed, "seed") & _MASK64
     if count <= _KERNEL_MAX_COUNT:
         fill_words = _philox_filler(key0, channel, count)

@@ -208,11 +208,11 @@ _THREADS = min(2, len(os.sched_getaffinity(0))
                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
-# Unit buffers (0.5 MB each) a batch holds at once: while it holds this
-# many, RecordUnits.build transforms queued units before its next fill.
-# Measured on 2 cores (NumPy 2.4), reduced_dft_draws at this bound over
-# the parent's build, which held a whole second channel, lowest and
-# highest median of three sets of 31 interleaved runs:
+# Unit buffers (up to 0.5 MB each) a batch holds at once: while it holds
+# this many, RecordUnits.build transforms queued units before its next
+# fill.  Measured on 2 cores (NumPy 2.4), reduced_dft_draws at this bound
+# over a build that held a whole second channel, lowest and highest median
+# of three sets of 31 interleaved runs:
 #
 #     bound            1          2          4          8          16
 #     N = 20, 4000     1.00-1.06  0.87-0.91  0.89-0.93  0.89-0.95  0.93-0.96
@@ -221,30 +221,8 @@ _THREADS = min(2, len(os.sched_getaffinity(0))
 #
 # At 1 the fills wait for the transforms; from 4 up no size was slower
 # beyond the sets' spread.  The peak over the records array (tracemalloc,
-# N = 1000, 1000 draws) was 0.8, 1.3, 2.3 and 3.8 MB at 1, 2, 4 and 8.
+# N = 1000, 1000 draws) is 1.5-2.1 MB.
 _UNITS_IN_FLIGHT = 4
-# Free unit buffers of rng.unit_samples() words, which hold one unit of
-# any record of up to that many samples, kept for the process like
-# rng._ARENAS, about _UNITS_IN_FLIGHT of them.  A batch takes one for the
-# second unit of a row block and gives it back once the unit is added
-# into the records, so calls do not page fresh buffers in.
-_UNIT_BUFFERS: list = []
-
-
-def _take_buffer(size: int) -> np.ndarray:
-    try:
-        flat = _UNIT_BUFFERS.pop()
-    except IndexError:
-        flat = None
-    if flat is None or flat.size < size:
-        flat = np.empty(max(size, rng.unit_samples()))
-    return flat
-
-
-def _give_buffer(flat) -> None:
-    if (flat is not None and flat.size == rng.unit_samples()
-            and len(_UNIT_BUFFERS) < _UNITS_IN_FLIGHT):
-        _UNIT_BUFFERS.append(flat)
 
 
 def _worker_pool() -> ThreadPoolExecutor:
@@ -293,14 +271,15 @@ class RecordUnits:
       them into its share of the synthesis, on any thread.
 
     The first channel of a row block is drawn in the records rows
-    themselves; the second, when there is one, in a unit buffer.  Whichever
-    of the block's two units finishes second adds the buffer into the rows
-    (``rows += values``), on its own thread, so the rows get the one sum
-    phase + additive in either order.  Both ways a row passes through the
-    same operations in the same order, and units share no rows, so neither
-    the order nor the thread of the units changes a bit.  :meth:`build` is
-    the package's one schedule of a batch's units and decides whether a
-    batch uses a second thread.
+    themselves; the second, when there is one, in a unit buffer of its
+    own, allocated at the unit's first use and dropped once added (package
+    docstring).  Whichever of the block's two units finishes second adds
+    the buffer into the rows (``rows += values``), on its own thread, so
+    the rows get the one sum phase + additive in either order.  Both ways
+    a row passes through the same operations in the same order, and units
+    share no rows, so neither the order nor the thread of the units
+    changes a bit.  :meth:`build` is the package's one schedule of a
+    batch's units and decides whether a batch uses a second thread.
     """
 
     def __init__(self, params: SignalParams, seed: int, first_draw: int,
@@ -328,20 +307,20 @@ class RecordUnits:
 
     def _unit_rows(self, unit) -> np.ndarray:
         """Where a unit is drawn: its records rows for the block's first
-        channel, else a unit buffer, taken at the unit's first use."""
+        channel, else a unit buffer, allocated at the unit's first use."""
         channel, start, stop = unit
         if channel == self._channels[0]:
             return self._records[start:stop]
-        size = (stop - start) * self.params.n_samples
-        flat = self._buffers.get(start)
-        if flat is None:
-            flat = self._buffers[start] = _take_buffer(size)
-        return flat[:size].reshape(stop - start, self.params.n_samples)
+        rows = self._buffers.get(start)
+        if rows is None:
+            rows = self._buffers[start] = np.empty(
+                (stop - start, self.params.n_samples))
+        return rows
 
     def _merge(self, unit, values: np.ndarray) -> None:
         """Record that a unit's values are done.  The second unit of a row
         block to finish adds the block's buffered values into its rows and
-        gives the buffer back; the lock makes exactly one unit second."""
+        drops the buffer; the lock makes exactly one unit second."""
         channel, start, stop = unit
         if len(self._channels) < 2:
             return
@@ -352,7 +331,7 @@ class RecordUnits:
             first = self._done.pop(start)
         self._records[start:stop] += (
             first if channel == self._channels[0] else values)
-        _give_buffer(self._buffers.pop(start, None))
+        self._buffers.pop(start, None)
 
     def draw(self, unit) -> None:
         """Fill and transform a unit through ``rng.standard_normals_block``."""

@@ -23,7 +23,6 @@ from syncphase.divergences import (
     uniform_density_on,
 )
 from syncphase.errors import LengthMismatch, OutOfRange, SupportMismatch
-from syncphase import signal_model
 from syncphase.phase_pdf import NARROW_SPREAD, PolarPdf, wrap_angle
 from syncphase.signal_model import make_params, sigma_x_for_snr
 from syncphase.spectral_estimator import TheoreticalMoments, theoretical_moments
@@ -369,6 +368,11 @@ class TestOnePassPrimitives:
         (3e-4, -math.pi + 1e-3),    # ... and at -pi
         (1e-2, math.pi),
         (1e-14, 0.5),               # window steps below one ulp: repeats
+        (2.5e-313, 0.0),            # subnormal window steps
+        (1e-321, 0.0),              # a window step that underflows to 0
+        (1e-312, 1e-310),           # ... around a subnormal center
+        (3e-4, -math.pi),           # center on the seam
+        (1e-3, 7.0),                # center wrapped into [-pi, pi]
     ])
     def test_merged_node_set_is_np_unique(self, spread, center):
         ambient = np.linspace(-math.pi, math.pi, AMBIENT_NODES)
@@ -380,17 +384,6 @@ class TestOnePassPrimitives:
         assert divergences._sorted_distinct(ambient, window).tobytes() == \
             want.tobytes()
         assert phase_nodes(spread, center).tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("start, stop, num", [
-        (-math.pi, math.pi, DENSE_NODES),
-        (0.5 - 4e-13, 0.5 + 4e-13, DENSE_NODES),
-        (-3.1, 2.0, 129),
-        (0.0, 1e-310, DENSE_NODES),   # a subnormal step
-        (0.0, 1e-320, DENSE_NODES),   # a step that underflows to 0
-    ])
-    def test_window_ramp_is_np_linspace(self, start, stop, num):
-        got = divergences._linspace(start, stop, np.empty(num))
-        assert got.tobytes() == np.linspace(start, stop, num).tobytes()
 
     def test_merge_keeps_one_shared_zero(self):
         merged = divergences._sorted_distinct(
@@ -434,50 +427,12 @@ class TestOnePassPrimitives:
 
 
 class TestWorkspace:
-    """Divergence cells compute in pooled workspaces (module docstring)."""
+    """Divergence cells compute in workspaces of their own (module
+    docstring)."""
 
-    @staticmethod
-    def recording_pool(monkeypatch):
-        """A fresh free list that records every workspace put back."""
-        returned = []
-
-        class Pool(list):
-            def append(self, workspace):
-                returned.append(workspace)
-                super().append(workspace)
-        pool = Pool()
-        monkeypatch.setattr(divergences, "_WORKSPACES", pool)
-        return pool, returned
-
-    def test_cells_on_one_thread_share_one_workspace(self, monkeypatch,
-                                                     tmp_path):
-        pool, returned = self.recording_pool(monkeypatch)
-        monkeypatch.setattr(signal_model, "_THREADS", 1)
-        out = str(tmp_path / "t.csv")
-        # wide and narrow lobes, at two record lengths
-        for n in ("20", "10000"):
-            assert main(["divergence", "--snr-db", "-50,-10,20,60",
-                         "--n", n, "--out", out]) == 0
-        assert len(pool) == 1
-        assert len(returned) >= 8
-        assert all(workspace is pool[0] for workspace in returned)
-
-    def test_two_threads_hold_at_most_two(self, monkeypatch, tmp_path):
-        pool, returned = self.recording_pool(monkeypatch)
-        monkeypatch.setattr(signal_model, "_THREADS", 2)
-        out = str(tmp_path / "t.csv")
-        for _ in range(3):
-            assert main(["divergence", "--snr-db", "-50,-20,0,20,40,60",
-                         "--n", "1000", "--out", out]) == 0
-        assert 1 <= len(pool) <= 2
-        assert len(returned) >= 18
-        assert all(any(workspace is kept for kept in pool)
-                   for workspace in returned)
-
-    def test_concurrent_cells_never_share_a_workspace(self, monkeypatch):
+    def test_concurrent_cells_never_share_a_workspace(self):
         # four threads on three cell kinds, switching every 10 us: a
         # workspace two cells wrote at once would move a cell's bits
-        pool, _ = self.recording_pool(monkeypatch)
         cells = [moments_for(1000, snr_db) for snr_db in (-10.0, 20.0, 50.0)]
         want = [repr(divergences.divergence_row(mom)) for mom in cells]
         interval = sys.getswitchinterval()
@@ -490,17 +445,16 @@ class TestWorkspace:
         finally:
             sys.setswitchinterval(interval)
         assert got == [want[k % 3] for k in range(24)]
-        assert 1 <= len(pool) <= 4
 
-    def test_a_failing_cell_puts_its_workspace_back(self, monkeypatch):
-        pool, returned = self.recording_pool(monkeypatch)
+    def test_a_failing_cell_leaves_the_next_cell_its_bits(self, monkeypatch):
+        mom = moments_for(1000, 40.0)
+        want = repr(divergences.divergence_row(mom))
         with pytest.raises(OutOfRange, match="no lobe"):
             divergences.divergence_row(moments_for(1000, 0.0, sigma_p=100.0))
-        mom = moments_for(1000, 40.0)
-        monkeypatch.setattr(divergences, "pdf_value_into",
+        assert repr(divergences.divergence_row(mom)) == want
+        with monkeypatch.context() as patched:
+            patched.setattr(divergences, "pdf_value_into",
                             lambda pdf, theta, out, work: out.fill(math.nan))
-        with pytest.raises(OutOfRange, match="finite and non-negative"):
-            divergences.divergence_row(mom)
-        # phase_nodes' and the row's, both the one workspace
-        assert len(pool) == 1 and len(returned) == 2
-        assert all(workspace is pool[0] for workspace in returned)
+            with pytest.raises(OutOfRange, match="finite and non-negative"):
+                divergences.divergence_row(mom)
+        assert repr(divergences.divergence_row(mom)) == want

@@ -343,6 +343,19 @@ def test_a_nan_integrand_ends_when_a_half_is_nan_again():
     assert math.isnan(err.value.error_estimate)
 
 
+def test_panels_of_both_infinities_end_on_their_nan():
+    # the seed panels' values inf and -inf have no sum: math.fsum raises
+    # ValueError on them, and the integral must end as a NaN one does
+    def f(x):
+        return np.where(x < 0.5, np.inf, -np.inf)
+
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(QuadratureNonConvergence, match="NaN") as err:
+        integrate(f, 0.0, 1.0, breakpoints=(0.5,))
+    assert math.isnan(err.value.best_estimate)
+    assert math.isnan(err.value.error_estimate)
+
+
 def _sinc_at(c):
     """sin(x - c) / (x - c): NaN at x = c, a removable 0/0."""
     def f(x):

@@ -202,9 +202,7 @@ def test_kernel_work_memory_does_not_grow_with_draws():
 
 def _arena_probe(monkeypatch, on_call):
     """Wrap ``rng._mulhi`` so that on_call(out) sees every full-size or
-    draw-column array a kernel fill writes, and give the test an empty
-    arena pool of its own."""
-    monkeypatch.setattr(rng, "_ARENAS", [])
+    draw-column array a kernel fill writes."""
     mulhi = rng._mulhi
 
     def probe(x, m, out, s0, s1, s2):
@@ -220,16 +218,23 @@ def _assert_fresh_rows(u, seed, first, channel):
         assert np.array_equal(ndtri(row), want), j
 
 
-def test_kernel_fillers_reuse_one_arena(monkeypatch):
-    # Every filler works in the one pooled arena, and each call below starts
-    # on the words another filler (other channel, count and seed) left there.
+def _one_arena(outs):
+    """The one arena of ``_ARENA_WORDS`` words that every array of `outs`
+    is a view of."""
+    (arena,) = {id(out.base): out.base for out in outs}.values()
+    assert arena.size == rng._ARENA_WORDS
+    return arena
+
+
+def test_kernel_fills_each_work_in_one_arena(monkeypatch):
+    # Each call allocates its arena, which the heap may serve from the words
+    # an earlier fill (other channel, count and seed) left there.
     outs = []
     _arena_probe(monkeypatch, outs.append)
-    rng.uniform_filler(3, rng.CH_PHASE, 33)(np.empty((5, 33)), 0)
-    assert len(rng._ARENAS) == 1
-    arena = rng._ARENAS[0]
-    assert arena.size == rng._ARENA_WORDS
-    assert all(np.shares_memory(out, arena) for out in outs)
+    u = np.empty((5, 33))
+    rng.uniform_filler(3, rng.CH_PHASE, 33)(u, 0)
+    _one_arena(outs)
+    _assert_fresh_rows(u, 3, 0, rng.CH_PHASE)
     fillers = [(11, 1), (2**64 - 1, 20), (2**63 + 5, 88)]
     fillers = [(seed, count, rng.uniform_filler(seed, rng.CH_ADDITIVE, count))
                for seed, count in fillers]
@@ -238,8 +243,7 @@ def test_kernel_fillers_reuse_one_arena(monkeypatch):
             outs.clear()
             u = np.empty((6, count))
             fill(u, first)
-            assert outs and all(np.shares_memory(out, arena) for out in outs)
-            assert len(rng._ARENAS) == 1 and rng._ARENAS[0] is arena
+            _one_arena(outs)
             _assert_fresh_rows(u, seed, first, rng.CH_ADDITIVE)
 
 
@@ -274,24 +278,19 @@ def test_concurrent_fills_take_separate_arenas(monkeypatch):
     for thread in threads:
         thread.join(60)
     assert not errors and not any(t.is_alive() for t in threads)
-    a, b = rng._ARENAS
-    assert a is not b
     one, other = outs.values()
     assert not np.shares_memory(one, other)
     for channel, u in results.items():
         assert np.array_equal(
             u, rng._uniforms_block(seed, first, 7, channel, count))
         _assert_fresh_rows(u, seed, first, channel)
-    assert len(rng._ARENAS) == 2
 
 
-def test_fills_on_more_threads_than_cores_keep_their_bits(monkeypatch):
-    # a lost or doubled pop/append would leave a wrong or repeated arena
-    monkeypatch.setattr(rng, "_ARENAS", [])
+def test_fills_on_more_threads_than_cores_keep_their_bits():
+    # an arena two fills shared would move a fill's bits
     n_threads, n_fills, count = 4, 25, 20
     want = [rng._uniforms_block(7, 50 * i, 50, i % 2, count)
             for i in range(n_threads)]
-    assert len(rng._ARENAS) == 1
     errors = []
 
     def run(i):
@@ -316,20 +315,15 @@ def test_fills_on_more_threads_than_cores_keep_their_bits(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not errors and not any(t.is_alive() for t in threads)
-    assert 1 <= len(rng._ARENAS) <= n_threads
-    assert len({id(arena) for arena in rng._ARENAS}) == len(rng._ARENAS)
 
 
-def test_a_failing_fill_returns_its_arena(monkeypatch):
-    monkeypatch.setattr(rng, "_ARENAS", [])
+def test_a_failing_fill_leaves_the_next_fill_its_bits():
+    # the failing call's arena goes with it; the next call starts afresh
     fill = rng.uniform_filler(1, rng.CH_PHASE, 20)
     with pytest.raises(ValueError):
         fill(np.empty((4, 21)), 0)  # u has the wrong shape
-    assert len(rng._ARENAS) == 1
-    arena = rng._ARENAS[0]
     u = np.empty((4, 20))
     fill(u, 0)
-    assert len(rng._ARENAS) == 1 and rng._ARENAS[0] is arena
     _assert_fresh_rows(u, 1, 0, rng.CH_PHASE)
 
 

@@ -304,12 +304,11 @@ class TestRecordUnits:
 
     @pytest.mark.parametrize("n_draws", [500, 2000])
     def test_a_batch_holds_its_records_and_a_few_unit_buffers(
-            self, monkeypatch, n_draws):
+            self, n_draws):
         # two channels at N = 1000: the phase units are drawn in the
         # records rows, the additive ones in at most _UNITS_IN_FLIGHT unit
         # buffers (one more while the worker holds the last queued unit)
         # and the last in a block of its own, whatever the draw count
-        monkeypatch.setattr(signal_model, "_UNIT_BUFFERS", [])
         p = self.params(0.3, 0.1, n=1000)
         tracemalloc.start()
         try:
@@ -317,7 +316,7 @@ class TestRecordUnits:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        unit_bytes = rng.unit_samples() * records.itemsize
+        unit_bytes = rng.unit_rows(1000) * 1000 * records.itemsize
         held = (signal_model._UNITS_IN_FLIGHT + 2) * unit_bytes
         assert records.nbytes < peak <= records.nbytes + held + 2**16
 
